@@ -185,9 +185,9 @@ let serve_cmd =
             "Edit-aware workers (docs/INCREMENTAL.md): each analysis \
              consults the per-SCC fragment cache and splices unchanged \
              cones' tables back instead of recomputing them.  Reports are \
-             byte-identical to full runs.  Pair with $(b,--store) so \
+             byte-identical to full runs.  Needs $(b,--store), where \
              fragments survive the per-job worker fork and accumulate \
-             across requests.")
+             across requests; without it workers run from scratch.")
   in
   let cache_entries =
     Arg.(

@@ -254,24 +254,6 @@ let find_analysis name =
    no per-analysis code here — the registry entry carries everything;
    the named subcommands below only translate their flags into
    configuration assignments. *)
-(* The fragment cache behind [--incremental]: bound to the [incr/]
-   subtree of a snapshot store when [--store] is given (fragments then
-   survive the process and a later run splices them back), a
-   process-local hashtable otherwise (only same-process reuse — still
-   exercises the splice path, and what the daemon uses store-less). *)
-let incr_cache a ~name ~config ~store =
-  match store with
-  | None -> Analysis.memory_cache ()
-  | Some dir -> (
-      match Analysis.table_class a ~config () with
-      | Some table_class ->
-          Incr.Incr.cache_of_store (Store.open_dir dir) ~analysis:name
-            ~table_class
-      | None ->
-          (* no incremental support: run_incr falls back to run and
-             never touches the cache *)
-          Analysis.memory_cache ())
-
 let run_single ~name ~config ~input ~bench ~timings ~stats ~timeout ~max_steps
     ~max_bytes ~incremental ~store =
   let a = find_analysis name in
@@ -279,10 +261,15 @@ let run_single ~name ~config ~input ~bench ~timings ~stats ~timeout ~max_steps
   let guard = guard_of timeout max_steps max_bytes in
   let rep =
     with_diagnostics ~file:input ~text:src (fun () ->
-        if incremental then
-          let cache = incr_cache a ~name ~config ~store in
-          Analysis.run_incr a ~config ~guard ~cache src
-        else Analysis.run a ~config ~guard src)
+        (* [--incremental] needs [--store]: one analysis per process,
+           so a process-local cache could never be read back *)
+        let cache =
+          if incremental then
+            Option.bind store (fun dir ->
+                Incr.Incr.store_cache (Store.open_dir dir) a ~config)
+          else None
+        in
+        Analysis.run a ~config ~guard ?cache src)
   in
   if not (report_suppressed stats) then begin
     print_endline rep.Analysis.payload_text;
@@ -311,9 +298,11 @@ let incremental_flag =
           "Edit-aware re-analysis (docs/INCREMENTAL.md): consult a per-SCC \
            fragment cache keyed by closure digest, splice unchanged cones' \
            tables back, and recompute only the dependent cone of the edit. \
-           The report is byte-identical to a from-scratch run.  Pair with \
-           $(b,--store) to persist fragments across processes; \
-           analyses without incremental support fall back to a full run.")
+           The report is byte-identical to a from-scratch run.  Needs \
+           $(b,--store), where the fragments persist across processes: \
+           without it (one analysis per process, nothing to reuse) and for \
+           analyses without incremental support the run is a plain \
+           from-scratch run.")
 
 let incr_store_arg =
   Arg.(
@@ -323,8 +312,8 @@ let incr_store_arg =
         ~doc:
           "Persist the $(b,--incremental) fragment cache under the snapshot \
            store at $(docv) (created if needed; atomic writes, CRC \
-           trailers, orphan-temp sweep).  Without it the cache lives only \
-           for this process.")
+           trailers, orphan-temp sweep).  Without it $(b,--incremental) \
+           has no cache and runs from scratch.")
 
 let groundness_cmd =
   let run input bench timings compiled stats timeout max_steps max_bytes

@@ -314,19 +314,14 @@ type cache = {
   cache_save : string -> string -> unit;
 }
 
-type incremental = {
-  table_class : config -> string;
-  run_incr : config:config -> guard:Guard.t -> cache:cache -> string -> report;
-}
-
 type t = {
   name : string;
   doc : string;
   kind : source_kind;
   extensions : string list;
   defaults : config;
-  run : config:config -> guard:Guard.t -> string -> report;
-  incremental : incremental option;
+  run : ?cache:cache -> config:config -> guard:Guard.t -> string -> report;
+  table_class : (config -> string) option;
 }
 
 (* registration order is meaningful: [claiming_extension] awards an
@@ -346,26 +341,18 @@ let names () = List.map (fun a -> a.name) !registry
 let claiming_extension ext =
   List.find_opt (fun a -> List.mem ext a.extensions) !registry
 
-let run (a : t) ?(config = []) ?(guard = Guard.unlimited) src =
+let merged (a : t) config =
   match merge_config ~defaults:a.defaults config with
   | Error msg -> raise (Config_error msg)
-  | Ok cfg -> a.run ~config:cfg ~guard src
+  | Ok cfg -> cfg
 
-let run_incr (a : t) ?(config = []) ?(guard = Guard.unlimited) ~cache src =
-  match merge_config ~defaults:a.defaults config with
-  | Error msg -> raise (Config_error msg)
-  | Ok cfg -> (
-      match a.incremental with
-      | Some i -> i.run_incr ~config:cfg ~guard ~cache src
-      | None -> a.run ~config:cfg ~guard src)
+let run (a : t) ?(config = []) ?(guard = Guard.unlimited) ?cache src =
+  a.run ?cache ~config:(merged a config) ~guard src
+
+let run_incr a ?config ?guard ~cache src = run a ?config ?guard ~cache src
 
 let table_class (a : t) ?(config = []) () =
-  match a.incremental with
-  | None -> None
-  | Some i -> (
-      match merge_config ~defaults:a.defaults config with
-      | Error msg -> raise (Config_error msg)
-      | Ok cfg -> Some (i.table_class cfg))
+  Option.map (fun tc -> tc (merged a config)) a.table_class
 
 let memory_cache () =
   let tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in

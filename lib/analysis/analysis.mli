@@ -186,13 +186,14 @@ val kind_to_string : source_kind -> string
 
 (** {2 Incremental re-analysis (docs/INCREMENTAL.md)}
 
-    An analysis that supports edit-aware re-analysis additionally
-    implements {!incremental}: a [run_incr] that consults a {!cache} of
-    per-SCC result fragments keyed by closure digest, splicing cached
-    fragments back instead of recomputing them.  The cache is two plain
-    string closures so the registry depends on no store — the CLI and
-    daemon bind it to a {!Prax_store.Store.t} subdirectory, tests to a
-    hashtable. *)
+    An analysis that supports edit-aware re-analysis declares a
+    {!field-table_class} and accepts an optional {!cache} of per-SCC
+    result fragments keyed by closure digest in its one [run]: with a
+    cache, cached fragments are spliced back instead of recomputed;
+    without one, the run is the plain from-scratch evaluation.  The
+    cache is two plain string closures so the registry depends on no
+    store — the CLI and daemon bind it to a {!Prax_store.Store.t}
+    subdirectory, tests to a hashtable. *)
 
 type cache = {
   cache_load : string -> string option;
@@ -204,35 +205,30 @@ type cache = {
           raise; a failed save degrades to a future recomputation. *)
 }
 
-type incremental = {
-  table_class : config -> string;
-      (** The table-compatibility class of a configuration: two configs
-          with the same class produce interchangeable cached fragments
-          (e.g. groundness [mode=dynamic] and [mode=compiled] share
-          class ["prop"] — same fixpoint, different clause store).  The
-          class is part of the cache key, so declaring it wrong leaks
-          stale results; declaring classes too finely merely loses
-          sharing.  Receives a complete (defaults-merged) config. *)
-  run_incr : config:config -> guard:Guard.t -> cache:cache -> string -> report;
-      (** Like [run], but consults and refills the fragment cache.  The
-          report must be identical to what [run] produces on the same
-          source — the incremental-vs-scratch oracle in the test suite
-          enforces byte-equality of the payload. *)
-}
-
 type t = {
   name : string;  (** registry key, e.g. ["groundness"] *)
   doc : string;  (** one-line description *)
   kind : source_kind;
   extensions : string list;  (** claimed file extensions, e.g. [[".pl"]] *)
   defaults : config;  (** every accepted key, with its default *)
-  run : config:config -> guard:Guard.t -> string -> report;
-      (** [run ~config ~guard source] analyzes the source text.  The
-          [config] is complete (defaults merged); raises
-          {!Config_error} on malformed values. *)
-  incremental : incremental option;
-      (** Edit-aware re-analysis support; [None] for analyses that
-          always recompute (front-ends then fall back to [run]). *)
+  run : ?cache:cache -> config:config -> guard:Guard.t -> string -> report;
+      (** [run ?cache ~config ~guard source] analyzes the source text.
+          The [config] is complete (defaults merged); raises
+          {!Config_error} on malformed values.  With a [cache], an
+          analysis that declares a {!field-table_class} consults and
+          refills it; the report must be identical either way — the
+          incremental-vs-scratch oracle in the test suite enforces
+          byte-equality of the payload.  Analyses without incremental
+          support ignore the cache. *)
+  table_class : (config -> string) option;
+      (** The table-compatibility class of a configuration, [None] for
+          analyses that always recompute.  Two configs with the same
+          class produce interchangeable cached fragments (e.g.
+          groundness [mode=dynamic] and [mode=compiled] share class
+          ["prop"] — same fixpoint, different clause store).  The class
+          is part of the cache key, so declaring it wrong leaks stale
+          results; declaring classes too finely merely loses sharing.
+          Receives a complete (defaults-merged) config. *)
 }
 
 val register : t -> unit
@@ -250,16 +246,17 @@ val claiming_extension : string -> t option
 (** The first registered analysis claiming the extension (e.g.
     [".pl"]) — the default for directory scans. *)
 
-val run : t -> ?config:config -> ?guard:Guard.t -> string -> report
-(** [run a ~config src] merges [config] over [a.defaults] and runs.
+val run :
+  t -> ?config:config -> ?guard:Guard.t -> ?cache:cache -> string -> report
+(** [run a ~config src] merges [config] over [a.defaults] and runs,
+    consulting the fragment [cache] when one is given.
     @raise Config_error on an unknown key or malformed value. *)
 
 val run_incr :
   t -> ?config:config -> ?guard:Guard.t -> cache:cache -> string -> report
-(** Like {!run} through the analysis's incremental entry point; falls
-    back to a plain {!run} when the analysis declares no incremental
-    support (so front-ends can pass [--incremental] unconditionally).
-    @raise Config_error on an unknown key or malformed value. *)
+(** [run_incr a ~cache src] is [run a ~cache src]: an analysis without
+    incremental support ignores the cache, so front-ends can pass one
+    unconditionally. *)
 
 val table_class : t -> ?config:config -> unit -> string option
 (** The table-compatibility class of the (defaults-merged) config, or
@@ -267,5 +264,5 @@ val table_class : t -> ?config:config -> unit -> string option
     @raise Config_error on an unknown key or malformed value. *)
 
 val memory_cache : unit -> cache
-(** A process-local hashtable-backed {!cache} — for tests and for the
-    daemon's store-less configuration. *)
+(** A process-local hashtable-backed {!cache} — for tests and the bench
+    harness, where one process runs the same analysis repeatedly. *)

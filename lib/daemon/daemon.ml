@@ -593,27 +593,22 @@ let run ?on_ready (d : t) : unit =
        one structured response *)
     if attempt = 1 then Option.iter Inject.apply_worker_fault p.jb_fault;
     let rep =
-      (* edit-aware dispatch: under [incremental] the worker consults
-         the per-SCC fragment cache before evaluating, splicing
-         unchanged cones' tables back.  Cross-request reuse needs the
-         persistent store — workers are forked, so a memory cache dies
-         with the child; with [store_dir] the fragments live under
-         [incr/<analysis>/] next to the warm result snapshots and every
-         later fork (or a cold CLI run) replays them.  The report is
+      (* edit-aware dispatch: under [incremental] with a store the
+         worker consults the per-SCC fragment cache under
+         [incr/<analysis>/] next to the warm result snapshots, splicing
+         unchanged cones' tables back; every later fork (or a cold CLI
+         run) replays them.  Without a store there is no cache at all:
+         workers are forked, so a memory cache would die with the child
+         before any lookup could reach it.  The report is
          byte-identical either way, so the resident result cache and
          the store snapshots need no new key component. *)
-      match p.jb_analysis.Analysis.incremental with
-      | Some inc when d.config.incremental ->
-          let cache =
-            match d.store with
-            | Some s ->
-                Prax_incr.Incr.cache_of_store s
-                  ~analysis:p.jb_analysis.Analysis.name
-                  ~table_class:(inc.Analysis.table_class p.jb_config)
-            | None -> Analysis.memory_cache ()
-          in
-          inc.Analysis.run_incr ~config:p.jb_config ~guard ~cache p.jb_source
-      | _ -> p.jb_analysis.Analysis.run ~config:p.jb_config ~guard p.jb_source
+      let cache =
+        if d.config.incremental then
+          Option.bind d.store (fun s ->
+              Prax_incr.Incr.store_cache s p.jb_analysis ~config:p.jb_config)
+        else None
+      in
+      p.jb_analysis.Analysis.run ?cache ~config:p.jb_config ~guard p.jb_source
     in
     let payload =
       Metrics.json_to_string (Analysis.report_to_json ~input:p.jb_input rep)

@@ -29,7 +29,7 @@ let row_json (n, defs) : Metrics.json =
              defs) );
     ]
 
-let run ~config ~guard src : Analysis.report =
+let run ?cache:_ ~config ~guard src : Analysis.report =
   let rep = Analyze.analyze_source ~guard src in
   {
     Analysis.analysis = "dataflow";
@@ -52,5 +52,5 @@ let def : Analysis.t =
     extensions = [ ".cfg" ];
     defaults = [];
     run;
-    incremental = None;
+    table_class = None;
   }

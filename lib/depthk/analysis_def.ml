@@ -32,7 +32,7 @@ let result_json (r : Analyze.pred_result) : Metrics.json =
       ("patterns", Metrics.Int (List.length r.Analyze.answers));
     ]
 
-let run ~config ~guard src : Analysis.report =
+let run ?cache:_ ~config ~guard src : Analysis.report =
   let k = Analysis.config_int config "k" in
   if k < 0 then
     raise (Analysis.Config_error "k expects a non-negative integer");
@@ -58,5 +58,5 @@ let def : Analysis.t =
     extensions = [ ".pl" ];
     defaults = [ ("k", "2") ];
     run;
-    incremental = None;
+    table_class = None;
   }

@@ -34,7 +34,7 @@ let result_json (r : Analyze.pred_result) : Metrics.json =
       ("never_succeeds", Metrics.Bool r.Analyze.never_succeeds);
     ]
 
-let run ~config ~guard:_ src : Analysis.report =
+let run ?cache:_ ~config ~guard:_ src : Analysis.report =
   let backend = Analysis.config_enum config "backend" [ "bdd"; "bitset" ] in
   let rep =
     match backend with
@@ -63,5 +63,5 @@ let def : Analysis.t =
     extensions = [ ".pl" ];
     defaults = [ ("backend", "bdd") ];
     run;
-    incremental = None;
+    table_class = None;
   }

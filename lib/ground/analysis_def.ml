@@ -6,6 +6,7 @@ open Prax_logic
 open Prax_prop
 module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
+module Incr = Prax_incr.Incr
 
 let counts (st : Prax_tabling.Engine.stats) : Analysis.engine_counts =
   {
@@ -55,41 +56,34 @@ let wrap ~config (rep : Analyze.report) : Analysis.report =
     payload_json = Metrics.Arr (List.map result_json rep.Analyze.results);
   }
 
-let run ~config ~guard src : Analysis.report =
-  let rep =
-    match Analysis.config_enum config "mode" [ "dynamic"; "compiled"; "def" ] with
-    | "def" ->
-        (* def-domain fast path: bottom-up over definite Boolean
-           functions, no tabled evaluation (docs/ANALYSES.md) *)
-        Def.analyze ~guard src
-    | mode_name ->
-        let mode =
-          if mode_name = "compiled" then Database.Compiled else Database.Dynamic
-        in
-        Analyze.analyze ~mode ~guard src
-  in
-  wrap ~config rep
-
-let run_incr ~config ~guard ~cache src : Analysis.report =
-  let rep =
-    match Analysis.config_enum config "mode" [ "dynamic"; "compiled"; "def" ] with
-    | "def" -> Def.analyze_incr ~cache ~guard src
-    | mode_name ->
-        let mode =
-          if mode_name = "compiled" then Database.Compiled else Database.Dynamic
-        in
-        Analyze.analyze_incr ~cache ~mode ~guard src
-  in
-  wrap ~config rep
+let mode config =
+  Analysis.config_enum config "mode" [ "dynamic"; "compiled"; "def" ]
 
 (* Table-compatibility (docs/INCREMENTAL.md): dynamic and compiled run
    the same tabled fixpoint over different clause stores, so their
    fragments are interchangeable — one shared class "prop".  The def
    domain caches implication-set values, a different payload entirely. *)
-let table_class config =
-  match Analysis.config_enum config "mode" [ "dynamic"; "compiled"; "def" ] with
-  | "def" -> "def"
-  | _ -> "prop"
+let table_class config = if mode config = "def" then "def" else "prop"
+
+let run ?cache ~config ~guard src : Analysis.report =
+  let cache =
+    Option.map
+      (fun fragments -> { Incr.fragments; table_class = table_class config })
+      cache
+  in
+  let rep =
+    match mode config with
+    | "def" ->
+        (* def-domain fast path: bottom-up over definite Boolean
+           functions, no tabled evaluation (docs/ANALYSES.md) *)
+        Def.analyze ?cache ~guard src
+    | mode_name ->
+        let mode =
+          if mode_name = "compiled" then Database.Compiled else Database.Dynamic
+        in
+        Analyze.analyze ?cache ~mode ~guard src
+  in
+  wrap ~config rep
 
 let def : Analysis.t =
   {
@@ -99,5 +93,5 @@ let def : Analysis.t =
     extensions = [ ".pl" ];
     defaults = [ ("mode", "dynamic") ];
     run;
-    incremental = Some { Analysis.table_class; run_incr };
+    table_class = Some table_class;
   }

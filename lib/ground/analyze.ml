@@ -100,8 +100,7 @@ let mode_char = function
 let pattern_of_call (call : Term.t) : string =
   Term.args_of call |> Array.to_seq |> Seq.map mode_char |> String.of_seq
 
-(* Preprocessing shared by the scratch and incremental paths: transform
-   + load into the clause store. *)
+(* Preprocessing: transform + load into the clause store. *)
 let prepare ~mode ~guard clauses =
   let abstract, preds, max_iff = Transform.program clauses in
   let db = Database.create ~mode () in
@@ -116,7 +115,7 @@ let open_goal (name, arity) =
   Term.mk (Transform.prefix ^ name)
     (Array.init arity (fun _ -> Term.fresh_var ()))
 
-(* Collection shared by both paths: combine answers per predicate. *)
+(* Collection: combine answers per predicate. *)
 let collect_results e status preds =
   List.map
     (fun (name, arity) ->
@@ -143,44 +142,18 @@ let collect_results e status preds =
     preds
 
 (** Run the analysis on already-parsed clauses (so callers can time
-    parsing separately if they wish). *)
-let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited)
+    parsing separately if they wish).  With a fragment [cache] the
+    evaluation is edit-aware — unchanged cones splice their tables back
+    instead of recomputing (docs/INCREMENTAL.md) — and the report is
+    byte-identical to a run without one. *)
+let analyze_clauses ?cache ?(mode = Database.Dynamic) ?(guard = Guard.unlimited)
     (clauses : Parser.clause list) : report =
-  let phases, (abstract, _, e), status, results =
-    Analysis.phased ~timers:(t_preprocess, t_evaluate, t_collect)
-      ~pre:(fun () -> prepare ~mode ~guard clauses)
-      (* analysis: open call on every abstracted predicate.  Budgets are
-         sticky, so after an exhaustion the remaining predicates degrade
-         immediately instead of each burning a full budget. *)
-      ~eval:(fun (_, preds, e) ->
-        List.fold_left
-          (fun acc p ->
-            Guard.combine acc (Engine.run_status e (open_goal p) (fun _ -> ())))
-          Guard.Complete preds)
-      ~collect:(fun (_, preds, e) status -> collect_results e status preds)
-      ()
-  in
-  {
-    results;
-    phases;
-    table_bytes = Engine.table_space_bytes e;
-    engine_stats = Engine.stats e;
-    clause_count = List.length abstract;
-    status;
-  }
-
-(** Edit-aware variant: same phases, but the evaluation consults a
-    per-SCC fragment cache — unchanged cones splice their tables back
-    instead of recomputing (docs/INCREMENTAL.md).  The report is
-    byte-identical to {!analyze_clauses} on the same source. *)
-let analyze_clauses_incr ~cache ?(mode = Database.Dynamic)
-    ?(guard = Guard.unlimited) (clauses : Parser.clause list) : report =
   let phases, (abstract, _, e), (status, _), results =
     Analysis.phased ~timers:(t_preprocess, t_evaluate, t_collect)
       ~pre:(fun () -> prepare ~mode ~guard clauses)
+      (* analysis: open call on every abstracted predicate *)
       ~eval:(fun (abstract, preds, e) ->
-        Prax_incr.Incr.run_tabled ~cache ~table_class:"prop" ~engine:e
-          ~clauses:abstract
+        Prax_incr.Incr.run_tabled ?cache ~engine:e ~clauses:abstract
           ~goals:(List.map open_goal preds)
           ())
       ~collect:(fun (_, preds, e) (status, _) -> collect_results e status preds)
@@ -197,20 +170,11 @@ let analyze_clauses_incr ~cache ?(mode = Database.Dynamic)
 
 (** Full pipeline from source text; parse time is part of preprocessing,
     as in the paper. *)
-let analyze ?(mode = Database.Dynamic) ?guard (src : string) : report =
+let analyze ?cache ?(mode = Database.Dynamic) ?guard (src : string) : report =
   let t0 = now () in
   let clauses = Metrics.time t_preprocess (fun () -> Parser.parse_clauses src) in
   let t_parse = now () -. t0 in
-  let r = analyze_clauses ~mode ?guard clauses in
-  { r with phases = Analysis.add_preproc r.phases t_parse }
-
-(** Edit-aware full pipeline; see {!analyze_clauses_incr}. *)
-let analyze_incr ~cache ?(mode = Database.Dynamic) ?guard (src : string) :
-    report =
-  let t0 = now () in
-  let clauses = Metrics.time t_preprocess (fun () -> Parser.parse_clauses src) in
-  let t_parse = now () -. t0 in
-  let r = analyze_clauses_incr ~cache ~mode ?guard clauses in
+  let r = analyze_clauses ?cache ~mode ?guard clauses in
   { r with phases = Analysis.add_preproc r.phases t_parse }
 
 (** Plain compilation time of the source (parse + load), the baseline for

@@ -351,61 +351,38 @@ let store_words (store : store) : int =
       + match v with Bot -> 0 | F impl -> Array.fold_left (fun a ms -> a + List.length ms) 0 impl)
     store 0
 
-type run_stats = { iterations : int; paths : int }
+type run_stats = { mutable iterations : int; mutable paths : int }
 
-let fixpoint ~guard (pcs : pclause list) (preds : (string * int) list) :
-    store * Guard.status * run_stats =
-  let store : store = Hashtbl.create 64 in
-  List.iter
-    (fun (name, arity) ->
-      Hashtbl.replace store (Transform.prefix ^ name, arity) Bot)
-    preds;
+(* Chaotic iteration over [pcs] until no value grows: the one saturation
+   loop behind both the global and the per-SCC fixpoint. *)
+let saturate ~guard (store : store) (rs : run_stats) (pcs : pclause list) =
   let lookup p = Hashtbl.find_opt store p in
-  let iterations = ref 0 in
-  let paths = ref 0 in
-  let status =
-    try
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        incr iterations;
-        Metrics.incr m_iterations;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    rs.iterations <- rs.iterations + 1;
+    Metrics.incr m_iterations;
+    List.iter
+      (fun pc ->
+        let arity = snd pc.pc_pred in
         List.iter
-          (fun pc ->
-            let arity = snd pc.pc_pred in
-            List.iter
-              (fun path ->
-                Guard.check guard;
-                Metrics.incr m_paths;
-                incr paths;
-                match eval_path lookup pc path with
-                | Bot -> ()
-                | contrib ->
-                    let old = Hashtbl.find store pc.pc_pred in
-                    let next = join arity old contrib in
-                    if not (leq next old) then begin
-                      Hashtbl.replace store pc.pc_pred next;
-                      Guard.note_space guard (8 * store_words store);
-                      changed := true
-                    end)
-              pc.pc_paths)
-          pcs
-      done;
-      Guard.Complete
-    with Guard.Exhausted reason ->
-      (* mid-iteration values under-approximate the fixpoint; widen
-         everything to top so the partial report stays sound *)
-      let n = Hashtbl.length store in
-      Hashtbl.iter
-        (fun p v ->
-          match v with
-          | Bot | F _ ->
-              let arity = snd p in
-              Hashtbl.replace store p (F (Array.make arity [])))
-        (Hashtbl.copy store);
-      Guard.Partial { reason; exhausted_entries = n }
-  in
-  (store, status, { iterations = !iterations; paths = !paths })
+          (fun path ->
+            Guard.check guard;
+            Metrics.incr m_paths;
+            rs.paths <- rs.paths + 1;
+            match eval_path lookup pc path with
+            | Bot -> ()
+            | contrib ->
+                let old = Hashtbl.find store pc.pc_pred in
+                let next = join arity old contrib in
+                if not (leq next old) then begin
+                  Hashtbl.replace store pc.pc_pred next;
+                  Guard.note_space guard (8 * store_words store);
+                  changed := true
+                end)
+          pc.pc_paths)
+      pcs
+  done
 
 (* --- collection ---------------------------------------------------------- *)
 
@@ -430,7 +407,7 @@ let bf_of_value arity (v : value) : Bf.t =
       done;
       f
 
-(* --- incremental (per-SCC) evaluation ------------------------------------- *)
+(* --- fragment values + per-SCC evaluation --------------------------------- *)
 
 module Depgraph = Prax_incr.Depgraph
 module Incr = Prax_incr.Incr
@@ -511,111 +488,90 @@ let values_of_string (s : string) : ((string * int) * value) list option =
 
 (* Per-SCC bottom-up evaluation in reverse topological order (callees
    first, so their values are final when a caller's paths read them) —
-   the same least fixpoint as the global chaotic iteration of
-   {!fixpoint}, which is what makes the incremental report byte-equal
-   to the scratch one.  SCCs whose closure digest hits the cache splice
-   their serialized values instead of iterating. *)
-let fixpoint_incr ~(cache : Analysis.cache) ~guard
-    (abstract : Parser.clause list) (pcs : pclause list)
-    (preds : (string * int) list) :
-    store * Guard.status * run_stats * Incr.outcome =
+   the same least fixpoint as the global chaotic iteration, which is
+   what makes the incremental report byte-equal to the scratch one.
+   SCCs whose closure digest hits the cache splice their serialized
+   values instead of iterating; recomputed SCCs are saved at once (their
+   values are final even if a later SCC trips a budget). *)
+let saturate_sccs (c : Incr.cache) ~guard (abstract : Parser.clause list)
+    (store : store) (rs : run_stats) (pcs : pclause list) =
   let g =
     Depgraph.build ~is_call:(fun (name, _) -> name <> "iff") abstract
   in
   let n = Depgraph.scc_count g in
-  let predset : (string * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (name, arity) ->
-      Hashtbl.replace predset (Transform.prefix ^ name, arity) ())
-    preds;
-  let store : store = Hashtbl.create 64 in
-  let lookup p = Hashtbl.find_opt store p in
-  let iterations = ref 0 in
-  let paths = ref 0 in
   let spliced = ref 0 in
   let invalidated = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Incr.record
+        {
+          Incr.sccs = n;
+          invalidated = !invalidated;
+          spliced = !spliced;
+          spliced_entries = 0;
+        })
+  @@ fun () ->
+  for s = 0 to n - 1 do
+    let members = List.filter (Hashtbl.mem store) (Depgraph.members g s) in
+    let key =
+      Incr.fragment_key ~table_class:c.Incr.table_class
+        (Depgraph.closure_digest g s)
+    in
+    let cached =
+      if members = [] then None
+      else
+        match
+          Option.bind (c.Incr.fragments.Analysis.cache_load key)
+            values_of_string
+        with
+        | Some vs
+          when List.sort compare (List.map fst vs)
+               = List.sort compare members ->
+            Some vs
+        | _ -> None
+    in
+    match cached with
+    | Some vs ->
+        incr spliced;
+        List.iter (fun (p, v) -> Hashtbl.replace store p v) vs
+    | None when members = [] -> incr spliced  (* nothing to compute *)
+    | None ->
+        incr invalidated;
+        saturate ~guard store rs
+          (List.filter (fun pc -> List.mem pc.pc_pred members) pcs);
+        c.Incr.fragments.Analysis.cache_save key
+          (values_to_string
+             (List.map (fun p -> (p, Hashtbl.find store p)) members))
+  done
+
+(* The least fixpoint over every abstracted predicate, all starting at
+   bottom: one global iteration from scratch, per SCC against a
+   fragment [cache]. *)
+let fixpoint ?cache ~guard (abstract : Parser.clause list)
+    (pcs : pclause list) (preds : (string * int) list) :
+    store * Guard.status * run_stats =
+  let store : store = Hashtbl.create 64 in
+  List.iter
+    (fun (name, arity) ->
+      Hashtbl.replace store (Transform.prefix ^ name, arity) Bot)
+    preds;
+  let rs = { iterations = 0; paths = 0 } in
   let status =
     try
-      for s = 0 to n - 1 do
-        let members =
-          List.filter (Hashtbl.mem predset) (Depgraph.members g s)
-        in
-        let key =
-          Incr.fragment_key ~table_class:"def" (Depgraph.closure_digest g s)
-        in
-        let splice =
-          if members = [] then None
-          else
-            match Option.map values_of_string (cache.Analysis.cache_load key) with
-            | Some (Some vs)
-              when List.sort compare (List.map fst vs)
-                   = List.sort compare members ->
-                Some vs
-            | _ -> None
-        in
-        match splice with
-        | Some vs ->
-            incr spliced;
-            List.iter (fun (p, v) -> Hashtbl.replace store p v) vs
-        | None ->
-            if members = [] then incr spliced  (* nothing to compute *)
-            else begin
-              incr invalidated;
-              List.iter (fun p -> Hashtbl.replace store p Bot) members;
-              let scc_pcs =
-                List.filter (fun pc -> List.mem pc.pc_pred members) pcs
-              in
-              let changed = ref true in
-              while !changed do
-                changed := false;
-                incr iterations;
-                Metrics.incr m_iterations;
-                List.iter
-                  (fun pc ->
-                    let arity = snd pc.pc_pred in
-                    List.iter
-                      (fun path ->
-                        Guard.check guard;
-                        Metrics.incr m_paths;
-                        incr paths;
-                        match eval_path lookup pc path with
-                        | Bot -> ()
-                        | contrib ->
-                            let old = Hashtbl.find store pc.pc_pred in
-                            let next = join arity old contrib in
-                            if not (leq next old) then begin
-                              Hashtbl.replace store pc.pc_pred next;
-                              Guard.note_space guard (8 * store_words store);
-                              changed := true
-                            end)
-                      pc.pc_paths)
-                  scc_pcs
-              done;
-              cache.Analysis.cache_save key
-                (values_to_string
-                   (List.map (fun p -> (p, Hashtbl.find store p)) members))
-            end
-      done;
+      (match cache with
+      | None -> saturate ~guard store rs pcs
+      | Some c -> saturate_sccs c ~guard abstract store rs pcs);
       Guard.Complete
     with Guard.Exhausted reason ->
-      (* widen the whole domain to top, exactly like the scratch path:
-         the partial report must stay sound and byte-comparable *)
-      Hashtbl.iter
-        (fun p () ->
-          Hashtbl.replace store p (F (Array.make (snd p) [])))
-        predset;
-      Guard.Partial { reason; exhausted_entries = Hashtbl.length store }
+      (* mid-iteration values under-approximate the fixpoint; widen
+         everything to top so the partial report stays sound *)
+      let n = Hashtbl.length store in
+      Hashtbl.filter_map_inplace
+        (fun p _ -> Some (F (Array.make (snd p) [])))
+        store;
+      Guard.Partial { reason; exhausted_entries = n }
   in
-  let o =
-    {
-      Incr.sccs = n;
-      invalidated = !invalidated;
-      spliced = !spliced;
-      spliced_entries = 0;
-    }
-  in
-  Incr.record o;
-  (store, status, { iterations = !iterations; paths = !paths }, o)
+  (store, status, rs)
 
 (* --- report assembly -------------------------------------------------------- *)
 
@@ -664,51 +620,28 @@ let make_report abstract store status (rs : run_stats) phases results :
     status;
   }
 
-let analyze_clauses ?(guard = Guard.unlimited) (clauses : Parser.clause list) :
-    Analyze.report =
+(** Run the def fixpoint on already-parsed clauses.  With a fragment
+    [cache] the evaluation is per SCC, splicing unchanged cones back
+    (docs/INCREMENTAL.md); the report is byte-identical either way. *)
+let analyze_clauses ?cache ?(guard = Guard.unlimited)
+    (clauses : Parser.clause list) : Analyze.report =
   let phases, (abstract, _, _), (store, status, rs), results =
     Analysis.phased ~timers
       ~pre:(fun () ->
         let abstract, preds, _max_iff = Transform.program clauses in
         (abstract, preds, List.map prepare abstract))
-      ~eval:(fun (_, preds, pcs) -> fixpoint ~guard pcs preds)
+      ~eval:(fun (abstract, preds, pcs) ->
+        fixpoint ?cache ~guard abstract pcs preds)
       ~collect:(fun (_, preds, _) (store, _, _) -> collect_results store preds)
       ()
   in
   make_report abstract store status rs phases results
 
-(** Edit-aware variant: per-SCC evaluation against a fragment cache;
-    byte-identical report to {!analyze_clauses} (docs/INCREMENTAL.md). *)
-let analyze_clauses_incr ~cache ?(guard = Guard.unlimited)
-    (clauses : Parser.clause list) : Analyze.report =
-  let phases, (abstract, _, _), (store, status, rs, _), results =
-    Analysis.phased ~timers
-      ~pre:(fun () ->
-        let abstract, preds, _max_iff = Transform.program clauses in
-        (abstract, preds, List.map prepare abstract))
-      ~eval:(fun (abstract, preds, pcs) ->
-        fixpoint_incr ~cache ~guard abstract pcs preds)
-      ~collect:(fun (_, preds, _) (store, _, _, _) ->
-        collect_results store preds)
-      ()
-  in
-  make_report abstract store status rs phases results
-
-let analyze ?guard (src : string) : Analyze.report =
+let analyze ?cache ?guard (src : string) : Analyze.report =
   let t0 = Analysis.now () in
   let clauses =
     Metrics.time Analyze.t_preprocess (fun () -> Parser.parse_clauses src)
   in
   let t_parse = Analysis.now () -. t0 in
-  let r = analyze_clauses ?guard clauses in
-  { r with Analyze.phases = Analysis.add_preproc r.Analyze.phases t_parse }
-
-(** Edit-aware full pipeline; see {!analyze_clauses_incr}. *)
-let analyze_incr ~cache ?guard (src : string) : Analyze.report =
-  let t0 = Analysis.now () in
-  let clauses =
-    Metrics.time Analyze.t_preprocess (fun () -> Parser.parse_clauses src)
-  in
-  let t_parse = Analysis.now () -. t0 in
-  let r = analyze_clauses_incr ~cache ?guard clauses in
+  let r = analyze_clauses ?cache ?guard clauses in
   { r with Analyze.phases = Analysis.add_preproc r.Analyze.phases t_parse }

@@ -295,10 +295,21 @@ let fragment_of_string (s : string) : Engine.exported list option =
       Some (List.rev !acc)
     with Bad | Invalid_argument _ -> None
 
-(* --- the edit-aware evaluation loop ---------------------------------------- *)
+(* --- the evaluation phase ------------------------------------------------ *)
 
-let run_tabled ~(cache : Analysis.cache) ~table_class ~(engine : Engine.t)
-    ~(clauses : Parser.clause list) ~(goals : Term.t list) () :
+type cache = { fragments : Analysis.cache; table_class : string }
+
+(* The drivers' goal fold: every goal in order under the engine's guard.
+   Budgets are sticky, so after an exhaustion the remaining goals
+   degrade immediately instead of each burning a full budget. *)
+let run_goals engine goals =
+  List.fold_left
+    (fun acc goal ->
+      Guard.combine acc (Engine.run_status engine goal (fun _ -> ())))
+    Guard.Complete goals
+
+let splice { fragments = cache; table_class } ~(engine : Engine.t)
+    ~(clauses : Parser.clause list) ~(goals : Term.t list) :
     Guard.status * outcome =
   let g =
     Metrics.time t_plan (fun () ->
@@ -357,12 +368,7 @@ let run_tabled ~(cache : Analysis.cache) ~table_class ~(engine : Engine.t)
              Some answers));
   let finally () = Engine.set_resolver engine None in
   match
-    let status =
-      List.fold_left
-        (fun acc goal ->
-          Guard.combine acc (Engine.run_status engine goal (fun _ -> ())))
-        Guard.Complete goals
-    in
+    let status = run_goals engine goals in
     (* drain: replaying a demand edge may splice further entries, which
        enqueue their own edges — loop to fixpoint.  Replay through clean
        cones reinstalls exactly the call variants the original producers
@@ -444,6 +450,13 @@ let run_tabled ~(cache : Analysis.cache) ~table_class ~(engine : Engine.t)
       record o;
       (status, o)
 
+let run_tabled ?cache ~engine ~clauses ~goals () =
+  match cache with
+  | None -> (run_goals engine goals, None)
+  | Some c ->
+      let status, o = splice c ~engine ~clauses ~goals in
+      (status, Some o)
+
 (* --- store binding ---------------------------------------------------------- *)
 
 let cache_of_store store ~analysis ~table_class : Analysis.cache =
@@ -460,3 +473,9 @@ let cache_of_store store ~analysis ~table_class : Analysis.cache =
     Analysis.cache_load = (fun d -> Store.load sub (key d));
     cache_save = (fun d payload -> Store.save sub (key d) payload);
   }
+
+let store_cache store (a : Analysis.t) ~config =
+  Option.map
+    (fun table_class ->
+      cache_of_store store ~analysis:a.Analysis.name ~table_class)
+    (Analysis.table_class a ~config ())

@@ -16,19 +16,20 @@
       preorder, length-prefixed encoding that preserves canonical
       variable ids, so decoding needs no parser and no
       re-canonicalization (decode speed bounds the warm-run splice);
-    - {b the splice loop} ({!run_tabled}): load fragments for every
-      closure-digest cache hit, install the engine resolver so a cache
-      hit answers new call-table entries without running their
-      producers, replay the recorded demand edges so the call table
-      ends up {e identical} to a from-scratch run (reports read input
-      modes off the call table), then persist fresh fragments for the
-      recomputed cone;
-    - the {b store binding} ({!cache_of_store}) and the [incr.*]
+    - {b the evaluation phase} ({!run_tabled}): without a cache, the
+      plain goal fold of a from-scratch run; with one, the splice loop —
+      load fragments for every closure-digest cache hit, install the
+      engine resolver so a cache hit answers new call-table entries
+      without running their producers, replay the recorded demand
+      edges so the call table ends up {e identical} to a from-scratch
+      run (reports read input modes off the call table), then persist
+      fresh fragments for the recomputed cone;
+    - the {b store binding} ({!cache_of_store}, {!store_cache}) and the [incr.*]
       metrics (docs/METRICS.md, schema v6).
 
-    The bottom-up def domain ([mode=def]) reuses {!Depgraph} and the
-    cache-key convention but serializes its own implication-set values
-    (see [Prax_ground.Def]). *)
+    The bottom-up def domain ([mode=def]) reuses {!Depgraph}, {!cache}
+    and the cache-key convention but serializes its own implication-set
+    values (see [Prax_ground.Def]). *)
 
 open Prax_logic
 module Engine = Prax_tabling.Engine
@@ -59,31 +60,45 @@ val record : outcome -> unit
     and set the [incr.cone_frac] gauge (invalidated/sccs in permille;
     0 on an empty condensation). *)
 
-(** {1 The edit-aware evaluation loop} *)
+(** {1 The evaluation phase} *)
+
+type cache = {
+  fragments : Analysis.cache;  (** where fragments are loaded and saved *)
+  table_class : string;
+      (** the run's table-compatibility class, decided once by the
+          analysis adapter ({!Analysis.t.table_class}); it prefixes
+          every {!fragment_key} *)
+}
+(** The fragment cache of one edit-aware run. *)
 
 val run_tabled :
-  cache:Analysis.cache ->
-  table_class:string ->
+  ?cache:cache ->
   engine:Engine.t ->
   clauses:Parser.clause list ->
   goals:Term.t list ->
   unit ->
-  Guard.status * outcome
-(** [run_tabled ~cache ~table_class ~engine ~clauses ~goals ()] is the
-    incremental replacement for a driver's evaluation phase: it builds
-    the dependency graph over the (abstract) [clauses] the engine will
-    evaluate, loads the fragment of every SCC whose closure digest hits
-    the [cache], installs the splice resolver, runs the [goals] in
-    order under the engine's guard (statuses folded with
-    {!Guard.combine}, exactly like the from-scratch drivers), replays
-    the spliced entries' recorded demand edges to fixpoint, and — on a
-    [Complete] run — persists fragments: invalidated SCCs are saved
-    fresh from {!Engine.export_tables}; hit SCCs are re-saved only when
-    the run demanded call variants the cached fragment did not hold
-    (merged, keeping the cached records — a spliced entry carries no
-    demand edges to re-record).  Partial runs persist nothing (widened
-    tables are an over-approximation, not the fixpoint).  The resolver
-    is always removed before returning.  Also {!record}s the outcome. *)
+  Guard.status * outcome option
+(** [run_tabled ?cache ~engine ~clauses ~goals ()] is the evaluation
+    phase of every tabled driver: it runs the [goals] in order under the
+    engine's guard, folding their statuses with {!Guard.combine}.
+
+    Without a [cache] that is all it does — the from-scratch run: no
+    dependency graph, no resolver, nothing persisted, no [incr.*]
+    metric moves, and the outcome is [None].
+
+    With a [cache] the run is edit-aware: it builds the dependency
+    graph over the (abstract) [clauses] the engine will evaluate, loads
+    the fragment of every SCC whose closure digest hits the cache,
+    installs the splice resolver, runs the goals, replays the spliced
+    entries' recorded demand edges to fixpoint, and — on a [Complete]
+    run — persists fragments: invalidated SCCs are saved fresh from
+    {!Engine.export_tables}; hit SCCs are re-saved only when the run
+    demanded call variants the cached fragment did not hold (merged,
+    keeping the cached records — a spliced entry carries no demand
+    edges to re-record).  Partial runs persist nothing (widened tables
+    are an over-approximation, not the fixpoint).  The resolver is
+    always removed before returning.  The outcome is {!record}ed and
+    returned. *)
 
 (** {1 Fragment codec}
 
@@ -102,3 +117,10 @@ val cache_of_store :
     / CRC / version-skew protocol, so torn or stale fragments degrade
     to recomputation.  The store key uses the fragment key as source
     digest and [table_class] as the config discriminator. *)
+
+val store_cache :
+  Store.t -> Analysis.t -> config:Analysis.config -> Analysis.cache option
+(** [store_cache store a ~config] — the fragment cache of an
+    [--incremental] run of [a]: {!cache_of_store} under [a]'s name and
+    the table class of [config], or [None] when [a] has no incremental
+    support (the run then needs no cache). *)

@@ -4,6 +4,7 @@
 
 module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
+module Incr = Prax_incr.Incr
 
 let counts (st : Prax_tabling.Engine.stats) : Analysis.engine_counts =
   {
@@ -43,19 +44,20 @@ let wrap ~config (rep : Analyze.report) : Analysis.report =
     payload_json = Metrics.Arr (List.map result_json rep.Analyze.results);
   }
 
-let run ~config ~guard src : Analysis.report =
-  let supplementary = Analysis.config_bool config "supplementary" in
-  wrap ~config (Analyze.analyze ~supplementary ~guard src)
-
-let run_incr ~config ~guard ~cache src : Analysis.report =
-  let supplementary = Analysis.config_bool config "supplementary" in
-  wrap ~config (Analyze.analyze_incr ~cache ~supplementary ~guard src)
-
 (* Table-compatibility (docs/INCREMENTAL.md): supplementary folding
    changes the derived rule set, hence the table shape — the two
    settings must not share fragments. *)
 let table_class config =
   if Analysis.config_bool config "supplementary" then "slg" else "slg-nosupp"
+
+let run ?cache ~config ~guard src : Analysis.report =
+  let supplementary = Analysis.config_bool config "supplementary" in
+  let cache =
+    Option.map
+      (fun fragments -> { Incr.fragments; table_class = table_class config })
+      cache
+  in
+  wrap ~config (Analyze.analyze ?cache ~supplementary ~guard src)
 
 let def : Analysis.t =
   {
@@ -66,5 +68,5 @@ let def : Analysis.t =
     extensions = [ ".eq" ];
     defaults = [ ("supplementary", "true") ];
     run;
-    incremental = Some { Analysis.table_class; run_incr };
+    table_class = Some table_class;
   }

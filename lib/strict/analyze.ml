@@ -80,8 +80,8 @@ let demands_of_answers arity (answers : Term.t list) : Demand.t array option =
         answers;
       Some out
 
-(* Preprocessing shared by the scratch and incremental paths: derive
-   the sp/pm rules (with supplementary folding) and load them. *)
+(* Preprocessing: derive the sp/pm rules (with supplementary folding)
+   and load them. *)
 let prepare ~mode ~supplementary ~guard p =
   let rules = Transform.program p in
   let rules =
@@ -108,7 +108,7 @@ let demand_goals funcs =
         [ Demand.E; Demand.D ])
     funcs
 
-(* Collection shared by both paths: per-argument glb over answers. *)
+(* Collection: per-argument glb over answers. *)
 let collect_results e status funcs =
   List.map
     (fun (f, arity) ->
@@ -139,68 +139,26 @@ let collect_results e status funcs =
         })
     funcs
 
-let analyze_program ?(mode = Database.Dynamic) ?(supplementary = true)
-    ?(guard = Guard.unlimited) ~source_lines (p : Ast.program) : report =
-  let t0 = now () in
-  let rules, e =
-    Metrics.time t_preprocess (fun () ->
-        prepare ~mode ~supplementary ~guard p)
-  in
-  let t1 = now () in
-  let funcs = Ast.functions p in
-  let status =
-    Metrics.time t_evaluate (fun () ->
-        List.fold_left
-          (fun acc goal ->
-            Guard.combine acc (Engine.run_status e goal (fun _ -> ())))
-          Guard.Complete (demand_goals funcs))
-  in
-  let t2 = now () in
-  let results =
-    Metrics.time t_collect @@ fun () -> collect_results e status funcs
-  in
-  let t3 = now () in
-  {
-    results;
-    phases = { preproc = t1 -. t0; analysis = t2 -. t1; collection = t3 -. t2 };
-    table_bytes = Engine.table_space_bytes e;
-    engine_stats = Engine.stats e;
-    rule_count = List.length rules;
-    source_lines;
-    status;
-  }
-
-(** Edit-aware variant: same phases, but the evaluation consults a
-    per-SCC fragment cache over the derived sp/pm rules — unchanged
+(** Run the analysis on a checked program.  With a fragment [cache] the
+    evaluation is edit-aware over the derived sp/pm rules — unchanged
     cones splice their tables back instead of recomputing
-    (docs/INCREMENTAL.md).  The report is byte-identical to
-    {!analyze_program} on the same source. *)
-let analyze_program_incr ~cache ?(mode = Database.Dynamic)
-    ?(supplementary = true) ?(guard = Guard.unlimited) ~source_lines
-    (p : Ast.program) : report =
-  let t0 = now () in
-  let rules, e =
-    Metrics.time t_preprocess (fun () ->
-        prepare ~mode ~supplementary ~guard p)
-  in
-  let t1 = now () in
+    (docs/INCREMENTAL.md) — and the report is byte-identical to a run
+    without one. *)
+let analyze_program ?cache ?(mode = Database.Dynamic) ?(supplementary = true)
+    ?(guard = Guard.unlimited) ~source_lines (p : Ast.program) : report =
   let funcs = Ast.functions p in
-  let status, _ =
-    Metrics.time t_evaluate (fun () ->
-        (* the class must track supplementary folding: it changes the
-           derived rule set, hence the table shape *)
-        let table_class = if supplementary then "slg" else "slg-nosupp" in
-        Prax_incr.Incr.run_tabled ~cache ~table_class ~engine:e
-          ~clauses:rules ~goals:(demand_goals funcs) ())
+  let phases, (rules, e), (status, _), results =
+    Analysis.phased ~timers:(t_preprocess, t_evaluate, t_collect)
+      ~pre:(fun () -> prepare ~mode ~supplementary ~guard p)
+      ~eval:(fun (rules, e) ->
+        Prax_incr.Incr.run_tabled ?cache ~engine:e ~clauses:rules
+          ~goals:(demand_goals funcs) ())
+      ~collect:(fun (_, e) (status, _) -> collect_results e status funcs)
+      ()
   in
-  let t2 = now () in
-  let results =
-    Metrics.time t_collect @@ fun () -> collect_results e status funcs
-  in
-  let t3 = now () in
   {
     results;
-    phases = { preproc = t1 -. t0; analysis = t2 -. t1; collection = t3 -. t2 };
+    phases;
     table_bytes = Engine.table_space_bytes e;
     engine_stats = Engine.stats e;
     rule_count = List.length rules;
@@ -209,25 +167,13 @@ let analyze_program_incr ~cache ?(mode = Database.Dynamic)
   }
 
 (** Full pipeline from source text. *)
-let analyze ?(mode = Database.Dynamic) ?supplementary ?guard (src : string) :
-    report =
-  let t0 = now () in
-  let prog = Metrics.time t_preprocess (fun () -> Check.parse_and_check src) in
-  let t_parse = now () -. t0 in
-  let r =
-    analyze_program ~mode ?supplementary ?guard
-      ~source_lines:(Check.line_count src) prog
-  in
-  { r with phases = Analysis.add_preproc r.phases t_parse }
-
-(** Edit-aware full pipeline; see {!analyze_program_incr}. *)
-let analyze_incr ~cache ?(mode = Database.Dynamic) ?supplementary ?guard
+let analyze ?cache ?(mode = Database.Dynamic) ?supplementary ?guard
     (src : string) : report =
   let t0 = now () in
   let prog = Metrics.time t_preprocess (fun () -> Check.parse_and_check src) in
   let t_parse = now () -. t0 in
   let r =
-    analyze_program_incr ~cache ~mode ?supplementary ?guard
+    analyze_program ?cache ~mode ?supplementary ?guard
       ~source_lines:(Check.line_count src) prog
   in
   { r with phases = Analysis.add_preproc r.phases t_parse }

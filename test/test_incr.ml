@@ -227,12 +227,15 @@ let ground_engine src =
 
 let run_incr_tabled ~cache src =
   let abstract, preds, e = ground_engine src in
-  let status, outcome =
-    Incr.run_tabled ~cache ~table_class:"prop" ~engine:e ~clauses:abstract
+  match
+    Incr.run_tabled
+      ~cache:{ Incr.fragments = cache; table_class = "prop" }
+      ~engine:e ~clauses:abstract
       ~goals:(List.map Prax_ground.Analyze.open_goal preds)
       ()
-  in
-  (e, status, outcome)
+  with
+  | status, Some outcome -> (e, status, outcome)
+  | _, None -> Alcotest.fail "a cached run reports its outcome"
 
 (* Satellite lock: a fully spliced engine dumps its tables byte-identical
    to a from-scratch engine — call table, answers, and the space
@@ -310,14 +313,30 @@ let fingerprint (r : Analysis.report) =
       status_str r.Analysis.status;
     ]
 
-let oracle ?(seeds = [ 1; 2; 3 ]) ?guard ~label ~config ~mut name src =
+(* Every oracle run is budgeted, and deterministically — derivation
+   steps and table bytes, never wall clock — so both sides of a pair
+   trip at the same point: a runaway evaluation degrades to a Partial
+   instead of taking the whole test binary down.  Partial runs persist
+   no fragments, so every incremental run of a partial pair repeats the
+   scratch run's work, and the full fingerprint (status included) must
+   still match.  [roomy] clears every case that completes with margin
+   (the largest, strictness pcprove and its edits, take 3.0M steps and
+   12.8 MB of tables). *)
+let roomy = (4_000_000, 32 * 1024 * 1024)
+
+let oracle ?(seeds = [ 1; 2; 3 ]) ?(budget = roomy) ?(expect = "complete")
+    ~label ~config ~mut name src =
   let a = analysis name in
+  let max_steps, max_table_bytes = budget in
+  let guard () = Guard.create ~max_steps ~max_table_bytes () in
   let cache = Analysis.memory_cache () in
-  let scratch0 = Analysis.run a ~config ?guard src in
-  let incr0 = Analysis.run_incr a ~config ?guard ~cache src in
+  let scratch0 = Analysis.run a ~config ~guard:(guard ()) src in
+  check_s (label ^ ": scratch status under the budget") expect
+    (status_str scratch0.Analysis.status);
+  let incr0 = Analysis.run_incr a ~config ~guard:(guard ()) ~cache src in
   check_s (label ^ ": cold incremental == scratch") (fingerprint scratch0)
     (fingerprint incr0);
-  let warm = Analysis.run_incr a ~config ?guard ~cache src in
+  let warm = Analysis.run_incr a ~config ~guard:(guard ()) ~cache src in
   check_s (label ^ ": warm replay == scratch") (fingerprint scratch0)
     (fingerprint warm);
   List.iter
@@ -325,8 +344,10 @@ let oracle ?(seeds = [ 1; 2; 3 ]) ?guard ~label ~config ~mut name src =
       match mut ~seed src with
       | None -> ()
       | Some edited ->
-          let incr = Analysis.run_incr a ~config ?guard ~cache edited in
-          let scratch = Analysis.run a ~config ?guard edited in
+          let incr =
+            Analysis.run_incr a ~config ~guard:(guard ()) ~cache edited
+          in
+          let scratch = Analysis.run a ~config ~guard:(guard ()) edited in
           check_s
             (Printf.sprintf "%s: seed-%d edit, incremental == scratch" label
                seed)
@@ -372,7 +393,10 @@ let test_oracle_strictness () =
 
 (* supplementary folding changes the derived rules, hence the fragments:
    the nosupp class must be exact too (and must not share the cache
-   entries — its table_class differs, checked below). *)
+   entries — its table_class differs, checked below).  Without folding,
+   mergesort's evaluation runs away (gigabytes within seconds), so this
+   is the partial-vs-partial pair: a budget a tenth of [roomy] trips it
+   within a fraction of a second per run. *)
 let test_oracle_strictness_nosupp () =
   let src =
     (match Registry.find_fp "mergesort" with
@@ -381,8 +405,43 @@ let test_oracle_strictness_nosupp () =
       .Registry.source
   in
   oracle ~label:"strictness/nosupp mergesort"
+    ~budget:(250_000, 32 * 1024 * 1024)
+    ~expect:"partial"
     ~config:[ ("supplementary", "false") ]
     ~mut:Mutate.mutate_eq "strictness" src
+
+(* A run without a cache is the scratch run, and pays nothing for the
+   incremental machinery: no dependency graph (no incr.plan time), no
+   incr.* counter moves.  The same program through an empty cache plans
+   a multi-SCC condensation and reports identically. *)
+let test_no_cache_is_scratch () =
+  List.iter
+    (fun (name, config, src) ->
+      let a = analysis name in
+      let label = name ^ " " ^ Analysis.config_to_string config in
+      Metrics.reset ();
+      let scratch = Analysis.run a ~config src in
+      List.iter
+        (fun c ->
+          check_i (label ^ ": " ^ c ^ " stays 0 without a cache") 0
+            (Metrics.counter_value c))
+        [ "incr.sccs"; "incr.invalidated"; "incr.spliced" ];
+      check_b (label ^ ": no incr.plan time without a cache") true
+        (Metrics.timer_seconds "incr.plan" = 0.);
+      let cold =
+        Analysis.run_incr a ~config ~cache:(Analysis.memory_cache ()) src
+      in
+      check_b (label ^ ": the cached run sees several SCCs") true
+        (Metrics.counter_value "incr.sccs" > 1);
+      check_s (label ^ ": empty-cache run == run without a cache")
+        (fingerprint scratch) (fingerprint cold))
+    [
+      ("groundness", [ ("mode", "dynamic") ], logic_src "qsort");
+      ("groundness", [ ("mode", "def") ], logic_src "qsort");
+      ( "strictness",
+        [],
+        (Option.get (Registry.find_fp "mergesort")).Registry.source );
+    ]
 
 let test_table_classes () =
   let tc name config =
@@ -592,6 +651,8 @@ let () =
           Alcotest.test_case "strictness nosupp" `Quick
             test_oracle_strictness_nosupp;
           Alcotest.test_case "table classes" `Quick test_table_classes;
+          Alcotest.test_case "no cache is the scratch run" `Quick
+            test_no_cache_is_scratch;
         ] );
       ( "mutate",
         [
