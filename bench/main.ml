@@ -23,7 +23,7 @@ open Prax
    minor collection every fraction of a millisecond and promotes
    still-live transients; a workload-sized nursery removes that overhead
    (docs/PERFORMANCE.md quantifies it). *)
-let () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
+let () = Analysis.size_nursery ()
 
 (* the registry-driven sections dispatch through Prax.Analysis *)
 let () = Analyses.ensure ()

@@ -320,7 +320,8 @@ let drain_cmd =
     Term.(const run $ socket_arg)
 
 let () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
+  (* no nursery sizing here: the daemon never evaluates, and each worker
+     sizes its own after the fork (Daemon.run) *)
   Analyses.ensure ();
   let doc = "resident analysis daemon over the prax worker fleet" in
   exit

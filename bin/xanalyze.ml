@@ -91,36 +91,13 @@ let source_of ?kind ~bench name_or_path =
    file:line:col diagnostic on stderr + EXIT_INPUT, instead of an OCaml
    backtrace. *)
 let with_diagnostics ~file ~text f =
-  let fail d =
-    Printf.eprintf "%s\n" (Logic.Diag.to_string d);
-    exit exit_input
-  in
-  try f () with
-  | (Logic.Lexer.Lex_error _ | Logic.Parser.Parse_error _) as exn ->
-      fail (Option.get (Logic.Diag.of_exn ~file ~text exn))
-  | Fp.Lexer.Error (msg, offset) ->
-      fail (Logic.Diag.at_offset ~file ~text ~offset msg)
-  | Fp.Parser.Error msg | Fp.Check.Error msg -> fail (Logic.Diag.make ~file msg)
-  | Tabling.Engine.Not_definite t ->
-      fail
-        (Logic.Diag.make ~file
-           (Printf.sprintf "goal is not a definite-program construct: %s"
-              (Logic.Pretty.term_to_string t)))
-  | Logic.Sld.Instantiation_error what ->
-      fail
-        (Logic.Diag.make ~file
-           (Printf.sprintf "arguments insufficiently instantiated in %s" what))
-  | Logic.Sld.Type_error (expected, t) ->
-      fail
-        (Logic.Diag.make ~file
-           (Printf.sprintf "type error: expected %s, got %s" expected
-              (Logic.Pretty.term_to_string t)))
-  | Logic.Sld.Existence_error (name, arity) ->
-      fail
-        (Logic.Diag.make ~file
-           (Printf.sprintf "unknown predicate %s/%d" name arity))
-  | Analysis.Config_error msg -> fail (Logic.Diag.make ~file msg)
-  | Dataflow.Cfg.Parse_error msg -> fail (Logic.Diag.make ~file msg)
+  try f ()
+  with exn -> (
+    match Analyses.diagnose ~file ~text exn with
+    | Some d ->
+        Printf.eprintf "%s\n" (Logic.Diag.to_string d);
+        exit exit_input
+    | None -> raise exn)
 
 (* --- resource budgets ---------------------------------------------------- *)
 
@@ -778,17 +755,8 @@ let batch_cmd =
       | Some fault -> Inject.apply_worker_fault fault
       | None -> ());
       let bj = Hashtbl.find table job in
-      let rep =
-        bj.bj_analysis.Analysis.run ~config:bj.bj_config ~guard bj.bj_src
-      in
-      let payload =
-        Metrics.json_to_string
-          (Analysis.report_to_json ~input:bj.bj_input rep)
-      in
-      match rep.Analysis.status with
-      | Guard.Complete -> (Serve.Complete, payload)
-      | Guard.Partial { reason; _ } ->
-          (Serve.Partial_result (Guard.reason_to_string reason), payload)
+      Analyses.run_job bj.bj_analysis ~config:bj.bj_config ~guard
+        ~input:bj.bj_input bj.bj_src
     in
     let budget = Guard.spec ?timeout ?max_steps ?max_table_bytes:max_bytes () in
     let config =
@@ -806,7 +774,8 @@ let batch_cmd =
     let detail_of (r : Serve.report) =
       match r.Serve.outcome with
       | Serve.Done { from_cache = true; _ } -> "(store hit)"
-      | Serve.Done { partial = Some reason; _ } -> "(" ^ reason ^ ")"
+      | Serve.Done { status = Serve.Partial_result reason; _ } ->
+          "(" ^ reason ^ ")"
       | Serve.Done _ -> ""
       | Serve.Crashed { what; _ } -> "(" ^ what ^ ")"
     in
@@ -865,18 +834,21 @@ let batch_cmd =
     in
     let complete = count "complete"
     and partial = count "partial"
+    and invalid = count "invalid"
     and crashed = count "crashed"
     and from_cache = count "cached" in
     if not quiet then begin
       Printf.printf
-        "\nbatch: %d job%s — %d complete, %d partial, %d crashed, %d from \
-         the store\n"
+        "\nbatch: %d job%s — %d complete, %d partial, %d invalid, %d \
+         crashed, %d from the store\n"
         total
         (if total = 1 then "" else "s")
-        complete partial crashed from_cache;
+        complete partial invalid crashed from_cache;
       List.iter
         (fun (r : Serve.report) ->
           match r.Serve.outcome with
+          | Serve.Done { status = Serve.Invalid_input diagnostic; _ } ->
+              Printf.printf "  invalid: %s — %s\n" r.Serve.job diagnostic
           | Serve.Crashed { what; stderr; _ } ->
               Printf.printf "  crashed: %s — %s after %d attempts%s\n"
                 r.Serve.job what r.Serve.attempts
@@ -908,6 +880,7 @@ let batch_cmd =
                 ("jobs", Int total);
                 ("complete", Int complete);
                 ("partial", Int partial);
+                ("invalid", Int invalid);
                 ("crashed", Int crashed);
                 ("from_cache", Int from_cache);
               ]
@@ -918,6 +891,7 @@ let batch_cmd =
                     ~input:input_label ~extra snap))
         | `Csv -> print_string (snapshot_to_csv snap)));
     if crashed > 0 then exit exit_crashed
+    else if invalid > 0 then exit exit_input
     else if partial > 0 then exit exit_partial
   in
   let dir =
@@ -1012,10 +986,11 @@ let batch_cmd =
          [
            `S Manpage.s_exit_status;
            `P
-             "$(b,0) every job completed; $(b,1) input or usage error; \
-              $(b,3) at least one job finished with a partial (budget-bounded) \
-              result; $(b,4) at least one job crashed after exhausting its \
-              retries.";
+             "$(b,0) every job completed; $(b,1) input or usage error, or \
+              at least one job's input was rejected (reported after one \
+              attempt, never retried); $(b,3) at least one job finished with \
+              a partial (budget-bounded) result; $(b,4) at least one job \
+              crashed after exhausting its retries.";
          ])
     Term.(
       const run $ dir $ corpus $ analysis $ set_args $ runner $ njobs
@@ -1105,6 +1080,7 @@ let client_analyze_cmd =
           | "overloaded" -> say_reason "request shed by the daemon"
           | "rejected" -> say_reason "request rejected"
           | "draining" -> say_reason "daemon is draining"
+          | "error" -> say_reason "input error"
           | "crashed" -> (
               match Metrics.member "error" doc with
               | Some (Metrics.Str e) ->
@@ -1333,10 +1309,8 @@ let default_term =
   Term.(ret (const run $ list))
 
 let () =
-  (* workload-sized nursery: tabled evaluation is allocation-heavy and
-     the default 256k-word minor heap costs 20-30% of the analysis phase
-     in collections (docs/PERFORMANCE.md) *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
+  (* workload-sized nursery: this process evaluates (docs/PERFORMANCE.md) *)
+  Analysis.size_nursery ();
   (* force the shipped analyses into the registry before any lookup *)
   Analyses.ensure ();
   let doc =

@@ -8,6 +8,9 @@ module Guard = Prax_guard.Guard
 let report_schema_name = "prax.report"
 let report_schema_version = 1
 
+let size_nursery () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
+
 (* --- monotonic phase clock ---------------------------------------------- *)
 
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9

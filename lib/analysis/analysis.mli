@@ -35,6 +35,15 @@ val report_schema_version : int
 (** Version of the serialized report schema.  Bump (and document in
     docs/ANALYSES.md) on any rename, removal, or change of meaning. *)
 
+val size_nursery : unit -> unit
+(** Give the calling process the workload-sized minor heap: 8M words
+    (64 MiB on 64-bit).  Tabled evaluation is allocation-heavy, and the
+    default 256k-word nursery costs 20-30% of the analysis phase in
+    collections (docs/PERFORMANCE.md).  Call it in the process that
+    evaluates — a CLI entry point or a forked worker — never in a
+    supervisor that forks workers: a child copies, on write, every
+    nursery page its parent has touched. *)
+
 (** {1 Monotonic phase clock}
 
     Phase stopwatches must use the same clock as {!Metrics.timer}

@@ -28,7 +28,8 @@
       bumps [daemon.degraded] and its eventual result carries
       [degraded]/[tier]/[tier_label] fields;
     + {b registry validation} — unknown analysis or config key answers
-      ["error"] (the caller's fault, not load);
+      ["error"] (the caller's fault, not load); so does a source the
+      worker rejects, after that one worker, with its diagnostic;
     + {b warm cache} — a resident (or stored) complete result for the
       same (analysis, source bytes, config, schema) answers ["cached"]
       without forking ([daemon.warm_hits]).  The resident cache is

@@ -120,6 +120,31 @@ let response ~id ~status extra : string =
     (Metrics.Obj
        (header @ [ ("id", id); ("status", Metrics.Str status) ] @ extra))
 
+let report_field payload =
+  match Metrics.json_of_string payload with
+  | j -> [ ("report", j) ]
+  | exception _ -> [ ("report", Metrics.Str payload) ]
+
+let canonical_report payload =
+  match Metrics.json_of_string payload with
+  | j -> Some (Metrics.json_to_string j)
+  | exception _ -> None
+
+let response_with_report ~id ~status extra ~report : string =
+  (* the header object without its closing brace, then the report field
+     last — the field order {!response} would give it *)
+  let head = response ~id ~status extra in
+  let field = ",\"report\":" in
+  let h = String.length head - 1
+  and f = String.length field
+  and r = String.length report in
+  let b = Bytes.create (h + f + r + 1) in
+  Bytes.blit_string head 0 b 0 h;
+  Bytes.blit_string field 0 b h f;
+  Bytes.blit_string report 0 b (h + f) r;
+  Bytes.set b (h + f + r) '}';
+  Bytes.unsafe_to_string b
+
 let response_status (j : Metrics.json) : (string, string) result =
   match check_header j with
   | Error _ as e -> e

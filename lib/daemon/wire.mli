@@ -42,7 +42,9 @@
       says why (only the request is poisoned, not the connection —
       except oversize, which loses framing and closes it);
     - ["error"] — a well-formed request the registry refuses (unknown
-      analysis, bad config key);
+      analysis, bad config key), or a source the worker's reader or
+      checker rejects: then [reason] is the [file:line:col] diagnostic
+      and [attempts] is 1 (an input error is never retried);
     - ["draining"] — the daemon is shutting down and accepts no new
       work. *)
 
@@ -84,6 +86,21 @@ val response : id:Metrics.json -> status:string ->
   (string * Metrics.json) list -> string
 (** Serialize a response as one line (no trailing newline): the schema
     header, the echoed [id], the [status], then the extra fields. *)
+
+val report_field : string -> (string * Metrics.json) list
+(** The [report] field carrying a [prax.report] payload: the parsed
+    document, or the payload as a string when it is not JSON. *)
+
+val canonical_report : string -> string option
+(** The payload re-printed canonically, or [None] when it is not JSON.
+    The daemon admits a report to its cache only in this form. *)
+
+val response_with_report : id:Metrics.json -> status:string ->
+  (string * Metrics.json) list -> report:string -> string
+(** [response ~id ~status (extra @ report_field payload)] without
+    parsing: the response header, then ["report":] and [report] spliced
+    in as raw bytes.  [report] must be a {!canonical_report}; the line
+    is then byte-identical to the parsing form. *)
 
 val response_status : Metrics.json -> (string, string) result
 (** Validate a parsed response's schema header and extract its

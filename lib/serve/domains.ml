@@ -35,7 +35,8 @@ let run ?(jobs = 2) ?(budget = Guard.no_limits) ?cached ?persist ?on_report
                 {
                   Serve.job;
                   outcome =
-                    Serve.Done { payload; partial = None; from_cache = true };
+                    Serve.Done
+                      { payload; status = Serve.Complete; from_cache = true };
                   attempts = 0;
                   crashes = [];
                   elapsed = 0.;
@@ -62,13 +63,8 @@ let run ?(jobs = 2) ?(budget = Guard.no_limits) ?cached ?persist ?on_report
           let started = Unix.gettimeofday () in
           let outcome, crashes =
             match worker ~job ~attempt:1 ~guard:(Guard.of_spec budget) with
-            | Serve.Complete, payload ->
-                ( Serve.Done { payload; partial = None; from_cache = false },
-                  [] )
-            | Serve.Partial_result reason, payload ->
-                ( Serve.Done
-                    { payload; partial = Some reason; from_cache = false },
-                  [] )
+            | status, payload ->
+                (Serve.Done { payload; status; from_cache = false }, [])
             | exception exn ->
                 let crash =
                   {
@@ -117,8 +113,10 @@ let run ?(jobs = 2) ?(budget = Guard.no_limits) ?cached ?persist ?on_report
       | None -> None
       | Some rep ->
           (match rep.Serve.outcome with
-          | Serve.Done { partial = Some _; _ } -> Metrics.incr m_partials
-          | Serve.Done { payload; partial = None; from_cache = false } -> (
+          | Serve.Done { status = Serve.Partial_result _; _ } ->
+              Metrics.incr m_partials
+          | Serve.Done { payload; status = Serve.Complete; from_cache = false }
+            -> (
               match persist with
               | Some p -> p ~job ~payload
               | None -> ())

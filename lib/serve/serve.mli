@@ -24,7 +24,9 @@
       ([serve.watchdog_kills]).
     - Crashed attempts are retried up to [retries] times with
       exponential backoff plus deterministic jitter
-      ([serve.retries], [serve.backoff_ms]).
+      ([serve.retries], [serve.backoff_ms]).  A worker that rejects its
+      input delivers the diagnostic in its frame ([Invalid_input]); that
+      is a result, not a crash, so it costs one attempt.
     - The degradation ladder (docs/ROBUSTNESS.md): attempt at full
       budget → retry at full budget → retries at a reduced
       {!Prax_guard.Guard.spec} budget (so a job that dies {e because}
@@ -69,6 +71,9 @@ val default_config : config
 type worker_status =
   | Complete
   | Partial_result of string  (** sound degraded result; the reason *)
+  | Invalid_input of string
+      (** the input was rejected (reader, type checker, config); the
+          rendered diagnostic.  Deterministic, so never retried. *)
 
 (** A failed attempt, as observed by the supervisor. *)
 type crash = {
@@ -82,7 +87,7 @@ type crash = {
 type outcome =
   | Done of {
       payload : string;  (** the worker's result frame *)
-      partial : string option;  (** degradation reason when partial *)
+      status : worker_status;  (** what the worker said of its result *)
       from_cache : bool;  (** answered by [cached] without forking *)
     }
   | Crashed of crash  (** the last attempt; earlier ones in [crashes] *)
@@ -97,8 +102,8 @@ type report = {
 }
 
 val outcome_class : outcome -> string
-(** ["complete"], ["partial"], ["crashed"], or ["cached"] — the batch
-    report / exit-code classification. *)
+(** ["complete"], ["partial"], ["invalid"], ["crashed"], or ["cached"]
+    — the batch report / exit-code classification. *)
 
 exception Interrupted of int
 (** Raised by {!run_batch} when SIGTERM or SIGINT arrives mid-batch,
@@ -152,13 +157,17 @@ module Pool : sig
   val next_wake : t -> float option
   (** Earliest absolute time ({!Unix.gettimeofday} clock) at which the
       pool needs a {!step} even without fd activity: the nearest
-      watchdog deadline or retry-backoff expiry.  [None] when only fd
-      activity matters. *)
+      watchdog deadline, retry-backoff expiry (while a slot is free), or
+      — for a worker whose pipes are at EOF but whose exit a [WNOHANG]
+      reap has not yet seen — a reap poll one millisecond away.  [None]
+      when only fd activity matters.  Hosts select for at most
+      [wake - now] with no floor: every time returned is one a {!step}
+      can act on, so this never spins. *)
 
   val step : t -> readable:Unix.file_descr list -> report list
-  (** One non-blocking supervision round: spawn due work into free
-      slots, drain [readable] pipes, SIGKILL watchdog-expired and
-      frame-overflowing workers, reap exits, finalize.  Crashed
+  (** One non-blocking supervision round: drain [readable] pipes,
+      SIGKILL watchdog-expired and frame-overflowing workers, reap
+      exits, finalize, then spawn due work into the free slots.  Crashed
       attempts with retries left are re-enqueued internally; the
       returned reports are final.  Call with [readable:[]] to run
       timers only. *)

@@ -126,6 +126,21 @@ let test_exit_input_error () =
   let r = run [ xanalyze; "batch"; "--corpus"; "no_such_benchmark" ] in
   check_code "batch with unknown benchmark" 1 r
 
+(* a batch job whose source the worker rejects is reported invalid after
+   one attempt, with its diagnostic, and the batch exits 1 *)
+let test_batch_invalid_input () =
+  with_temp_dir "prax-cli-invalid" (fun dir ->
+      Out_channel.with_open_text (Filename.concat dir "bad.eq") (fun oc ->
+          output_string oc "% not an equation comment\nf x = x;\n");
+      Out_channel.with_open_text (Filename.concat dir "ok.pl") (fun oc ->
+          output_string oc "p(a). q(X) :- p(X).\n");
+      let r = run [ xanalyze; "batch"; dir; "--retries"; "2" ] in
+      check_code "batch with a rejected input" 1 r;
+      Alcotest.(check bool) "invalid job after one attempt" true
+        (contains r.out "invalid  1 attempt ");
+      Alcotest.(check bool) "diagnostic in the summary" true
+        (contains r.out "bad.eq:1:1:"))
+
 let test_exit_partial () =
   let r =
     run [ xanalyze; "groundness"; "cs"; "--bench"; "--max-steps"; "10" ]
@@ -501,6 +516,8 @@ let () =
           Alcotest.test_case "3 = partial" `Quick test_exit_partial;
           Alcotest.test_case "4 = crashed after retries" `Quick
             test_exit_crashed;
+          Alcotest.test_case "1 = batch input rejected, not retried" `Quick
+            test_batch_invalid_input;
         ] );
       ( "registry",
         [

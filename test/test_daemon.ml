@@ -12,6 +12,9 @@ module Pressure = Prax_daemon.Pressure
 module Lru = Prax_daemon.Lru
 module Client = Prax_daemon.Client
 module Inject = Prax_guard.Inject
+module Analysis = Prax_analysis.Analysis
+module Store = Prax_store.Store
+module Registry = Prax_benchdata.Registry
 
 let bin name =
   Filename.concat
@@ -752,6 +755,155 @@ let stats_counters socket =
   in
   doc
 
+(* --- e2e: invalid input and cached-report splicing ------------------------ *)
+
+(* a source the reader rejects is answered from the first worker's
+   diagnostic: one fork, no retry, status "error" *)
+let test_invalid_source_one_fork () =
+  with_daemon ~args:[ "--retries"; "2" ] (fun ~socket ~pid:_ ->
+      let before = stats_counters socket in
+      let status, doc =
+        request_status socket
+          {
+            Wire.id = Metrics.Int 1;
+            client = Some "test";
+            op =
+              Wire.Analyze
+                {
+                  analysis = "strictness";
+                  input = "bad.eq";
+                  source = "% a Prolog comment\nf x = x;\n";
+                  config = [];
+                };
+          }
+      in
+      Alcotest.(check string) "invalid source errors" "error" status;
+      (match Metrics.member "reason" doc with
+      | Some (Metrics.Str r) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "reason %S is the diagnostic" r)
+            true
+            (String.length r > 9 && String.sub r 0 9 = "bad.eq:1:")
+      | _ -> Alcotest.fail "no reason");
+      (match Metrics.member "attempts" doc with
+      | Some (Metrics.Int n) -> Alcotest.(check int) "one attempt" 1 n
+      | _ -> Alcotest.fail "no attempts field");
+      let after = stats_counters socket in
+      let delta name = counter_of after name - counter_of before name in
+      Alcotest.(check int) "one worker forked" 1 (delta "serve.workers_spawned");
+      Alcotest.(check int) "no retries" 0 (delta "serve.retries"))
+
+(* The daemon splices a cached report's bytes after the response header
+   instead of re-parsing them; on every light-corpus report the spliced
+   line equals the parsing form byte for byte. *)
+let light_corpus () =
+  List.filter_map
+    (fun (b : Registry.logic_bench) ->
+      if b.Registry.table1 = None then None
+      else Some ("groundness", b.Registry.name, b.Registry.source))
+    Registry.logic_benchmarks
+  @ List.map
+      (fun name ->
+        match Registry.find_fp name with
+        | Some b -> ("strictness", name, b.Registry.source)
+        | None -> Alcotest.failf "no strictness program %s" name)
+      [ "eu"; "fft"; "listcompr"; "mergesort"; "odprove"; "quicksort";
+        "strassen" ]
+
+let test_spliced_reports_identical () =
+  let id = Metrics.Int 42 in
+  List.iter
+    (fun (analysis, input, source) ->
+      let a = Option.get (Analysis.find analysis) in
+      let payload =
+        Metrics.json_to_string
+          (Analysis.report_to_json ~input (Analysis.run a source))
+      in
+      let report =
+        match Wire.canonical_report payload with
+        | Some r -> r
+        | None -> Alcotest.failf "%s %s: report is not JSON" analysis input
+      in
+      let check what ~status extra =
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s: %s line" analysis input what)
+          (Wire.response ~id ~status (extra @ Wire.report_field payload))
+          (Wire.response_with_report ~id ~status extra ~report)
+      in
+      check "cached" ~status:"cached" [];
+      check "complete" ~status:"complete" [ ("attempts", Metrics.Int 1) ];
+      check "degraded partial" ~status:"partial"
+        [
+          ("reason", Metrics.Str "steps");
+          ("degraded", Metrics.Bool true);
+          ("tier", Metrics.Int 1);
+          ("tier_label", Metrics.Str "reduced");
+          ("attempts", Metrics.Int 2);
+        ])
+    (light_corpus ())
+
+(* a store snapshot whose payload is not JSON never reaches the wire: it
+   is a miss, the job is recomputed, and the good result replaces it *)
+let test_non_json_store_payload_misses () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "praxd-store-%d" (Unix.getpid ()))
+  in
+  let source = "p(a). q(X) :- p(X)." in
+  let a = Option.get (Analysis.find "groundness") in
+  let config =
+    match Analysis.merge_config ~defaults:a.Analysis.defaults [] with
+    | Ok c -> Analysis.config_to_string c
+    | Error e -> Alcotest.fail e
+  in
+  let key =
+    {
+      Store.analysis = "groundness";
+      source_digest = Store.digest_source source;
+      config;
+      schema_version = Analysis.report_schema_version;
+    }
+  in
+  let store = Store.open_dir dir in
+  Store.save store key "not json {";
+  with_daemon ~args:[ "--store"; dir ] (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let id = Metrics.Int 7 in
+          let req =
+            Wire.request_to_string
+              { (analyze_req ~input:"s.pl" ~source ()) with Wire.id }
+            ^ "\n"
+          in
+          let line () =
+            match raw_recv_line fd with
+            | `Line l -> l
+            | `Eof -> Alcotest.fail "connection closed"
+          in
+          raw_send fd req;
+          let cold = line () in
+          Alcotest.(check string) "bad snapshot is a miss" "complete"
+            (status_of_line cold);
+          raw_send fd req;
+          let warm = line () in
+          Alcotest.(check string) "recomputed result is cached" "cached"
+            (status_of_line warm);
+          let report =
+            match Metrics.member "report" (Metrics.json_of_string cold) with
+            | Some r -> Metrics.json_to_string r
+            | None -> Alcotest.fail "no report in the cold answer"
+          in
+          Alcotest.(check string) "cached line is the parsing form"
+            (Wire.response ~id ~status:"cached" (Wire.report_field report))
+            warm;
+          match Store.load store key with
+          | Some p ->
+              Alcotest.(check bool) "store holds the good result" true
+                (Wire.canonical_report p <> None)
+          | None -> Alcotest.fail "store entry missing"))
+
 (* --- e2e: pressure tiers under load --------------------------------------- *)
 
 let test_degraded_tier_admission () =
@@ -1202,7 +1354,12 @@ let () =
           Alcotest.test_case "chaos plan grammar" `Quick
             test_chaos_plan_grammar;
         ] );
-      ("wire", [ Alcotest.test_case "grammar" `Quick test_wire_grammar ]);
+      ( "wire",
+        [
+          Alcotest.test_case "grammar" `Quick test_wire_grammar;
+          Alcotest.test_case "spliced report lines byte-identical" `Quick
+            test_spliced_reports_identical;
+        ] );
       ( "serving",
         [
           Alcotest.test_case "analyze, warm cache, stats, drain" `Quick
@@ -1215,6 +1372,10 @@ let () =
             test_rate_limit_shed;
           Alcotest.test_case "malformed/oversized frames rejected" `Quick
             test_malformed_and_oversized_frames;
+          Alcotest.test_case "invalid source answered after one fork" `Quick
+            test_invalid_source_one_fork;
+          Alcotest.test_case "non-JSON store payload is a miss" `Quick
+            test_non_json_store_payload_misses;
         ] );
       ( "pressure",
         [

@@ -71,6 +71,40 @@ let test_all_complete () =
       | Serve.Crashed _ -> Alcotest.fail "crash on healthy worker")
     reports
 
+(* --- reaping --------------------------------------------------------------- *)
+
+(* A worker's pipes reach EOF a moment before its exit status does; a
+   supervisor that lost that race used to sleep to its half-second
+   tick.  No job that does nothing may take anywhere near that long.
+   Pinned to one CPU (taskset -c 0) the race is lost on most jobs, so
+   CI runs this case pinned too. *)
+let test_noop_jobs_reaped_at_once () =
+  let jobs = List.init 100 (Printf.sprintf "noop-%d") in
+  let t0 = Unix.gettimeofday () in
+  let reports =
+    Serve.run_batch
+      ~config:{ Serve.default_config with Serve.jobs = 1 }
+      ~worker:(fun ~job:_ ~attempt:_ ~guard:_ -> (Serve.Complete, ""))
+      jobs
+  in
+  Alcotest.(check int) "every job reported" 100 (List.length reports);
+  let stalled =
+    List.filter (fun (r : Serve.report) -> r.Serve.elapsed >= 0.25) reports
+  in
+  let worst =
+    List.fold_left (fun m (r : Serve.report) -> Float.max m r.Serve.elapsed) 0.
+      reports
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "jobs at or over 250 ms (slowest %.1f ms)" (worst *. 1e3))
+    0 (List.length stalled);
+  (* a slot freed by a reap takes the next job in the same round, not
+     at the next tick: a tick between jobs would add 50 s *)
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch wall %.2f s under 10 s" wall)
+    true (wall < 10.)
+
 (* --- kill resilience ----------------------------------------------------- *)
 
 (* the acceptance drill: kill -9 of a worker mid-batch leaves the batch
@@ -183,7 +217,7 @@ let test_injected_fault_is_partial () =
       Alcotest.(check int) "no retries burned on a sound result" 1
         r.Serve.attempts;
       match r.Serve.outcome with
-      | Serve.Done { partial = Some reason; payload; _ } ->
+      | Serve.Done { status = Serve.Partial_result reason; payload; _ } ->
           Alcotest.(check bool) "fault reason propagated" true
             (String.length reason >= 5 && String.sub reason 0 5 = "fault");
           Alcotest.(check bool) "partial tables delivered" true
@@ -192,6 +226,33 @@ let test_injected_fault_is_partial () =
   | _ -> Alcotest.fail "one report expected");
   Alcotest.(check bool) "serve.partials bumped" true
     (counter "serve.partials" > base_partials)
+
+(* a rejected input is a delivered result: one fork, no retry, and the
+   diagnostic arrives intact *)
+let test_invalid_input_not_retried () =
+  let base_spawned = counter "serve.workers_spawned" in
+  let base_retries = counter "serve.retries" in
+  let base_crashes = counter "serve.crashes" in
+  let diagnostic = "bad.eq:1:1: unexpected character '%'" in
+  let reports =
+    Serve.run_batch ~config:quick_config
+      ~worker:(fun ~job:_ ~attempt:_ ~guard:_ ->
+        (Serve.Invalid_input diagnostic, ""))
+      [ "bad" ]
+  in
+  (match reports with
+  | [ r ] -> (
+      check_class "invalid" r;
+      Alcotest.(check int) "one attempt" 1 r.Serve.attempts;
+      match r.Serve.outcome with
+      | Serve.Done { status = Serve.Invalid_input d; _ } ->
+          Alcotest.(check string) "diagnostic delivered" diagnostic d
+      | _ -> Alcotest.fail "expected an invalid-input Done")
+  | _ -> Alcotest.fail "one report expected");
+  Alcotest.(check int) "one worker forked" 1
+    (counter "serve.workers_spawned" - base_spawned);
+  Alcotest.(check int) "no retries" 0 (counter "serve.retries" - base_retries);
+  Alcotest.(check int) "no crashes" 0 (counter "serve.crashes" - base_crashes)
 
 (* a worker whose in-process budget trips returns Partial through the
    scaled budget the supervisor minted for the attempt *)
@@ -360,6 +421,11 @@ let () =
           Alcotest.test_case "hang then recover via retry" `Quick
             test_hang_then_recover;
         ] );
+      ( "reap",
+        [
+          Alcotest.test_case "100 no-op jobs reaped at once" `Quick
+            test_noop_jobs_reaped_at_once;
+        ] );
       ( "degradation",
         [
           Alcotest.test_case "injected guard fault => Partial" `Quick
@@ -370,6 +436,8 @@ let () =
             test_crashed_after_all_retries;
           Alcotest.test_case "uncaught exception is a crash" `Quick
             test_uncaught_exception_is_crash;
+          Alcotest.test_case "invalid input answered after one fork" `Quick
+            test_invalid_input_not_retried;
         ] );
       ( "warm-start",
         [ Alcotest.test_case "cache and persist hooks" `Quick test_cache_hooks ]
