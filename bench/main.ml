@@ -1193,17 +1193,18 @@ let profile () =
     (dt /. float_of_int reps)
 
 (* ------------------------------------------------------------------ *)
-(* Batch: supervised fork-per-job overhead and store warm-start        *)
+(* Batch: supervised worker overhead and store warm-start             *)
 (* ------------------------------------------------------------------ *)
 
-(* Quantifies what OS-process isolation costs (fork + result-frame
-   round trip per job, vs calling the analyzer in-process) and what the
-   persistent store buys back (a warm second run answers every job from
-   snapshots without forking at all).  docs/ROBUSTNESS.md describes the
-   supervision protocol and the snapshot format. *)
+(* Quantifies what OS-process isolation costs (a fork per worker slot
+   and a request/result-frame round trip per job, vs calling the
+   analyzer in-process) and what the persistent store buys back (a warm
+   second run answers every job from snapshots without forking at all).
+   docs/ROBUSTNESS.md describes the supervision protocol and the
+   snapshot format. *)
 let batch () =
   section
-    "Batch: supervised fork-per-job overhead vs in-process, and \
+    "Batch: supervised worker overhead vs in-process, and \
      persistent-store warm start";
   let names = [ "cs"; "disj"; "gabriel"; "qsort"; "queens"; "read" ] in
   let sources = List.map (fun n -> (n, src n)) names in

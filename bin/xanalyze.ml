@@ -747,9 +747,11 @@ let batch_cmd =
     let persist ~job ~payload =
       Option.iter (fun t -> Store.save t (key_of job) payload) store
     in
-    (* the worker body — runs in the forked child; the payload persisted
-       to the store (and replayed on warm starts) is the analysis's
-       prax.report document *)
+    (* the worker body — runs in a long-lived forked worker, once per
+       attempt.  Every job is in [table] before [run_batch] forks its
+       first worker, so a worker finds any job in its copy of the heap.
+       The payload persisted to the store (and replayed on warm starts)
+       is the analysis's prax.report document *)
     let worker ~job ~attempt ~guard =
       (match Inject.worker_fault_of_env ~job ~attempt () with
       | Some fault -> Inject.apply_worker_fault fault

@@ -39,10 +39,12 @@ val size_nursery : unit -> unit
 (** Give the calling process the workload-sized minor heap: 8M words
     (64 MiB on 64-bit).  Tabled evaluation is allocation-heavy, and the
     default 256k-word nursery costs 20-30% of the analysis phase in
-    collections (docs/PERFORMANCE.md).  Call it in the process that
-    evaluates — a CLI entry point or a forked worker — never in a
-    supervisor that forks workers: a child copies, on write, every
-    nursery page its parent has touched. *)
+    collections (docs/PERFORMANCE.md).  Call it in a process that
+    evaluates in-process — a CLI entry point, the bench harness — never
+    in a supervisor that forks workers: a child copies, on write, every
+    nursery page its parent has touched.  A {!Prax_serve.Serve} worker
+    sets its own nursery, the default 256k words, which a reused worker
+    measured faster at the tail. *)
 
 (** {1 Monotonic phase clock}
 

@@ -222,3 +222,21 @@ let find_fp name =
     drops gabriel/press1/press2). *)
 let table4_benchmarks =
   List.filter (fun b -> b.table4 <> None) logic_benchmarks
+
+(** The light corpus as (analysis, name, source): the Table-1
+    groundness programs and the strictness programs that analyze in
+    well under a second ([event]/[nq]/[pcprove] take seconds each).
+    The worker-reuse tests run it; servebench's [cold_mix] draws from
+    the same programs. *)
+let light_corpus =
+  List.filter_map
+    (fun b ->
+      if b.table1 = None then None else Some ("groundness", b.name, b.source))
+    logic_benchmarks
+  @ List.map
+      (fun name ->
+        match find_fp name with
+        | Some (b : fp_bench) -> ("strictness", name, b.source)
+        | None -> invalid_arg ("Registry.light_corpus: no program " ^ name))
+      [ "eu"; "fft"; "listcompr"; "mergesort"; "odprove"; "quicksort";
+        "strassen" ]

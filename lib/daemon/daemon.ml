@@ -129,15 +129,21 @@ type conn = {
 type pending = {
   jb_conn : int;
   jb_reqid : Metrics.json;
-  jb_analysis : Analysis.t;
-  jb_config : Analysis.config;
-  jb_input : string;
-  jb_source : string;
   jb_cache_key : string;
   jb_store_key : Store.key;
   jb_started : float;
   jb_tier : Pressure.tier;  (* the admission tier; tags the response *)
-  jb_fault : Inject.worker_fault option;  (* chaos: planted on attempt 1 *)
+}
+
+(* what a worker needs to run a job, sent with every attempt: a worker
+   forked before the job arrived cannot find it in its own copy of the
+   daemon's heap *)
+type job_request = {
+  rq_analysis : string;  (* a registered name: the daemon resolved it *)
+  rq_config : Analysis.config;
+  rq_input : string;
+  rq_source : string;
+  rq_fault : Inject.worker_fault option;  (* chaos: planted on attempt 1 *)
 }
 
 type t = {
@@ -147,7 +153,8 @@ type t = {
   admission : Admission.t;
   jobs : (string, pending) Hashtbl.t;
   cache : Lru.t;  (* resident complete results, entry+byte bounded *)
-  mutable pool : Serve.Pool.t option;  (* built in [run] (needs self) *)
+  mutable pool : job_request Serve.Pool.t option;
+      (* built in [run] (needs self) *)
   mutable conns : conn list;
   mutable next_conn : int;
   mutable seq : int;
@@ -416,18 +423,20 @@ let handle_analyze d conn ~id ~client ~analysis ~input ~source ~config =
                         {
                           jb_conn = conn.c_id;
                           jb_reqid = id;
-                          jb_analysis = a;
-                          jb_config = cfg;
-                          jb_input = input;
-                          jb_source = source;
                           jb_cache_key = ckey;
                           jb_store_key = store_key;
                           jb_started = now;
                           jb_tier = tier;
-                          jb_fault = chaos_fault;
                         };
                       Serve.Pool.submit pool
-                        ~budget_scale:tier.Pressure.scale job)))
+                        ~budget_scale:tier.Pressure.scale job
+                        {
+                          rq_analysis = a.Analysis.name;
+                          rq_config = cfg;
+                          rq_input = input;
+                          rq_source = source;
+                          rq_fault = chaos_fault;
+                        })))
 
 let handle_line d conn line =
   Metrics.incr m_requests;
@@ -605,37 +614,33 @@ let close_conn conn =
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 let run ?on_ready (d : t) : unit =
-  (* the worker body runs in the forked child and inherits the pending
-     table (and the whole warm interned heap) copy-on-write *)
-  let worker ~job ~attempt ~guard =
+  (* the worker body runs in a long-lived forked worker, once per
+     attempt; the job itself arrives as [rq] *)
+  let worker ~job ~attempt ~guard rq =
     (match Inject.worker_fault_of_env ~job ~attempt () with
     | Some fault -> Inject.apply_worker_fault fault
     | None -> ());
-    let p = Hashtbl.find d.jobs job in
     (* chaos-plan worker faults fire on the first attempt only, so the
        pool's retry ladder absorbs them and the client still gets its
        one structured response *)
-    if attempt = 1 then Option.iter Inject.apply_worker_fault p.jb_fault;
+    if attempt = 1 then Option.iter Inject.apply_worker_fault rq.rq_fault;
+    let a = Option.get (Analysis.find rq.rq_analysis) in
     (* edit-aware dispatch: under [incremental] with a store the worker
        consults the per-SCC fragment cache under [incr/<analysis>/] next
        to the warm result snapshots, splicing unchanged cones' tables
-       back; every later fork (or a cold CLI run) replays them.  Without
-       a store there is no cache at all: workers are forked, so a memory
-       cache would die with the child before any lookup could reach it.
+       back; every later attempt (or a cold CLI run) replays them.
+       Without a store there is no cache at all: a memory cache would
+       live only in one worker, which the next crash or recycle ends.
        The report is byte-identical either way, so the resident result
        cache and the store snapshots need no new key component. *)
     let cache =
       if d.config.incremental then
         Option.bind d.store (fun s ->
-            Prax_incr.Incr.store_cache s p.jb_analysis ~config:p.jb_config)
+            Prax_incr.Incr.store_cache s a ~config:rq.rq_config)
       else None
     in
-    (* the nursery is sized here, in the process that evaluates, and
-       never in the daemon: a fork copies every nursery page its parent
-       has touched *)
-    Analysis.size_nursery ();
-    Prax_analyses.Analyses.run_job ?cache p.jb_analysis ~config:p.jb_config
-      ~guard ~input:p.jb_input p.jb_source
+    Prax_analyses.Analyses.run_job ?cache a ~config:rq.rq_config ~guard
+      ~input:rq.rq_input rq.rq_source
   in
   (* children must not hold the daemon's sockets open: a worker
      outliving a client would postpone that client's EOF *)
@@ -747,7 +752,9 @@ let run ?on_ready (d : t) : unit =
             finished := true
           end
       done;
-      (* drain epilogue: flush what we can, tear everything down *)
+      (* drain epilogue: stop the idle workers, flush what we can, tear
+         everything down *)
+      ignore (Serve.Pool.kill_all pool);
       List.iter write_conn d.conns;
       List.iter close_conn d.conns;
       d.conns <- [];

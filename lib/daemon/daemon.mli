@@ -6,10 +6,12 @@
     Unix-domain-socket server that parses requests off the {!Wire}
     protocol, admits them through {!Admission} plus queue-depth
     backpressure, dispatches them onto the {!Prax_serve.Serve.Pool}
-    worker fleet (each job still forks: a crashing analysis can never
-    take the daemon down, and forked children inherit the warm interned
-    heap copy-on-write), and answers repeats from a resident result
-    cache backed by the optional {!Prax_store.Store}.
+    worker fleet (jobs run in long-lived forked workers, one per slot,
+    so a crashing analysis can never take the daemon down; each job is
+    sent to its worker whole, because a worker forked before the job
+    arrived cannot see it in its copy of the daemon's heap), and
+    answers repeats from a resident result cache backed by the optional
+    {!Prax_store.Store}.
 
     {2 Admission ladder}
 
@@ -29,10 +31,10 @@
       [degraded]/[tier]/[tier_label] fields;
     + {b registry validation} — unknown analysis or config key answers
       ["error"] (the caller's fault, not load); so does a source the
-      worker rejects, after that one worker, with its diagnostic;
+      worker rejects, after that one attempt, with its diagnostic;
     + {b warm cache} — a resident (or stored) complete result for the
       same (analysis, source bytes, config, schema) answers ["cached"]
-      without forking ([daemon.warm_hits]).  The resident cache is
+      without reaching a worker ([daemon.warm_hits]).  The resident cache is
       LRU-bounded by [cache_entries]/[cache_bytes]
       ([daemon.cache_evictions]);
     + otherwise the job joins the fleet; its budget is the [serve]
@@ -90,8 +92,9 @@ type config = {
       (** edit-aware workers (docs/INCREMENTAL.md): consult the per-SCC
           fragment cache and splice unchanged cones back instead of
           recomputing; reports stay byte-identical to full runs.
-          Fragment reuse across requests requires [store_dir] (workers
-          fork, so a memory-backed cache dies with the child). *)
+          Fragment reuse across requests requires [store_dir] (a
+          memory-backed cache would live in one worker only, and die
+          with its next crash or recycle). *)
   cache_entries : int;  (** resident-cache LRU entry cap (≥ 1) *)
   cache_bytes : int;  (** resident-cache LRU byte cap (≥ 1) *)
   chaos : Inject.daemon_plan;  (** deterministic fault schedule; [[]] = off *)

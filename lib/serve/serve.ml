@@ -1,14 +1,17 @@
 (** Worker-pool supervisor — see serve.mli and docs/ROBUSTNESS.md.
 
-    Single-threaded, [select]-based.  The parent never blocks on a
-    single worker: all result/stderr pipes are multiplexed, watchdog
-    deadlines and retry backoffs are folded into the select timeout,
-    and children are reaped with [WNOHANG].  A worker is finalized only
-    when it has exited {e and} both its pipes have reached EOF, so a
-    frame written just before death is never half-read.  A worker whose
-    pipes are at EOF but whose exit the last [WNOHANG] missed (it was
-    still inside [_exit]) is polled every [reap_poll] through
-    [Pool.next_wake], so the host's select never sleeps on it. *)
+    Single-threaded, [select]-based.  Each of the [jobs] slots holds one
+    long-lived worker process, forked the first time the slot has work.
+    An attempt travels to its worker over the worker's request pipe and
+    is finished the moment its complete result frame has been read.  A
+    worker that dies, overruns the watchdog or writes a bad frame is
+    SIGKILLed if still alive and moved to the exiting list; its attempt
+    is finalized once it has exited {e and} both its pipes are at EOF,
+    so the crash record carries the exit status and all of its stderr.
+    An exiting worker whose pipes are at EOF but whose exit the last
+    [WNOHANG] missed (it was still inside [_exit]) is polled every
+    [reap_poll] through [Pool.next_wake], so the host's select never
+    sleeps on it. *)
 
 module Metrics = Prax_metrics.Metrics
 module Guard = Prax_guard.Guard
@@ -17,8 +20,19 @@ let m_jobs =
   Metrics.counter ~units:"jobs" ~doc:"batch jobs supervised" "serve.jobs"
 
 let m_spawned =
-  Metrics.counter ~units:"processes" ~doc:"worker processes forked"
+  Metrics.counter ~units:"processes"
+    ~doc:"worker processes forked (first use, crash replacement, recycle)"
     "serve.workers_spawned"
+
+let m_recycled =
+  Metrics.counter ~units:"processes"
+    ~doc:"workers retired after a job grew their major heap past the bound"
+    "serve.workers_recycled"
+
+let m_worker_cpu_ms =
+  Metrics.counter ~units:"ms"
+    ~doc:"worker user+sys CPU of the attempts that delivered a frame"
+    "serve.worker_cpu_ms"
 
 let m_crashes =
   Metrics.counter ~units:"attempts"
@@ -40,7 +54,8 @@ let m_backoff_ms =
 
 let m_bad_frames =
   Metrics.counter ~units:"frames"
-    ~doc:"result frames rejected (magic/length/digest)" "serve.bad_frames"
+    ~doc:"result frames rejected (magic/length/status/digest)"
+    "serve.bad_frames"
 
 let m_partials =
   Metrics.counter ~units:"jobs" ~doc:"jobs that completed with a partial result"
@@ -104,79 +119,136 @@ let outcome_class = function
   | Done { status = Invalid_input _; _ } -> "invalid"
   | Crashed _ -> "crashed"
 
+(* A worker retires after a job that has pushed its major heap's
+   high-water mark more than this far above where the worker started.
+   OCaml 5.1 never hands freed major heap back to the OS, so a worker
+   that once ran a heavy job would otherwise keep that memory resident
+   for good (213 MiB after [nq], with 1 MiB live).  The light corpus
+   peaks near 22 MiB.  Measured from the worker's start because a
+   worker forked from a large host inherits the host's heap. *)
+let recycle_heap_bytes = 64 * 1024 * 1024
+
+(* A worker's nursery: OCaml's default 256k words, whatever its host
+   uses.  Measured in a reused worker on a 2-vCPU VM against the 8M-word
+   nursery the CLI evaluates with (docs/PERFORMANCE.md): cold_mix p95
+   better in 5/5 pairs, [event] and [nq] faster, worker RSS 30 against
+   81 MiB; the larger nursery only wins the light-corpus median. *)
+let worker_minor_heap_words = 262_144
+
 (* --- result frames ------------------------------------------------------- *)
 
-(* PXF1 | status byte | 2B BE reason length | 4B BE payload length |
-   16B MD5(payload) | reason | payload.  The digest makes a worker that
-   dies mid-write or scribbles on the pipe distinguishable from one
-   that delivered: a frame either verifies completely or the attempt is
-   a crash. *)
+(* PXF1 | status byte | retire byte | 2B BE reason length | 4B BE payload
+   length | 4B BE worker CPU µs | 16B MD5(payload) | reason | payload.
+   The digest makes a worker that dies mid-write or scribbles on the
+   pipe distinguishable from one that delivered: a frame either verifies
+   completely or the attempt is a crash.  The retire byte is ['R'] when
+   the worker exits after this frame (the recycle rule), ['-'] when it
+   stays for the next attempt. *)
 let frame_magic = "PXF1"
-let frame_header_len = 4 + 1 + 2 + 4 + 16
+let frame_header_len = 4 + 1 + 1 + 2 + 4 + 4 + 16
 
-let encode_frame (status : worker_status) (payload : string) : string =
+type frame_fault = Unknown_status | Digest_mismatch
+
+let armed_frame_fault = ref None
+let arm_frame_fault f = armed_frame_fault := Some f
+
+let put_u32 b n =
+  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff));
+  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
+  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
+  Buffer.add_char b (Char.chr (n land 0xff))
+
+let get_u32 s i =
+  (Char.code s.[i] lsl 24)
+  lor (Char.code s.[i + 1] lsl 16)
+  lor (Char.code s.[i + 2] lsl 8)
+  lor Char.code s.[i + 3]
+
+let encode_frame ~cpu_us ~retire (status : worker_status) (payload : string) :
+    string =
   let status_byte, reason =
     match status with
     | Complete -> ('C', "")
     | Partial_result r -> ('P', r)
     | Invalid_input d -> ('I', d)
   in
+  let fault = !armed_frame_fault in
+  armed_frame_fault := None;
   let b = Buffer.create (frame_header_len + String.length payload) in
   Buffer.add_string b frame_magic;
-  Buffer.add_char b status_byte;
+  Buffer.add_char b (if fault = Some Unknown_status then '?' else status_byte);
+  Buffer.add_char b (if retire then 'R' else '-');
   let rlen = min (String.length reason) 0xffff in
   Buffer.add_char b (Char.chr (rlen lsr 8));
   Buffer.add_char b (Char.chr (rlen land 0xff));
-  let plen = String.length payload in
-  Buffer.add_char b (Char.chr ((plen lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((plen lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((plen lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (plen land 0xff));
-  Buffer.add_string b (Digest.string payload);
+  put_u32 b (String.length payload);
+  put_u32 b (min cpu_us 0xffffffff);
+  Buffer.add_string b
+    (Digest.string
+       (if fault = Some Digest_mismatch then payload ^ "#" else payload));
   Buffer.add_string b (String.sub reason 0 rlen);
   Buffer.add_string b payload;
   Buffer.contents b
 
-let decode_frame ~max_frame_bytes (raw : string) :
-    (worker_status * string, string) result =
-  let n = String.length raw in
-  if n = 0 then Error "no result frame (worker wrote nothing)"
-  else if n < frame_header_len then Error "truncated frame header"
-  else if not (String.equal (String.sub raw 0 4) frame_magic) then
-    Error "bad frame magic"
+(* How much of [buf] the frame at its start occupies, from the header
+   alone: [`Partial] until the header and body are all in, [`Bad] as
+   soon as the header can never verify. *)
+let frame_extent ~max_frame_bytes (buf : Buffer.t) =
+  let n = Buffer.length buf in
+  if n >= 4 && not (String.equal (Buffer.sub buf 0 4) frame_magic) then
+    `Bad "bad frame magic"
+  else if n < frame_header_len then `Partial
   else
-    let status_byte = raw.[4] in
-    let rlen = (Char.code raw.[5] lsl 8) lor Char.code raw.[6] in
-    let plen =
-      (Char.code raw.[7] lsl 24)
-      lor (Char.code raw.[8] lsl 16)
-      lor (Char.code raw.[9] lsl 8)
-      lor Char.code raw.[10]
-    in
-    if plen > max_frame_bytes then Error "frame payload over limit"
-    else if n <> frame_header_len + rlen + plen then
-      Error
-        (Printf.sprintf "frame length mismatch (have %d bytes, frame says %d)"
-           n
-           (frame_header_len + rlen + plen))
+    let h = Buffer.sub buf 0 frame_header_len in
+    let rlen = (Char.code h.[6] lsl 8) lor Char.code h.[7] in
+    let plen = get_u32 h 8 in
+    if plen > max_frame_bytes then `Bad "frame payload over limit"
     else
-      let digest = String.sub raw 11 16 in
-      let reason = String.sub raw frame_header_len rlen in
-      let payload = String.sub raw (frame_header_len + rlen) plen in
-      if not (String.equal (Digest.string payload) digest) then
-        Error "frame digest mismatch"
-      else
-        match status_byte with
-        | 'C' -> Ok (Complete, payload)
-        | 'P' -> Ok (Partial_result reason, payload)
-        | 'I' -> Ok (Invalid_input reason, payload)
-        | c -> Error (Printf.sprintf "unknown frame status %C" c)
+      let total = frame_header_len + rlen + plen in
+      if n < total then `Partial
+      else if n > total then `Bad "bytes after the frame"
+      else `Complete
+
+type frame = {
+  f_status : worker_status;
+  f_payload : string;
+  f_cpu_us : int;
+  f_retire : bool;
+}
+
+(* [raw] is exactly one frame's bytes, as {!frame_extent} measured *)
+let decode_frame (raw : string) : (frame, string) result =
+  let rlen = (Char.code raw.[6] lsl 8) lor Char.code raw.[7] in
+  let plen = get_u32 raw 8 in
+  let digest = String.sub raw 16 16 in
+  let reason = String.sub raw frame_header_len rlen in
+  let payload = String.sub raw (frame_header_len + rlen) plen in
+  if not (String.equal (Digest.string payload) digest) then
+    Error "frame digest mismatch"
+  else
+    let frame status =
+      Ok
+        {
+          f_status = status;
+          f_payload = payload;
+          f_cpu_us = get_u32 raw 12;
+          f_retire = raw.[5] = 'R';
+        }
+    in
+    match raw.[4] with
+    | 'C' -> frame Complete
+    | 'P' -> frame (Partial_result reason)
+    | 'I' -> frame (Invalid_input reason)
+    | c -> Error (Printf.sprintf "unknown frame status %C" c)
 
 (* --- child side ---------------------------------------------------------- *)
 
+let rec restart_eintr f =
+  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
+
 let rec write_all fd s pos len =
   if len > 0 then begin
-    let n = Unix.write_substring fd s pos len in
+    let n = restart_eintr (fun () -> Unix.write_substring fd s pos len) in
     write_all fd s (pos + n) (len - n)
   end
 
@@ -187,61 +259,97 @@ let budget_scale config attempt =
   if attempt <= 2 then 1.0
   else config.reduced_budget_factor ** float_of_int (attempt - 2)
 
-let child_run config ~scale ~worker ~job ~attempt result_fd : 'never =
-  let finish code =
-    (try Unix.close result_fd with Unix.Unix_error _ -> ());
-    Unix._exit code
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* The worker's life: read an attempt from the request pipe, run it,
+   write its frame, repeat.  EOF on the request pipe (the host closed it
+   or died) ends the worker; so does a job that crossed the heap bound,
+   after its frame.  An uncaught exception kills the worker with the
+   exception on its stderr: the attempt is a crash, and no later job
+   runs on state the exception may have left behind. *)
+let child_main config ~worker ~req_fd ~result_fd : 'never =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
+  let requests = Unix.in_channel_of_descr req_fd in
+  let heap_base = (Gc.quick_stat ()).Gc.top_heap_words in
+  let heap_bound = recycle_heap_bytes / (Sys.word_size / 8) in
+  let rec serve () =
+    match input_value requests with
+    | exception _ -> Unix._exit 0
+    | job, attempt, scale, req ->
+        let cpu0 = cpu_seconds () in
+        let status, payload =
+          try
+            (* the attempt ladder's scale composes with the host's
+               per-job scale (the daemon's pressure tier)
+               multiplicatively *)
+            let guard =
+              Guard.of_spec
+                (Guard.scale_spec config.budget
+                   (budget_scale config attempt *. scale))
+            in
+            worker ~job ~attempt ~guard req
+          with exn ->
+            Printf.eprintf "worker(%s) attempt %d: uncaught exception %s\n%!"
+              job attempt (Printexc.to_string exn);
+            Unix._exit 2
+        in
+        let cpu_us = int_of_float ((cpu_seconds () -. cpu0) *. 1e6) in
+        let retire =
+          (Gc.quick_stat ()).Gc.top_heap_words - heap_base > heap_bound
+        in
+        let frame = encode_frame ~cpu_us ~retire status payload in
+        (try write_all result_fd frame 0 (String.length frame)
+         with _ -> Unix._exit 3);
+        if retire then Unix._exit 0 else serve ()
   in
-  let status, payload =
-    try
-      (* the attempt ladder's scale composes with the host's per-job
-         scale (the daemon's pressure tier) multiplicatively *)
-      let guard =
-        Guard.of_spec
-          (Guard.scale_spec config.budget (budget_scale config attempt *. scale))
-      in
-      worker ~job ~attempt ~guard
-    with exn ->
-      Printf.eprintf "worker(%s) attempt %d: uncaught exception %s\n%!" job
-        attempt (Printexc.to_string exn);
-      finish 2
-  in
-  (try
-     let frame = encode_frame status payload in
-     write_all result_fd frame 0 (String.length frame)
-   with _ -> finish 3);
-  finish 0
+  serve ()
 
 (* --- parent-side state --------------------------------------------------- *)
 
-type running = {
-  r_job : string;
-  r_attempt : int;
-  r_pid : int;
-  r_started : float;
-  r_deadline : float option;
-  mutable r_result_fd : Unix.file_descr option;
-  mutable r_stderr_fd : Unix.file_descr option;
-  r_result_buf : Buffer.t;
-  r_stderr_buf : Buffer.t;
-  mutable r_stderr_dropped : bool;
-  mutable r_watchdog_killed : bool;
-  mutable r_exit : Unix.process_status option;
-  (* carried across attempts of the same job *)
-  r_crashes : crash list;
-  r_first_spawn : float;
-  r_backoff : float;
-  r_scale : float;
+(* an attempt in flight on a worker; the job's history rides along *)
+type 'a attempt = {
+  a_job : string;
+  a_attempt : int;
+  a_req : 'a;
+  a_scale : float;  (* host-supplied budget scale (pressure tier) *)
+  a_deadline : float option;
+  a_crashes : crash list;
+  a_first_spawn : float;
+  a_backoff : float;
 }
 
-type waiting = {
+type 'a waiting = {
   w_job : string;
   w_attempt : int;
+  w_req : 'a;
   w_ready_at : float;
   w_crashes : crash list;
   w_first_spawn : float option;
   w_backoff : float;
-  w_scale : float;  (* host-supplied budget scale (pressure tier) *)
+  w_scale : float;
+}
+
+(* why an exiting worker's attempt, if any, failed *)
+type ending =
+  | Died  (** on its own: its exit status says how *)
+  | Watchdog_killed
+  | Frame_rejected of string
+  | Request_failed of string
+
+type 'a worker = {
+  k_pid : int;
+  mutable k_req_fd : Unix.file_descr option;  (* closed once exiting *)
+  mutable k_result_fd : Unix.file_descr option;
+  mutable k_stderr_fd : Unix.file_descr option;
+  k_result_buf : Buffer.t;
+  k_stderr_buf : Buffer.t;
+  mutable k_stderr_dropped : bool;
+  mutable k_attempt : 'a attempt option;
+  mutable k_ending : ending;
+  mutable k_killed : bool;  (* SIGKILL sent *)
+  mutable k_exit : Unix.process_status option;
 }
 
 let signal_name =
@@ -260,16 +368,10 @@ let signal_name =
     | Some n -> n
     | None -> Printf.sprintf "signal#%d" sg
 
-let status_string ~killed ~timeout frame_err = function
+let status_string frame_err = function
   | Unix.WEXITED n -> Printf.sprintf "exit %d (%s)" n frame_err
-  | Unix.WSIGNALED _ when killed ->
-      Printf.sprintf "watchdog SIGKILL after %gs"
-        (Option.value timeout ~default:0.)
   | Unix.WSIGNALED sg -> Printf.sprintf "%s (%s)" (signal_name sg) frame_err
   | Unix.WSTOPPED sg -> Printf.sprintf "stopped by %s" (signal_name sg)
-
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
 
 (* deterministic jitter in [-1,1] from (job, attempt): reproducible
    batches, decorrelated retry storms *)
@@ -283,6 +385,17 @@ let backoff_delay config ~job ~attempt =
   let exp' = config.backoff_base *. (config.backoff_factor ** float_of_int (attempt - 1)) in
   let j = 1. +. (config.backoff_jitter *. jitter_of job attempt) in
   Float.max 0. (exp' *. j)
+
+(* worker CPU arrives in microseconds; the counter is in milliseconds,
+   so the sub-millisecond remainder carries to the next frame *)
+let worker_cpu_us = ref 0
+
+let add_worker_cpu us =
+  let before = !worker_cpu_us / 1000 in
+  worker_cpu_us := !worker_cpu_us + us;
+  Metrics.add m_worker_cpu_ms ((!worker_cpu_us / 1000) - before)
+
+let close_opt fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* --- the incremental worker pool ----------------------------------------- *)
 
@@ -302,14 +415,19 @@ module Pool = struct
      select loop: jobs are [submit]ted at any time, [step] advances
      every worker without blocking, and the host owns the select. *)
 
-  type t = {
+  type 'a t = {
     p_config : config;
     p_worker :
-      job:string -> attempt:int -> guard:Guard.t -> worker_status * string;
+      job:string ->
+      attempt:int ->
+      guard:Guard.t ->
+      'a ->
+      worker_status * string;
     p_on_child : (unit -> unit) option;
     p_read_chunk : Bytes.t;
-    mutable p_waiting : waiting list;
-    mutable p_running : running list;
+    mutable p_waiting : 'a waiting list;
+    mutable p_workers : 'a worker list;  (* idle or running; ≤ jobs *)
+    mutable p_exiting : 'a worker list;  (* awaiting EOF and reap *)
   }
 
   let create ?(config = default_config) ?on_child ~worker () =
@@ -321,10 +439,11 @@ module Pool = struct
       p_on_child = on_child;
       p_read_chunk = Bytes.create 65536;
       p_waiting = [];
-      p_running = [];
+      p_workers = [];
+      p_exiting = [];
     }
 
-  let submit t ?(budget_scale = 1.0) job =
+  let submit t ?(budget_scale = 1.0) job req =
     Metrics.incr m_jobs;
     t.p_waiting <-
       t.p_waiting
@@ -332,6 +451,7 @@ module Pool = struct
           {
             w_job = job;
             w_attempt = 1;
+            w_req = req;
             w_ready_at = 0.;
             w_crashes = [];
             w_first_spawn = None;
@@ -340,29 +460,46 @@ module Pool = struct
           };
         ]
 
+  let all_workers t = t.p_workers @ t.p_exiting
+
   let pending t = List.length t.p_waiting
-  let inflight t = List.length t.p_running
-  let idle t = t.p_waiting = [] && t.p_running = []
+
+  let inflight t =
+    List.length (List.filter (fun k -> k.k_attempt <> None) (all_workers t))
+
+  let idle t = t.p_waiting = [] && inflight t = 0
 
   let fds t =
     List.concat_map
-      (fun r -> Option.to_list r.r_result_fd @ Option.to_list r.r_stderr_fd)
-      t.p_running
+      (fun k -> Option.to_list k.k_result_fd @ Option.to_list k.k_stderr_fd)
+      (all_workers t)
+
+  let idle_worker t = List.find_opt (fun k -> k.k_attempt = None) t.p_workers
+
+  let slot_free t =
+    idle_worker t <> None || List.length t.p_workers < t.p_config.jobs
 
   let next_wake t =
     let now = Unix.gettimeofday () in
-    let running =
+    let reaps =
       List.filter_map
-        (fun r ->
-          if r.r_exit = None && r.r_result_fd = None && r.r_stderr_fd = None
+        (fun k ->
+          if k.k_exit = None && k.k_result_fd = None && k.k_stderr_fd = None
           then Some (now +. reap_poll)
-          else if r.r_watchdog_killed then None
-          else r.r_deadline)
-        t.p_running
+          else None)
+        t.p_exiting
+    in
+    let deadlines =
+      List.filter_map
+        (fun k ->
+          match k.k_attempt with
+          | Some a when not k.k_killed -> a.a_deadline
+          | _ -> None)
+        (all_workers t)
     in
     (* a due retry with no free slot waits for a worker to finish, which
        the pipes and the reap poll already wake for *)
-    let slot_free = List.length t.p_running < t.p_config.jobs in
+    let slot_free = slot_free t in
     let ready =
       List.filter_map
         (fun w ->
@@ -371,254 +508,352 @@ module Pool = struct
           else None)
         t.p_waiting
     in
-    match running @ ready with
+    match reaps @ deadlines @ ready with
     | [] -> None
     | l -> Some (List.fold_left Float.min (List.hd l) (List.tl l))
 
-  let spawn t now (w : waiting) =
-    let config = t.p_config in
+  (* A worker leaves the slot it held: it will never be sent work
+     again.  Without an attempt in flight nothing more is wanted from
+     its pipes, so only its reap remains. *)
+  let retire t k =
+    Option.iter close_opt k.k_req_fd;
+    k.k_req_fd <- None;
+    if k.k_attempt = None then begin
+      Option.iter close_opt k.k_result_fd;
+      Option.iter close_opt k.k_stderr_fd;
+      k.k_result_fd <- None;
+      k.k_stderr_fd <- None
+    end;
+    if List.memq k t.p_workers then begin
+      t.p_workers <- List.filter (fun k' -> k' != k) t.p_workers;
+      t.p_exiting <- k :: t.p_exiting
+    end
+
+  let kill t k ending =
+    if k.k_ending = Died then k.k_ending <- ending;
+    if (not k.k_killed) && k.k_exit = None then begin
+      k.k_killed <- true;
+      try Unix.kill k.k_pid Sys.sigkill with Unix.Unix_error _ -> ()
+    end;
+    retire t k
+
+  let spawn_worker t =
     (* buffered output written before the fork must not be re-flushed
        by the child *)
     flush stdout;
     flush stderr;
-    let r_read, r_write = Unix.pipe () in
-    let e_read, e_write = Unix.pipe () in
+    let q_read, q_write = Unix.pipe ~cloexec:true () in
+    let r_read, r_write = Unix.pipe ~cloexec:true () in
+    let e_read, e_write = Unix.pipe ~cloexec:true () in
     match Unix.fork () with
     | 0 ->
         (* child: restore default signal dispositions (a host's drain
            handler must not leak into workers), drop every parent-side
-           fd — including other workers' pipes inherited across fork (a
-           sibling holding a pipe open would postpone that worker's EOF
-           past its own lifetime) and whatever sockets the host asks to
-           close via on_child *)
+           fd — the other workers' pipes inherited across fork (a
+           sibling holding a request pipe open would keep that worker
+           from ever seeing EOF, and one holding a result pipe would
+           postpone its EOF past its death) and whatever sockets the
+           host asks to close via on_child *)
         (try Sys.set_signal Sys.sigterm Sys.Signal_default
          with Sys_error _ | Invalid_argument _ -> ());
         (try Sys.set_signal Sys.sigint Sys.Signal_default
          with Sys_error _ | Invalid_argument _ -> ());
+        Unix.close q_write;
         Unix.close r_read;
         Unix.close e_read;
-        List.iter
-          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fds t);
+        List.iter close_opt
+          (fds t @ List.filter_map (fun k -> k.k_req_fd) t.p_workers);
         (match t.p_on_child with
         | Some f -> ( try f () with _ -> ())
         | None -> ());
-        Unix.dup2 e_write Unix.stderr;
+        Unix.dup2 ~cloexec:false e_write Unix.stderr;
         Unix.close e_write;
-        child_run config ~scale:w.w_scale ~worker:t.p_worker ~job:w.w_job
-          ~attempt:w.w_attempt r_write
+        child_main t.p_config ~worker:t.p_worker ~req_fd:q_read
+          ~result_fd:r_write
     | pid ->
+        Unix.close q_read;
         Unix.close r_write;
         Unix.close e_write;
         Metrics.incr m_spawned;
-        t.p_running <-
+        let k =
           {
-            r_job = w.w_job;
-            r_attempt = w.w_attempt;
-            r_pid = pid;
-            r_started = now;
-            r_deadline = Option.map (fun tmo -> now +. tmo) config.job_timeout;
-            r_result_fd = Some r_read;
-            r_stderr_fd = Some e_read;
-            r_result_buf = Buffer.create 1024;
-            r_stderr_buf = Buffer.create 256;
-            r_stderr_dropped = false;
-            r_watchdog_killed = false;
-            r_exit = None;
-            r_crashes = w.w_crashes;
-            r_first_spawn = Option.value w.w_first_spawn ~default:now;
-            r_backoff = w.w_backoff;
-            r_scale = w.w_scale;
+            k_pid = pid;
+            k_req_fd = Some q_write;
+            k_result_fd = Some r_read;
+            k_stderr_fd = Some e_read;
+            k_result_buf = Buffer.create 1024;
+            k_stderr_buf = Buffer.create 256;
+            k_stderr_dropped = false;
+            k_attempt = None;
+            k_ending = Died;
+            k_killed = false;
+            k_exit = None;
           }
-          :: t.p_running
+        in
+        t.p_workers <- k :: t.p_workers;
+        k
 
-  let drain t (r : running) which =
+  (* hand an attempt to an idle worker.  A worker that died since its
+     last frame has closed its end of the request pipe: that is an EPIPE
+     crash of this attempt, and SIGPIPE is ignored around the write so
+     it can never kill a host that does not ignore it itself. *)
+  let dispatch t now k (w : 'a waiting) =
+    k.k_attempt <-
+      Some
+        {
+          a_job = w.w_job;
+          a_attempt = w.w_attempt;
+          a_req = w.w_req;
+          a_scale = w.w_scale;
+          a_deadline =
+            Option.map (fun tmo -> now +. tmo) t.p_config.job_timeout;
+          a_crashes = w.w_crashes;
+          a_first_spawn = Option.value w.w_first_spawn ~default:now;
+          a_backoff = w.w_backoff;
+        };
+    Buffer.reset k.k_stderr_buf;
+    k.k_stderr_dropped <- false;
+    let msg =
+      Marshal.to_string (w.w_job, w.w_attempt, w.w_scale, w.w_req) []
+    in
+    let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    match
+      Fun.protect
+        ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_pipe)
+        (fun () -> write_all (Option.get k.k_req_fd) msg 0 (String.length msg))
+    with
+    | () -> ()
+    | exception Unix.Unix_error (err, _, _) ->
+        kill t k (Request_failed ("request pipe: " ^ Unix.error_message err))
+
+  let attempt_report (a : 'a attempt) now outcome ~crashes =
+    {
+      job = a.a_job;
+      outcome;
+      attempts = a.a_attempt;
+      crashes;
+      elapsed = now -. a.a_first_spawn;
+      backoff = a.a_backoff;
+    }
+
+  (* the result pipe of a running worker has new bytes: a complete good
+     frame finishes the attempt on the spot, a bad one kills the worker *)
+  let check_frame t now k : report option =
+    let reject err =
+      Metrics.incr m_bad_frames;
+      kill t k (Frame_rejected err);
+      None
+    in
+    match k.k_attempt with
+    | None -> reject "bytes outside an attempt"
+    | Some a -> (
+        match
+          frame_extent ~max_frame_bytes:t.p_config.max_frame_bytes
+            k.k_result_buf
+        with
+        | `Partial -> None
+        | `Bad err -> reject err
+        | `Complete -> (
+            match decode_frame (Buffer.contents k.k_result_buf) with
+            | Error err -> reject err
+            | Ok f ->
+                k.k_attempt <- None;
+                (* reset, not clear: a worker outlives its largest frame *)
+                Buffer.reset k.k_result_buf;
+                add_worker_cpu f.f_cpu_us;
+                if f.f_retire then begin
+                  Metrics.incr m_recycled;
+                  retire t k
+                end;
+                (* every delivered frame is final: a partial result is
+                   sound and an invalid input fails the same way on every
+                   retry *)
+                Some
+                  (attempt_report a now
+                     (Done
+                        {
+                          payload = f.f_payload;
+                          status = f.f_status;
+                          from_cache = false;
+                        })
+                     ~crashes:(List.rev a.a_crashes))))
+
+  let drain t now k which : report option =
     let config = t.p_config in
     let fd_opt, buf =
       match which with
-      | `Result -> (r.r_result_fd, r.r_result_buf)
-      | `Stderr -> (r.r_stderr_fd, r.r_stderr_buf)
+      | `Result -> (k.k_result_fd, k.k_result_buf)
+      | `Stderr -> (k.k_stderr_fd, k.k_stderr_buf)
     in
     match fd_opt with
-    | None -> ()
+    | None -> None
     | Some fd -> (
+        (* a read error ends the stream like EOF would *)
         match
-          restart_eintr (fun () -> Unix.read fd t.p_read_chunk 0 65536)
+          try restart_eintr (fun () -> Unix.read fd t.p_read_chunk 0 65536)
+          with Unix.Unix_error _ -> 0
         with
         | 0 ->
             Unix.close fd;
             (match which with
-            | `Result -> r.r_result_fd <- None
-            | `Stderr -> r.r_stderr_fd <- None)
+            | `Result -> k.k_result_fd <- None
+            | `Stderr -> k.k_stderr_fd <- None);
+            (* EOF on a result pipe: the worker is gone or going *)
+            if which = `Result then retire t k;
+            None
         | n -> (
             match which with
             | `Result ->
-                (* a frame larger than the cap can never verify; stop
-                   buffering but keep draining so the child is not
-                   blocked on a full pipe before we kill it *)
+                (* a live worker's frame is bounded by its header check;
+                   a dying one's bytes only decide "truncated", so stop
+                   buffering them at the cap but keep draining *)
                 if
-                  Buffer.length buf
-                  <= config.max_frame_bytes + frame_header_len
-                then Buffer.add_subbytes buf t.p_read_chunk 0 n
+                  Buffer.length buf <= config.max_frame_bytes + frame_header_len
+                then Buffer.add_subbytes buf t.p_read_chunk 0 n;
+                if List.memq k t.p_workers then check_frame t now k else None
             | `Stderr ->
                 let room = config.max_stderr_bytes - Buffer.length buf in
                 if room >= n then Buffer.add_subbytes buf t.p_read_chunk 0 n
                 else begin
                   if room > 0 then Buffer.add_subbytes buf t.p_read_chunk 0 room;
-                  r.r_stderr_dropped <- true
-                end))
+                  k.k_stderr_dropped <- true
+                end;
+                None))
 
-  (* a finalized attempt either yields the job's report or re-enqueues
-     the next attempt down the retry ladder *)
-  let finalize t now (r : running) : report option =
+  (* an exited worker with an attempt in flight either yields the job's
+     report or re-enqueues the next attempt down the retry ladder *)
+  let finalize_crash t now k (a : 'a attempt) : report option =
     let config = t.p_config in
-    let exit_status = Option.get r.r_exit in
+    let exit_status = Option.get k.k_exit in
     let stderr_text =
-      Buffer.contents r.r_stderr_buf
-      ^ if r.r_stderr_dropped then "\n[stderr truncated]" else ""
+      Buffer.contents k.k_stderr_buf
+      ^ if k.k_stderr_dropped then "\n[stderr truncated]" else ""
     in
-    let attempt_result =
-      match
-        decode_frame ~max_frame_bytes:config.max_frame_bytes
-          (Buffer.contents r.r_result_buf)
-      with
-      | Ok (status, payload) -> Ok (status, payload)
-      | Error frame_err ->
-          if
-            (match exit_status with Unix.WEXITED 0 -> false | _ -> true)
-            || Buffer.length r.r_result_buf > 0
-          then Metrics.incr m_bad_frames;
-          Error
-            {
-              attempt = r.r_attempt;
-              what =
-                status_string ~killed:r.r_watchdog_killed
-                  ~timeout:config.job_timeout frame_err exit_status;
-              stderr = stderr_text;
-            }
+    let what =
+      match k.k_ending with
+      | Watchdog_killed ->
+          Printf.sprintf "watchdog SIGKILL after %gs"
+            (Option.value config.job_timeout ~default:0.)
+      | Frame_rejected err -> "bad frame: " ^ err
+      | Request_failed err -> status_string err exit_status
+      | Died ->
+          let got = Buffer.length k.k_result_buf in
+          if got > 0 then Metrics.incr m_bad_frames;
+          status_string
+            (if got = 0 then "no result frame (worker wrote nothing)"
+             else if got < frame_header_len then "truncated frame header"
+             else "truncated frame")
+            exit_status
     in
-    match attempt_result with
-    | Ok (status, payload) ->
-        (* every delivered frame is final: a partial result is sound and
-           an invalid input fails the same way on every retry *)
-        Some
-          {
-            job = r.r_job;
-            outcome = Done { payload; status; from_cache = false };
-            attempts = r.r_attempt;
-            crashes = List.rev r.r_crashes;
-            elapsed = now -. r.r_first_spawn;
-            backoff = r.r_backoff;
-          }
-    | Error crash ->
-        Metrics.incr m_crashes;
-        if r.r_attempt <= config.retries then begin
-          let delay = backoff_delay config ~job:r.r_job ~attempt:r.r_attempt in
-          Metrics.incr m_retries;
-          Metrics.add m_backoff_ms (int_of_float (delay *. 1e3));
-          t.p_waiting <-
-            {
-              w_job = r.r_job;
-              w_attempt = r.r_attempt + 1;
-              w_ready_at = now +. delay;
-              w_crashes = crash :: r.r_crashes;
-              w_first_spawn = Some r.r_first_spawn;
-              w_backoff = r.r_backoff +. delay;
-              w_scale = r.r_scale;
-            }
-            :: t.p_waiting;
-          None
-        end
-        else
-          Some
-            {
-              job = r.r_job;
-              outcome = Crashed crash;
-              attempts = r.r_attempt;
-              crashes = List.rev (crash :: r.r_crashes);
-              elapsed = now -. r.r_first_spawn;
-              backoff = r.r_backoff;
-            }
+    let crash = { attempt = a.a_attempt; what; stderr = stderr_text } in
+    Metrics.incr m_crashes;
+    if a.a_attempt <= config.retries then begin
+      let delay = backoff_delay config ~job:a.a_job ~attempt:a.a_attempt in
+      Metrics.incr m_retries;
+      Metrics.add m_backoff_ms (int_of_float (delay *. 1e3));
+      t.p_waiting <-
+        {
+          w_job = a.a_job;
+          w_attempt = a.a_attempt + 1;
+          w_req = a.a_req;
+          w_ready_at = now +. delay;
+          w_crashes = crash :: a.a_crashes;
+          w_first_spawn = Some a.a_first_spawn;
+          w_backoff = a.a_backoff +. delay;
+          w_scale = a.a_scale;
+        }
+        :: t.p_waiting;
+      None
+    end
+    else
+      Some
+        (attempt_report a now (Crashed crash)
+           ~crashes:(List.rev (crash :: a.a_crashes)))
 
-  (* fill free slots with due work, earliest-ready first *)
+  (* fill free slots with due work, earliest-ready first: an idle worker
+     takes it, else a worker is forked into an empty slot *)
   let fill_slots t =
-    let now = Unix.gettimeofday () in
-    let due, not_due =
-      List.partition (fun w -> w.w_ready_at <= now) t.p_waiting
-    in
-    let due = List.sort (fun a b -> compare a.w_ready_at b.w_ready_at) due in
-    let free = t.p_config.jobs - List.length t.p_running in
-    let to_spawn, overflow =
-      if free >= List.length due then (due, [])
-      else
-        ( List.filteri (fun i _ -> i < free) due,
-          List.filteri (fun i _ -> i >= free) due )
-    in
-    t.p_waiting <- overflow @ not_due;
-    List.iter (spawn t now) to_spawn
+    if t.p_waiting <> [] then begin
+      let now = Unix.gettimeofday () in
+      let due, not_due =
+        List.partition (fun w -> w.w_ready_at <= now) t.p_waiting
+      in
+      let due =
+        List.stable_sort (fun a b -> compare a.w_ready_at b.w_ready_at) due
+      in
+      let rec place = function
+        | [] -> []
+        | w :: rest as due -> (
+            match idle_worker t with
+            | Some k ->
+                dispatch t now k w;
+                place rest
+            | None when List.length t.p_workers < t.p_config.jobs ->
+                dispatch t now (spawn_worker t) w;
+                place rest
+            | None -> due)
+      in
+      t.p_waiting <- not_due;
+      let overflow = place due in
+      t.p_waiting <- overflow @ t.p_waiting
+    end
 
   let step t ~readable : report list =
-    let config = t.p_config in
-    (* drain whatever the host's select saw *)
-    List.iter
-      (fun r ->
-        (match r.r_result_fd with
-        | Some fd when List.memq fd readable -> drain t r `Result
-        | _ -> ());
-        match r.r_stderr_fd with
-        | Some fd when List.memq fd readable -> drain t r `Stderr
-        | _ -> ())
-      t.p_running;
     let now = Unix.gettimeofday () in
+    (* drain whatever the host's select saw; a frame completed here
+       finishes its attempt at once *)
+    let delivered =
+      if readable = [] then []
+      else
+        List.concat_map
+          (fun k ->
+            let from which fd_opt =
+              match fd_opt with
+              | Some fd when List.memq fd readable -> drain t now k which
+              | _ -> None
+            in
+            let e = from `Stderr k.k_stderr_fd in
+            let r = from `Result k.k_result_fd in
+            Option.to_list e @ Option.to_list r)
+          (all_workers t)
+    in
     (* watchdog: SIGKILL attempts past their deadline *)
     List.iter
-      (fun r ->
-        match r.r_deadline with
-        | Some d when (not r.r_watchdog_killed) && r.r_exit = None && now > d
-          ->
-            r.r_watchdog_killed <- true;
+      (fun k ->
+        match k.k_attempt with
+        | Some { a_deadline = Some d; _ }
+          when (not k.k_killed) && k.k_exit = None && now > d ->
             Metrics.incr m_kills;
-            (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ())
+            kill t k Watchdog_killed
         | _ -> ())
-      t.p_running;
-    (* frame-overflow protection: a worker streaming an over-limit
-       frame is killed like a hang *)
+      (all_workers t);
+    (* reap exiting workers without blocking *)
     List.iter
-      (fun r ->
-        if
-          (not r.r_watchdog_killed)
-          && r.r_exit = None
-          && Buffer.length r.r_result_buf
-             > config.max_frame_bytes + frame_header_len
-        then begin
-          r.r_watchdog_killed <- true;
-          Metrics.incr m_kills;
-          try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ()
-        end)
-      t.p_running;
-    (* reap exits without blocking *)
-    List.iter
-      (fun r ->
-        if r.r_exit = None then
+      (fun k ->
+        if k.k_exit = None then
           match
-            restart_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] r.r_pid)
+            restart_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] k.k_pid)
           with
           | 0, _ -> ()
-          | _, st -> r.r_exit <- Some st)
-      t.p_running;
-    (* finalize workers that exited and whose pipes are fully drained *)
-    let done_, still =
+          | _, st -> k.k_exit <- Some st)
+      t.p_exiting;
+    (* finalize exited workers whose pipes are fully drained *)
+    let gone, still =
       List.partition
-        (fun r ->
-          r.r_exit <> None && r.r_result_fd = None && r.r_stderr_fd = None)
-        t.p_running
+        (fun k ->
+          k.k_exit <> None && k.k_result_fd = None && k.k_stderr_fd = None)
+        t.p_exiting
     in
-    t.p_running <- still;
-    let reports = List.filter_map (finalize t now) done_ in
-    (* last, so a slot freed by this round's reaps takes the next job
-       now rather than at the host's next wake *)
+    t.p_exiting <- still;
+    let crashed =
+      List.filter_map
+        (fun k -> Option.bind k.k_attempt (finalize_crash t now k))
+        gone
+    in
+    (* last, so a slot freed this round takes the next job now rather
+       than at the host's next wake *)
     fill_slots t;
-    reports
+    delivered @ crashed
 
   let cancel_pending t =
     let cancelled = List.map (fun w -> w.w_job) t.p_waiting in
@@ -626,22 +861,23 @@ module Pool = struct
     cancelled
 
   let kill_all t =
-    let killed = List.map (fun r -> r.r_job) t.p_running in
+    let all = all_workers t in
+    let killed =
+      List.filter_map (fun k -> Option.map (fun a -> a.a_job) k.k_attempt) all
+    in
     List.iter
-      (fun r ->
-        (try Unix.kill r.r_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (match r.r_result_fd with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
-        (match r.r_stderr_fd with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
+      (fun k ->
+        if k.k_exit = None then (
+          try Unix.kill k.k_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        List.iter (Option.iter close_opt)
+          [ k.k_req_fd; k.k_result_fd; k.k_stderr_fd ];
         (* SIGKILL cannot be caught, so a blocking reap terminates *)
-        if r.r_exit = None then
-          try ignore (restart_eintr (fun () -> Unix.waitpid [] r.r_pid))
+        if k.k_exit = None then
+          try ignore (restart_eintr (fun () -> Unix.waitpid [] k.k_pid))
           with Unix.Unix_error _ -> ())
-      t.p_running;
-    t.p_running <- [];
+      all;
+    t.p_workers <- [];
+    t.p_exiting <- [];
     killed @ cancel_pending t
 end
 
@@ -661,7 +897,10 @@ let run_batch ?(config = default_config) ?cached ?persist ?on_report ~worker
     | Done _ | Crashed _ -> ());
     match on_report with Some f -> f rep | None -> ()
   in
-  let pool = Pool.create ~config ~worker () in
+  let pool =
+    Pool.create ~config ~worker:(fun ~job ~attempt ~guard () ->
+        worker ~job ~attempt ~guard) ()
+  in
   (* cache pass: answered jobs never fork *)
   List.iter
     (fun job ->
@@ -678,11 +917,12 @@ let run_batch ?(config = default_config) ?cached ?persist ?on_report ~worker
               elapsed = 0.;
               backoff = 0.;
             }
-      | None -> Pool.submit pool job)
+      | None -> Pool.submit pool job ())
     jobs;
   (* An interrupted batch must not strand workers: SIGTERM/SIGINT break
-     the loop, SIGKILL and reap every in-flight worker, and surface as
-     {!Interrupted} so the CLI can take its distinct exit path. *)
+     the loop, SIGKILL and reap every worker, and surface as
+     {!Interrupted} so the CLI can take its distinct exit path.  A batch
+     that ends normally stops its idle workers the same way. *)
   let interrupted = ref None in
   let old_term =
     Sys.signal Sys.sigterm
@@ -693,6 +933,7 @@ let run_batch ?(config = default_config) ?cached ?persist ?on_report ~worker
       (Sys.Signal_handle (fun sg -> interrupted := Some sg))
   in
   let restore () =
+    ignore (Pool.kill_all pool);
     Sys.set_signal Sys.sigterm old_term;
     Sys.set_signal Sys.sigint old_int
   in

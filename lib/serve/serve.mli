@@ -13,20 +13,40 @@
 
     {2 Supervision protocol}
 
-    - One [fork]ed worker per job attempt; results come back over a
-      pipe as a single length-prefixed, MD5-digest-checked frame, so a
-      worker that dies mid-write (truncated frame) or scribbles on its
-      pipe (digest mismatch) is classified as crashed, never as a
-      bogus result.
-    - Worker stderr is captured over a second pipe (bounded) and
-      attached to crash records.
+    - Workers outlive attempts.  Each of the [jobs] slots holds one
+      long-lived worker, forked the first time the slot has work
+      ([serve.workers_spawned] counts worker starts: first use, crash
+      replacement, recycle).  An attempt (job id, attempt number,
+      budget scale and the host's request value) travels to the worker
+      over its request pipe; the result comes back over its result pipe
+      as one length-prefixed, MD5-digest-checked frame, and the attempt
+      is finished the moment that frame is complete.
+    - A bad frame — unknown status byte, digest mismatch, a length over
+      [max_frame_bytes], stray bytes — kills its worker
+      ([serve.bad_frames]) and crashes only the attempt in flight; so
+      does a worker that dies mid-write (truncated frame).  A bad frame
+      is never taken for a result.
+    - Recycling: a worker exits after any job that pushed its major
+      heap's high-water mark more than {!recycle_heap_bytes} above
+      where it started ([serve.workers_recycled]); OCaml does not hand
+      freed heap back to the OS, so this bounds what a long-lived
+      worker holds.  The next attempt forks a fresh one.
+    - Each frame carries the worker's user+sys CPU for that job, summed
+      in [serve.worker_cpu_ms] (a live worker's CPU is invisible to its
+      host's [times] until it is reaped).
+    - Worker stderr is captured over a second pipe (bounded, cleared
+      when an attempt is dispatched) and attached to crash records.
     - A per-attempt wall-clock watchdog [SIGKILL]s hung workers
       ([serve.watchdog_kills]).
+    - Writing an attempt to a worker that has just died is an EPIPE
+      crash of that attempt; [SIGPIPE] is ignored around the write, so
+      a host that does not ignore it is never killed by it.
     - Crashed attempts are retried up to [retries] times with
       exponential backoff plus deterministic jitter
-      ([serve.retries], [serve.backoff_ms]).  A worker that rejects its
-      input delivers the diagnostic in its frame ([Invalid_input]); that
-      is a result, not a crash, so it costs one attempt.
+      ([serve.retries], [serve.backoff_ms]), each on a fresh worker (the
+      crashed one is gone).  A worker that rejects its input delivers
+      the diagnostic in its frame ([Invalid_input]); that is a result,
+      not a crash, so it costs one attempt.
     - The degradation ladder (docs/ROBUSTNESS.md): attempt at full
       budget → retry at full budget → retries at a reduced
       {!Prax_guard.Guard.spec} budget (so a job that dies {e because}
@@ -35,10 +55,12 @@
       reports [Partial] → only when every attempt died is the job
       recorded [Crashed], with the last exit status and captured
       stderr.
+    - A worker exits by itself when its request pipe reaches EOF, so a
+      host that dies leaves no idle workers behind.
 
     The supervisor is single-threaded ([select]-based) and generic in
     the worker function; the analysis wiring lives in [bin/xanalyze.ml]
-    (the [batch] command) and the bench harness. *)
+    (the [batch] command), the daemon and the bench harness. *)
 
 module Guard = Prax_guard.Guard
 
@@ -66,6 +88,10 @@ val default_config : config
 (** [jobs=2; retries=2; job_timeout=None; budget=no_limits;
     reduced_budget_factor=0.5; backoff_base=0.05; backoff_factor=2.0;
     backoff_jitter=0.25; max_stderr_bytes=64k; max_frame_bytes=256M] *)
+
+val recycle_heap_bytes : int
+(** 64 MiB: the growth of a worker's major-heap high-water mark, since
+    the worker started, past which it exits after its current job. *)
 
 (** What a worker reports about its own evaluation. *)
 type worker_status =
@@ -114,73 +140,95 @@ exception Interrupted of int
 
 (** The supervisor's state machine as an incremental API, for hosts
     that own their own event loop (the analysis daemon).  Jobs are
-    {!Pool.submit}ted at any time; {!Pool.step} advances every worker
-    without blocking and returns finished reports; the host selects on
-    {!Pool.fds} with a timeout bounded by {!Pool.next_wake}.
-    {!run_batch} is a thin driver over this module. *)
+    {!Pool.submit}ted at any time with a request value of the host's
+    choosing, which is marshalled to the worker with the attempt (so a
+    worker forked before the job was submitted still sees it);
+    {!Pool.step} advances every worker without blocking and returns
+    finished reports; the host selects on {!Pool.fds} with a timeout
+    bounded by {!Pool.next_wake}.  {!run_batch} is a thin driver over
+    this module. *)
 module Pool : sig
-  type t
+  type 'a t
 
   val create :
     ?config:config ->
     ?on_child:(unit -> unit) ->
     worker:
-      (job:string -> attempt:int -> guard:Guard.t -> worker_status * string) ->
+      (job:string ->
+      attempt:int ->
+      guard:Guard.t ->
+      'a ->
+      worker_status * string) ->
     unit ->
-    t
-  (** [on_child] runs in the forked worker before the job; hosts use it
-      to close inherited fds (listen sockets, client connections) the
-      pool cannot know about.  Workers also reset SIGTERM/SIGINT to
-      their default dispositions so a host's drain handler never leaks
-      into children. *)
+    'a t
+  (** [worker] runs in the long-lived worker process, once per attempt,
+      with the request value the job was submitted with.  [on_child]
+      runs in each worker when it is forked; hosts use it to close
+      inherited fds (listen sockets, client connections) the pool
+      cannot know about.  Workers also reset SIGTERM/SIGINT to their
+      default dispositions so a host's drain handler never leaks into
+      children, and close every other worker's pipes. *)
 
-  val submit : t -> ?budget_scale:float -> string -> unit
-  (** Enqueue a job (counted in [serve.jobs]); it spawns on a later
-      {!step} when a slot is free.  [budget_scale] (default 1.0)
+  val submit : 'a t -> ?budget_scale:float -> string -> 'a -> unit
+  (** Enqueue a job (counted in [serve.jobs]) with its request value,
+      which must be marshalable (no closures); it is dispatched on a
+      later {!step} when a slot is free.  [budget_scale] (default 1.0)
       multiplies the config's guard budget for every attempt of this
       job — the daemon's pressure-tier degradation hook
       (docs/ROBUSTNESS.md); it composes with the per-attempt
       reduced-budget ladder. *)
 
-  val pending : t -> int
+  val pending : 'a t -> int
   (** Jobs submitted (or awaiting retry) but not currently running. *)
 
-  val inflight : t -> int
-  (** Worker processes currently alive (or awaiting final reap). *)
+  val inflight : 'a t -> int
+  (** Attempts dispatched to a worker and not yet finished. *)
 
-  val idle : t -> bool
-  (** No pending and no in-flight work. *)
+  val idle : 'a t -> bool
+  (** No pending and no in-flight work (idle workers may remain). *)
 
-  val fds : t -> Unix.file_descr list
-  (** Every live worker pipe fd — the host's select read set. *)
+  val fds : 'a t -> Unix.file_descr list
+  (** Every open worker pipe fd — the host's select read set. *)
 
-  val next_wake : t -> float option
+  val next_wake : 'a t -> float option
   (** Earliest absolute time ({!Unix.gettimeofday} clock) at which the
       pool needs a {!step} even without fd activity: the nearest
       watchdog deadline, retry-backoff expiry (while a slot is free), or
-      — for a worker whose pipes are at EOF but whose exit a [WNOHANG]
-      reap has not yet seen — a reap poll one millisecond away.  [None]
-      when only fd activity matters.  Hosts select for at most
-      [wake - now] with no floor: every time returned is one a {!step}
-      can act on, so this never spins. *)
+      — for an exiting worker whose pipes are at EOF but whose exit a
+      [WNOHANG] reap has not yet seen — a reap poll one millisecond
+      away.  [None] when only fd activity matters.  Hosts select for at
+      most [wake - now] with no floor: every time returned is one a
+      {!step} can act on, so this never spins. *)
 
-  val step : t -> readable:Unix.file_descr list -> report list
-  (** One non-blocking supervision round: drain [readable] pipes,
-      SIGKILL watchdog-expired and frame-overflowing workers, reap
-      exits, finalize, then spawn due work into the free slots.  Crashed
-      attempts with retries left are re-enqueued internally; the
-      returned reports are final.  Call with [readable:[]] to run
-      timers only. *)
+  val step : 'a t -> readable:Unix.file_descr list -> report list
+  (** One non-blocking supervision round: drain [readable] pipes
+      (finishing every attempt whose frame is now complete, killing the
+      worker of a bad frame), SIGKILL watchdog-expired workers, reap
+      exiting ones, finalize their attempts, then dispatch due work to
+      idle workers, forking into empty slots.  Crashed attempts with
+      retries left are re-enqueued internally; the returned reports are
+      final.  Call with [readable:[]] to run timers only. *)
 
-  val cancel_pending : t -> string list
-  (** Drop all pending (never-spawned this attempt) jobs, returning
+  val cancel_pending : 'a t -> string list
+  (** Drop all pending (never-dispatched this attempt) jobs, returning
       their ids. *)
 
-  val kill_all : t -> string list
-  (** SIGKILL and synchronously reap every in-flight worker, then drop
-      pending work; returns all abandoned job ids.  The pool is idle
-      afterwards.  Safe against already-dead workers. *)
+  val kill_all : 'a t -> string list
+  (** SIGKILL and synchronously reap every worker, busy or idle, then
+      drop pending work; returns the abandoned job ids (attempts in
+      flight, then pending).  The pool is idle and holds no process
+      afterwards; hosts call it when they finish.  Safe against
+      already-dead workers. *)
 end
+
+(** Fault injection for the frame check.  Armed in a worker (from
+    inside the worker function), it corrupts the next frame that worker
+    writes; the supervisor must reject it as a bad frame. *)
+type frame_fault =
+  | Unknown_status  (** a status byte no decoder knows *)
+  | Digest_mismatch  (** an MD5 that does not match the payload *)
+
+val arm_frame_fault : frame_fault -> unit
 
 val run_batch :
   ?config:config ->
@@ -190,12 +238,14 @@ val run_batch :
   worker:(job:string -> attempt:int -> guard:Guard.t -> worker_status * string) ->
   string list ->
   report list
-(** [run_batch ~worker jobs] supervises one worker process per job and
-    returns a report per job, in input order.  [worker] runs {e in the
-    forked child}: it receives the 1-based attempt number and the
-    attempt's guard (already scaled down the ladder) and returns its
-    status and result payload; anything it raises is printed to
-    (captured) stderr and classified as a crash.
+(** [run_batch ~worker jobs] supervises the jobs on at most
+    [config.jobs] worker processes at a time and returns a report per
+    job, in input order; the workers are gone when it returns.  [worker] runs {e in a forked
+    worker}, which sees the caller's heap as it was when the worker was
+    forked (after [run_batch] was called): it receives the 1-based
+    attempt number and the attempt's guard (already scaled down the
+    ladder) and returns its status and result payload; anything it
+    raises is printed to (captured) stderr and classified as a crash.
 
     [cached] is consulted before the first spawn of each job; a [Some]
     answers the job without forking ([from_cache = true]) — the
@@ -205,6 +255,6 @@ val run_batch :
     as it is reached (progress display).
 
     Counters (docs/METRICS.md): [serve.jobs], [serve.workers_spawned],
-    [serve.crashes], [serve.watchdog_kills], [serve.retries],
-    [serve.backoff_ms], [serve.bad_frames], [serve.partials],
-    [serve.cache_answers]. *)
+    [serve.workers_recycled], [serve.worker_cpu_ms], [serve.crashes],
+    [serve.watchdog_kills], [serve.retries], [serve.backoff_ms],
+    [serve.bad_frames], [serve.partials], [serve.cache_answers]. *)

@@ -796,20 +796,6 @@ let test_invalid_source_one_fork () =
 (* The daemon splices a cached report's bytes after the response header
    instead of re-parsing them; on every light-corpus report the spliced
    line equals the parsing form byte for byte. *)
-let light_corpus () =
-  List.filter_map
-    (fun (b : Registry.logic_bench) ->
-      if b.Registry.table1 = None then None
-      else Some ("groundness", b.Registry.name, b.Registry.source))
-    Registry.logic_benchmarks
-  @ List.map
-      (fun name ->
-        match Registry.find_fp name with
-        | Some b -> ("strictness", name, b.Registry.source)
-        | None -> Alcotest.failf "no strictness program %s" name)
-      [ "eu"; "fft"; "listcompr"; "mergesort"; "odprove"; "quicksort";
-        "strassen" ]
-
 let test_spliced_reports_identical () =
   let id = Metrics.Int 42 in
   List.iter
@@ -840,7 +826,7 @@ let test_spliced_reports_identical () =
           ("tier_label", Metrics.Str "reduced");
           ("attempts", Metrics.Int 2);
         ])
-    (light_corpus ())
+    Registry.light_corpus
 
 (* a store snapshot whose payload is not JSON never reaches the wire: it
    is a miss, the job is recomputed, and the good result replaces it *)
@@ -903,6 +889,77 @@ let test_non_json_store_payload_misses () =
               Alcotest.(check bool) "store holds the good result" true
                 (Wire.canonical_report p <> None)
           | None -> Alcotest.fail "store entry missing"))
+
+(* --- e2e: workers outlive requests ----------------------------------------- *)
+
+(* stdout of a finished subprocess *)
+let capture argv =
+  let ic = Unix.open_process_args_in argv.(0) argv in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "%s failed" (String.concat " " (Array.to_list argv))
+
+(* 38 cold light-corpus requests on a fresh two-slot daemon: each source
+   twice, with distinct trailing comment tags so neither is a cache hit.
+   Every answer's text equals `xanalyze analyze` on the same file, and
+   no more than the two slots' workers were ever forked. *)
+let test_workers_reused_across_requests () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "praxd-reuse-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  with_daemon ~args:[ "--jobs"; "2" ] (fun ~socket ~pid:_ ->
+      let before = stats_counters socket in
+      List.iter
+        (fun tag ->
+          List.iter
+            (fun (analysis, input, source) ->
+              let ext, comment =
+                if analysis = "groundness" then (".pl", "% ") else (".eq", "-- ")
+              in
+              let file = Filename.concat dir (input ^ "-" ^ tag ^ ext) in
+              let source = source ^ "\n" ^ comment ^ tag ^ "\n" in
+              Out_channel.with_open_bin file (fun oc ->
+                  output_string oc source);
+              let status, doc =
+                request_status socket
+                  {
+                    Wire.id = Metrics.Int 1;
+                    client = Some "reuse";
+                    op =
+                      Wire.Analyze
+                        { analysis; input = file; source; config = [] };
+                  }
+              in
+              Alcotest.(check string) (file ^ " is cold") "complete" status;
+              let text =
+                match
+                  Option.bind (Metrics.member "report" doc)
+                    (Metrics.member "text")
+                with
+                | Some (Metrics.Str t) -> t
+                | _ -> Alcotest.failf "%s: no report text" file
+              in
+              Alcotest.(check string)
+                (file ^ ": daemon text == xanalyze analyze")
+                (capture [| xanalyze; "analyze"; analysis; file |])
+                (text ^ "\n");
+              Sys.remove file)
+            Registry.light_corpus)
+        [ "tag-a"; "tag-b" ];
+      let after = stats_counters socket in
+      let spawned =
+        counter_of after "serve.workers_spawned"
+        - counter_of before "serve.workers_spawned"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d workers forked for 38 requests, at most 2" spawned)
+        true (spawned <= 2);
+      Alcotest.(check bool) "worker CPU reported" true
+        (counter_of after "serve.worker_cpu_ms" > 0));
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
 (* --- e2e: pressure tiers under load --------------------------------------- *)
 
@@ -1394,6 +1451,11 @@ let () =
             test_client_protocol_error_exit;
           Alcotest.test_case "oversized reply is a protocol error" `Quick
             test_client_oversized_reply;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "38 cold requests on two workers" `Quick
+            test_workers_reused_across_requests;
         ] );
       ( "chaos",
         [

@@ -3,7 +3,9 @@
    still reports every job; a worker sleeping past the watchdog is
    killed; injected guard faults surface as Partial, not crashes; the
    degradation ladder bottoms out in a Crashed record carrying exit
-   status and stderr. *)
+   status and stderr.  Workers outlive attempts: a reused worker's
+   reports equal a fresh worker's, the heap bound recycles a worker, and
+   a bad frame kills only its worker and its attempt. *)
 
 open Prax_serve
 module Guard = Prax_guard.Guard
@@ -43,6 +45,13 @@ let quick_config =
   }
 
 let payload_for job = "result:" ^ job
+
+let contains ~needle s =
+  let n = String.length s and m = String.length needle in
+  let rec find i =
+    i + m <= n && (String.equal (String.sub s i m) needle || find (i + 1))
+  in
+  find 0
 
 let check_class expected (r : Serve.report) =
   Alcotest.(check string)
@@ -322,13 +331,7 @@ let test_uncaught_exception_is_crash () =
       Alcotest.(check bool)
         (Printf.sprintf "exception text captured (got %S)" stderr)
         true
-        (let needle = "analyzer bug" in
-         let n = String.length stderr and m = String.length needle in
-         let rec find i =
-           i + m <= n
-           && (String.equal (String.sub stderr i m) needle || find (i + 1))
-         in
-         find 0)
+        (contains ~needle:"analyzer bug" stderr)
   | _ -> Alcotest.fail "expected a crashed report"
 
 (* --- warm-start hooks ----------------------------------------------------- *)
@@ -407,6 +410,264 @@ let test_env_planted_crash_retried () =
       let victim = List.hd reports in
       Alcotest.(check int) "victim retried" 2 victim.Serve.attempts)
 
+(* --- long-lived workers ----------------------------------------------------- *)
+
+module Analysis = Prax_analysis.Analysis
+module Analyses = Prax_analyses.Analyses
+module Registry = Prax_benchdata.Registry
+
+(* Drive a pool to idle the way a host does, collecting every report. *)
+let run_pool pool =
+  let reports = ref [] in
+  let readable = ref [] in
+  while not (Serve.Pool.idle pool) do
+    reports := !reports @ Serve.Pool.step pool ~readable:!readable;
+    readable := [];
+    if not (Serve.Pool.idle pool) then begin
+      let now = Unix.gettimeofday () in
+      let wake =
+        Option.fold ~none:(now +. 0.5) ~some:(Float.min (now +. 0.5))
+          (Serve.Pool.next_wake pool)
+      in
+      match
+        Unix.select (Serve.Pool.fds pool) [] [] (Float.max 0. (wake -. now))
+      with
+      | r, _, _ -> readable := r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    end
+  done;
+  !reports
+
+(* deterministic budgets, as in test_incr: steps and table bytes, never
+   wall clock, so a reused and a fresh worker trip at the same point *)
+let reuse_config =
+  {
+    Serve.default_config with
+    Serve.jobs = 1;
+    retries = 0;
+    budget =
+      Guard.spec ~max_steps:4_000_000 ~max_table_bytes:(32 * 1024 * 1024) ();
+  }
+
+type reuse_job = Analyze of string * string * string | Grow_heap
+
+(* more than [Serve.recycle_heap_bytes] of small live blocks *)
+let grow_heap () =
+  let words = 2 * Serve.recycle_heap_bytes / (Sys.word_size / 8) in
+  let l = Sys.opaque_identity (List.init (words / 3) Fun.id) in
+  ignore (List.length l)
+
+let reuse_worker ~job:_ ~attempt:_ ~guard = function
+  | Analyze (analysis, input, source) ->
+      let a = Option.get (Analysis.find analysis) in
+      Analyses.run_job a ~config:a.Analysis.defaults ~guard ~input source
+  | Grow_heap ->
+      grow_heap ();
+      (Serve.Complete, "grown")
+
+let without_phases payload =
+  match Metrics.json_of_string payload with
+  | Metrics.Obj fields ->
+      Metrics.json_to_string
+        (Metrics.Obj (List.filter (fun (k, _) -> k <> "phases") fields))
+  | _ -> Alcotest.failf "report is not a JSON object: %s" payload
+
+let payload_of (r : Serve.report) =
+  match r.Serve.outcome with
+  | Serve.Done { payload; status = Serve.Complete; _ } -> without_phases payload
+  | _ ->
+      Alcotest.failf "%s: %s, not complete" r.Serve.job
+        (Serve.outcome_class r.Serve.outcome)
+
+(* a fresh worker's report: a new pool forks a new worker for it *)
+let fresh_report (analysis, input, source) =
+  let pool = Serve.Pool.create ~config:reuse_config ~worker:reuse_worker () in
+  Serve.Pool.submit pool input (Analyze (analysis, input, source));
+  let r = run_pool pool in
+  ignore (Serve.Pool.kill_all pool);
+  match r with
+  | [ r ] -> payload_of r
+  | _ -> Alcotest.fail "one report expected"
+
+let test_reused_worker_reports_identical () =
+  let corpus = Registry.light_corpus in
+  let shuffled =
+    let st = Random.State.make [| 17 |] in
+    List.map snd
+      (List.sort compare
+         (List.map (fun c -> (Random.State.bits st, c)) corpus))
+  in
+  let base_spawned = counter "serve.workers_spawned" in
+  let base_recycled = counter "serve.workers_recycled" in
+  let pool = Serve.Pool.create ~config:reuse_config ~worker:reuse_worker () in
+  let submit_all tag =
+    List.iter
+      (fun (analysis, input, source) ->
+        Serve.Pool.submit pool (tag ^ input) (Analyze (analysis, input, source)))
+  in
+  submit_all "warm:" shuffled;
+  List.iter (fun r -> ignore (payload_of r)) (run_pool pool);
+  submit_all "reused:" corpus;
+  let reused = run_pool pool in
+  ignore (Serve.Pool.kill_all pool);
+  Alcotest.(check int) "one worker served both passes" 1
+    (counter "serve.workers_spawned" - base_spawned);
+  Alcotest.(check int) "the light corpus never recycles" 0
+    (counter "serve.workers_recycled" - base_recycled);
+  List.iter2
+    (fun ((_, input, _) as c) (r : Serve.report) ->
+      Alcotest.(check string) "reports come back in order" ("reused:" ^ input)
+        r.Serve.job;
+      Alcotest.(check string)
+        (Printf.sprintf "%s: reused worker == fresh worker" input)
+        (fresh_report c) (payload_of r))
+    corpus reused
+
+let test_heap_bound_recycles_worker () =
+  let ((_, input, _) as qsort) =
+    List.find (fun (_, i, _) -> i = "qsort") Registry.light_corpus
+  in
+  let analyze (analysis, input, source) = Analyze (analysis, input, source) in
+  let pool = Serve.Pool.create ~config:reuse_config ~worker:reuse_worker () in
+  Serve.Pool.submit pool "first" (analyze qsort);
+  ignore (run_pool pool);
+  let base_spawned = counter "serve.workers_spawned" in
+  let base_recycled = counter "serve.workers_recycled" in
+  Serve.Pool.submit pool "heavy" Grow_heap;
+  ignore (run_pool pool);
+  Serve.Pool.submit pool "after" (analyze qsort);
+  let after = run_pool pool in
+  ignore (Serve.Pool.kill_all pool);
+  Alcotest.(check int) "the heavy job's worker retired" 1
+    (counter "serve.workers_recycled" - base_recycled);
+  Alcotest.(check int) "the next job ran on a new worker" 1
+    (counter "serve.workers_spawned" - base_spawned);
+  match after with
+  | [ r ] ->
+      Alcotest.(check string)
+        (input ^ ": recycled worker == fresh worker")
+        (fresh_report qsort) (payload_of r)
+  | _ -> Alcotest.fail "one report expected"
+
+(* A bad frame written into a live worker's stream (the worker has
+   already delivered one good frame) kills and replaces that worker and
+   crashes only its attempt; the job queued behind it completes. *)
+let frame_fault_case ~fault ~expect () =
+  let base_spawned = counter "serve.workers_spawned" in
+  let base_bad = counter "serve.bad_frames" in
+  let base_crashes = counter "serve.crashes" in
+  let reports =
+    Serve.run_batch
+      ~config:
+        { quick_config with Serve.jobs = 1; retries = 0; max_frame_bytes = 1024 }
+      ~worker:(fun ~job ~attempt:_ ~guard:_ ->
+        if String.equal job "bad" then begin
+          match fault with
+          | `Arm f -> Serve.arm_frame_fault f
+          | `Oversize -> ()
+        end;
+        ( Serve.Complete,
+          if String.equal job "bad" && fault = `Oversize then String.make 4096 'x'
+          else payload_for job ))
+      [ "before"; "bad"; "after" ]
+  in
+  match reports with
+  | [ before; bad; after ] ->
+      check_class "complete" before;
+      check_class "complete" after;
+      Alcotest.(check int) "the job behind ran once" 1 after.Serve.attempts;
+      (match bad.Serve.outcome with
+      | Serve.Crashed { what; _ } ->
+          Alcotest.(check string) "crash names the frame fault"
+            ("bad frame: " ^ expect) what
+      | Serve.Done _ -> Alcotest.fail "a bad frame was taken for a result");
+      Alcotest.(check int) "serve.bad_frames +1" 1
+        (counter "serve.bad_frames" - base_bad);
+      Alcotest.(check int) "only that attempt crashed" 1
+        (counter "serve.crashes" - base_crashes);
+      Alcotest.(check int) "the worker was killed and replaced" 2
+        (counter "serve.workers_spawned" - base_spawned)
+  | _ -> Alcotest.fail "three reports expected"
+
+(* a planted Kill_self or Hang on one job leaves the job queued behind
+   it on the same slot to complete, on a replacement worker *)
+let fault_leaves_next_job fault () =
+  let reports =
+    Serve.run_batch
+      ~config:
+        { quick_config with Serve.jobs = 1; retries = 0; job_timeout = Some 0.25 }
+      ~worker:(fun ~job ~attempt:_ ~guard:_ ->
+        if String.equal job "victim" then Inject.apply_worker_fault fault;
+        (Serve.Complete, payload_for job))
+      [ "victim"; "behind" ]
+  in
+  match reports with
+  | [ victim; behind ] ->
+      check_class "crashed" victim;
+      check_class "complete" behind;
+      Alcotest.(check int) "the job behind ran once" 1 behind.Serve.attempts
+  | _ -> Alcotest.fail "two reports expected"
+
+(* A worker that died while idle still holds its slot until its EOF is
+   seen; a job dispatched to it meets a closed request pipe.  That is an
+   EPIPE crash of the attempt, retried on a fresh worker, and never a
+   SIGPIPE: this test process does not ignore SIGPIPE, so one would
+   kill it. *)
+let test_dead_idle_worker_is_epipe_crash () =
+  let pool =
+    Serve.Pool.create
+      ~config:{ quick_config with Serve.jobs = 1; retries = 1 }
+      ~worker:(fun ~job:_ ~attempt:_ ~guard:_ () ->
+        (Serve.Complete, string_of_int (Unix.getpid ())))
+      ()
+  in
+  Serve.Pool.submit pool "first" ();
+  let pid =
+    match run_pool pool with
+    | [ { Serve.outcome = Serve.Done { payload; _ }; _ } ] ->
+        int_of_string payload
+    | _ -> Alcotest.fail "first job did not complete"
+  in
+  Unix.kill pid Sys.sigkill;
+  Unix.sleepf 0.1;
+  Serve.Pool.submit pool "second" ();
+  (* a round that reads nothing: the dead worker's EOF is not yet seen
+     when the job is dispatched *)
+  Alcotest.(check int) "nothing finished in the dispatch round" 0
+    (List.length (Serve.Pool.step pool ~readable:[]));
+  let reports = run_pool pool in
+  ignore (Serve.Pool.kill_all pool);
+  match reports with
+  | [ r ] -> (
+      check_class "complete" r;
+      Alcotest.(check int) "retried once" 2 r.Serve.attempts;
+      match r.Serve.crashes with
+      | [ { Serve.what; _ } ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "crash is the request pipe (got %S)" what)
+            true
+            (contains ~needle:"request pipe" what)
+      | l -> Alcotest.failf "expected one crash, got %d" (List.length l))
+  | _ -> Alcotest.fail "one report expected"
+
+let test_worker_cpu_counted () =
+  let base = counter "serve.worker_cpu_ms" in
+  ignore
+    (Serve.run_batch
+       ~config:{ quick_config with Serve.jobs = 1 }
+       ~worker:(fun ~job ~attempt:_ ~guard:_ ->
+         (* 50 ms of CPU, however the clock ticks *)
+         let t0 = Sys.time () in
+         while Sys.time () -. t0 < 0.05 do
+           ignore (Sys.opaque_identity (Array.make 16 0))
+         done;
+         (Serve.Complete, payload_for job))
+       [ "spin-1"; "spin-2" ]);
+  let ms = counter "serve.worker_cpu_ms" - base in
+  Alcotest.(check bool)
+    (Printf.sprintf "two 50 ms jobs on a live worker: %d ms counted" ms)
+    true (ms >= 90)
+
 let () =
   Alcotest.run "serve"
     [
@@ -447,5 +708,32 @@ let () =
           Alcotest.test_case "env grammar" `Quick test_env_fault_grammar;
           Alcotest.test_case "env-planted crash retried" `Quick
             test_env_planted_crash_retried;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "reused worker reports == fresh worker's" `Quick
+            test_reused_worker_reports_identical;
+          Alcotest.test_case "heap bound recycles the worker" `Quick
+            test_heap_bound_recycles_worker;
+          Alcotest.test_case "worker CPU counted from frames" `Quick
+            test_worker_cpu_counted;
+          Alcotest.test_case "dead idle worker: EPIPE crash, host lives"
+            `Quick test_dead_idle_worker_is_epipe_crash;
+        ] );
+      ( "frame-faults",
+        [
+          Alcotest.test_case "unknown status byte kills the worker" `Quick
+            (frame_fault_case ~fault:(`Arm Serve.Unknown_status)
+               ~expect:"unknown frame status '?'");
+          Alcotest.test_case "digest mismatch kills the worker" `Quick
+            (frame_fault_case ~fault:(`Arm Serve.Digest_mismatch)
+               ~expect:"frame digest mismatch");
+          Alcotest.test_case "length over the cap kills the worker" `Quick
+            (frame_fault_case ~fault:`Oversize
+               ~expect:"frame payload over limit");
+          Alcotest.test_case "Kill_self leaves the next job to complete" `Quick
+            (fault_leaves_next_job Inject.Kill_self);
+          Alcotest.test_case "Hang leaves the next job to complete" `Quick
+            (fault_leaves_next_job Inject.Hang);
         ] );
     ]
