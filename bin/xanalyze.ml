@@ -671,7 +671,7 @@ let batch_jobs_of_corpus ~analysis spec =
         names
 
 let batch_cmd =
-  let run dir corpus analysis sets runner njobs retries job_timeout store_dir
+  let run dir corpus analysis sets njobs retries job_timeout store_dir
       stats timeout max_steps max_bytes =
     let analysis = Option.map find_analysis analysis in
     let overrides = parse_sets ~what:"xanalyze batch" sets in
@@ -791,26 +791,9 @@ let batch_cmd =
           (if r.Serve.attempts = 1 then " " else "s")
           r.Serve.elapsed (detail_of r)
     in
-    (* domains-mode progress omits wall times and attempt counts: reports
-       arrive in input order and the lines are byte-for-byte identical
-       whatever --jobs says (the multicore determinism smoke relies on
-       this) *)
-    let on_report_domains (r : Serve.report) =
-      incr done_count;
-      if not quiet then
-        Printf.printf "[%d/%d] %-40s %-8s %s\n%!" !done_count total
-          r.Serve.job
-          (Serve.outcome_class r.Serve.outcome)
-          (detail_of r)
-    in
     let reports =
       try
-        match runner with
-        | `Domains ->
-            Domains.run ~jobs:(max 1 njobs) ~budget ~cached ~persist
-              ~on_report:on_report_domains ~worker jobs
-        | `Fork ->
-            Serve.run_batch ~config ~cached ~persist ~on_report ~worker jobs
+        Serve.run_batch ~config ~cached ~persist ~on_report ~worker jobs
       with Serve.Interrupted sg ->
         (* every in-flight worker is already SIGKILLed and reaped; exit
            the way a shell reports death-by-signal so wrappers see the
@@ -928,25 +911,11 @@ let batch_cmd =
              $(b,xanalyze --list-analyses)) instead of dispatching by file \
              extension or corpus kind.")
   in
-  let runner =
-    let modes = Arg.enum [ ("fork", `Fork); ("domains", `Domains) ] in
-    Arg.(
-      value & opt modes `Fork
-      & info [ "runner" ] ~docv:"RUNNER"
-          ~doc:
-            "Worker isolation: $(b,fork) (the default) runs every job in \
-             its own supervised OS process with watchdog, retries, and \
-             crash containment; $(b,domains) runs jobs on a fleet of \
-             shared-memory OCaml domains — no fork overhead, deterministic \
-             input-order output, budgets still enforced, but no watchdog \
-             or retry ladder ($(b,--retries)/$(b,--job-timeout) are \
-             ignored).")
-  in
   let njobs =
     Arg.(
       value & opt int 2
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Concurrent workers (processes or domains).")
+          ~doc:"Concurrent worker processes.")
   in
   let retries =
     Arg.(
@@ -995,7 +964,7 @@ let batch_cmd =
               crashed after exhausting its retries.";
          ])
     Term.(
-      const run $ dir $ corpus $ analysis $ set_args $ runner $ njobs
+      const run $ dir $ corpus $ analysis $ set_args $ njobs
       $ retries $ job_timeout $ store_dir $ stats_arg $ timeout_arg
       $ max_steps_arg $ max_table_bytes_arg)
 

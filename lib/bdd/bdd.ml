@@ -9,8 +9,7 @@
     re-measured.
 
     Variables are non-negative integers ordered by value.  Nodes are
-    hash-consed (per domain — see the state note below), so structural
-    equality is physical equality. *)
+    globally hash-consed, so structural equality is physical equality. *)
 
 type t = Leaf of bool | Node of { id : int; var : int; lo : t; hi : t }
 
@@ -19,39 +18,21 @@ let id = function Leaf false -> 0 | Leaf true -> 1 | Node { id; _ } -> id
 let zero = Leaf false
 let one = Leaf true
 
-(* Hash-cons table, (var, lo-id, hi-id) -> node, and the apply memo.
-   Both are domain-local: a worker domain of the multicore batch runner
-   starts from a copy of its parent's tables (parent quiescent at
-   spawn), so node ids stay canonical within every domain and
-   evaluation never races.  BDDs never cross domains. *)
-type state = {
-  uniq : (int * int * int, t) Hashtbl.t;
-  memo : (int * int * int, t) Hashtbl.t;
-  mutable next_id : int;
-}
-
-let key : state Domain.DLS.key =
-  Domain.DLS.new_key
-    ~split_from_parent:(fun (p : state) ->
-      {
-        uniq = Hashtbl.copy p.uniq;
-        memo = Hashtbl.copy p.memo;
-        next_id = p.next_id;
-      })
-    (fun () ->
-      { uniq = Hashtbl.create 1024; memo = Hashtbl.create 4096; next_id = 2 })
+(* hash-cons table: (var, lo-id, hi-id) -> node; process-global, like
+   the apply memo below *)
+let table : (int * int * int, t) Hashtbl.t = Hashtbl.create 1024
+let next_id = ref 2
 
 let node var lo hi =
   if id lo = id hi then lo
   else
-    let st = Domain.DLS.get key in
-    let k = (var, id lo, id hi) in
-    match Hashtbl.find_opt st.uniq k with
+    let key = (var, id lo, id hi) in
+    match Hashtbl.find_opt table key with
     | Some n -> n
     | None ->
-        let n = Node { id = st.next_id; var; lo; hi } in
-        st.next_id <- st.next_id + 1;
-        Hashtbl.add st.uniq k n;
+        let n = Node { id = !next_id; var; lo; hi } in
+        incr next_id;
+        Hashtbl.add table key n;
         n
 
 let var v = node v zero one
@@ -60,6 +41,8 @@ let nvar v = node v one zero
 let equal a b = id a = id b
 
 (* --- apply ----------------------------------------------------------------- *)
+
+let apply_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 4096
 
 type op = And | Or | Xor | Imp | Iff
 
@@ -89,9 +72,8 @@ let rec apply op a b =
       (match shortcut with
       | Some r -> r
       | None ->
-          let memo = (Domain.DLS.get key).memo in
-          let k = (op_code op, id a, id b) in
-          (match Hashtbl.find_opt memo k with
+          let key = (op_code op, id a, id b) in
+          (match Hashtbl.find_opt apply_cache key with
           | Some r -> r
           | None ->
               let split =
@@ -106,7 +88,7 @@ let rec apply op a b =
               in
               let v, alo, ahi, blo, bhi = split in
               let r = node v (apply op alo blo) (apply op ahi bhi) in
-              Hashtbl.add memo k r;
+              Hashtbl.add apply_cache key r;
               r))
 
 let conj a b = apply And a b
@@ -187,8 +169,8 @@ let of_rows ~nvars rows =
       disj acc !cube)
     zero rows
 
-(** Number of live hash-consed nodes (in this domain). *)
-let node_count () = Hashtbl.length (Domain.DLS.get key).uniq
+(** Number of live hash-consed nodes (global). *)
+let node_count () = Hashtbl.length table
 
 let rec size f =
   match f with Leaf _ -> 1 | Node { lo; hi; _ } -> 1 + size lo + size hi

@@ -57,11 +57,6 @@ module Analyses = Prax_analyses.Analyses
     docs/ROBUSTNESS.md). *)
 module Serve = Prax_serve.Serve
 
-(** Shared-memory parallel batch: worker domains (OCaml multicore) over
-    the same job/worker interface — no fork, no watchdog, deterministic
-    input-order reports ([xanalyze batch --runner domains]). *)
-module Domains = Prax_serve.Domains
-
 (** Crash-safe persistent store of analysis outcomes: atomic versioned
     snapshots with CRC trailers, warm-start resume for batches. *)
 module Store = Prax_store.Store

@@ -17,63 +17,40 @@ type t = int
 
 type entry = { ename : string; ehash : int }
 
-(* The table is domain-local: a worker domain spawned by the multicore
-   batch runner starts from a copy of its parent's table (the parent is
-   quiescent while it spawns the fleet, so the copy reads no concurrent
-   mutation) and interning after the split stays private to the domain.
-   Ids therefore only mean anything within their own domain — fine,
-   because no term or symbol ever crosses domains (jobs exchange plain
-   result strings). *)
-type state = {
-  forward : (string, int) Hashtbl.t;
-  mutable inverse : entry array;
-  mutable next : int;
-}
-
-let key : state Domain.DLS.key =
-  Domain.DLS.new_key
-    ~split_from_parent:(fun (p : state) ->
-      {
-        forward = Hashtbl.copy p.forward;
-        inverse = Array.copy p.inverse;
-        next = p.next;
-      })
-    (fun () ->
-      {
-        forward = Hashtbl.create 256;
-        inverse = Array.make 256 { ename = ""; ehash = 0 };
-        next = 0;
-      })
+(* The table is process-global and unsynchronized.  A forked worker
+   starts from a copy of its parent's table, and its own interning
+   stays in its own address space; nothing interned ever crosses a
+   process boundary (workers send back plain result strings). *)
+let forward : (string, int) Hashtbl.t = Hashtbl.create 256
+let inverse : entry array ref = ref (Array.make 256 { ename = ""; ehash = 0 })
+let next = ref 0
 
 let intern (s : string) : t =
-  let st = Domain.DLS.get key in
-  match Hashtbl.find_opt st.forward s with
+  match Hashtbl.find_opt forward s with
   | Some id -> id
   | None ->
-      let id = st.next in
-      st.next <- id + 1;
+      let id = !next in
+      incr next;
       Metrics.incr m_symbols;
-      let cap = Array.length st.inverse in
+      let cap = Array.length !inverse in
       if id >= cap then begin
         let bigger = Array.make (2 * cap) { ename = ""; ehash = 0 } in
-        Array.blit st.inverse 0 bigger 0 cap;
-        st.inverse <- bigger
+        Array.blit !inverse 0 bigger 0 cap;
+        inverse := bigger
       end;
-      st.inverse.(id) <- { ename = s; ehash = Hashtbl.hash s };
-      Hashtbl.add st.forward s id;
+      !inverse.(id) <- { ename = s; ehash = Hashtbl.hash s };
+      Hashtbl.add forward s id;
       id
 
 let name (id : t) : string =
-  let st = Domain.DLS.get key in
-  if id < 0 || id >= st.next then invalid_arg "Symbol.name: unknown id"
-  else st.inverse.(id).ename
+  if id < 0 || id >= !next then invalid_arg "Symbol.name: unknown id"
+  else !inverse.(id).ename
 
 let hash (id : t) : int =
-  let st = Domain.DLS.get key in
-  if id < 0 || id >= st.next then invalid_arg "Symbol.hash: unknown id"
-  else st.inverse.(id).ehash
+  if id < 0 || id >= !next then invalid_arg "Symbol.hash: unknown id"
+  else !inverse.(id).ehash
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare (a : int) b
-let count () = (Domain.DLS.get key).next
-let mem s = Hashtbl.mem (Domain.DLS.get key).forward s
+let count () = !next
+let mem s = Hashtbl.mem forward s

@@ -166,27 +166,11 @@ module HC = Weak.Make (struct
     | _ -> a == b
 end)
 
-(* Interning state is domain-local, like the symbol table: a worker
-   domain of the multicore batch runner splits off a copy of its
-   parent's tables at spawn (re-adding the live hash-consed nodes, so
-   pre-spawn terms like [true_] keep their canonical identity in every
-   domain) and new nodes stay private to the domain.  The physical-
-   equality invariant therefore holds {e within} each domain, which is
-   all the engine ever compares — jobs exchange plain strings. *)
-type istate = {
-  hc : HC.t;
-  mutable atoms : t array;  (* unique Atom node per symbol id *)
-  mutable gensym : int;
-}
-
-let ikey : istate Domain.DLS.key =
-  Domain.DLS.new_key
-    ~split_from_parent:(fun (p : istate) ->
-      let hc = HC.create 4096 in
-      HC.iter (fun node -> HC.add hc node) p.hc;
-      { hc; atoms = Array.copy p.atoms; gensym = p.gensym })
-    (fun () ->
-      { hc = HC.create 4096; atoms = Array.make 256 (Int 0); gensym = 0 })
+(* The interning state is process-global, like the symbol table: one
+   weak hash-cons table, so the physical-equality invariant holds for
+   every ground term in the process.  A forked worker inherits a copy
+   and never hands a term back (workers send back plain strings). *)
+let hc_table = HC.create 4096
 
 (* [fname] must already be a canonical (interned) string and [fh] its
    hash; [args] is owned by the node if it is inserted.  Only ground
@@ -211,27 +195,29 @@ let cons_struct fh fname args =
   let candidate = Struct (fname, args, meta) in
   if not !gr then candidate
   else begin
-    let node = HC.merge (Domain.DLS.get ikey).hc candidate in
+    let node = HC.merge hc_table candidate in
     if node == candidate then Metrics.incr m_hc_misses
     else Metrics.incr m_hc_hits;
     node
   end
 
+(* unique Atom node per symbol id *)
+let atom_nodes : t array ref = ref (Array.make 256 (Int 0))
+
 let atom s =
   let sym = Symbol.intern s in
   let id = (sym :> int) in
-  let st = Domain.DLS.get ikey in
-  let cap = Array.length st.atoms in
+  let cap = Array.length !atom_nodes in
   if id >= cap then begin
     let bigger = Array.make (max (2 * cap) (id + 1)) (Int 0) in
-    Array.blit st.atoms 0 bigger 0 cap;
-    st.atoms <- bigger
+    Array.blit !atom_nodes 0 bigger 0 cap;
+    atom_nodes := bigger
   end;
-  match st.atoms.(id) with
+  match !atom_nodes.(id) with
   | Atom _ as a -> a
   | _ ->
       let a = Atom (Symbol.name sym) in
-      st.atoms.(id) <- a;
+      !atom_nodes.(id) <- a;
       a
 
 (* small-id caches: canonical forms renumber variables from 0 and the
@@ -262,19 +248,19 @@ let mkl name args =
 
 (* --- variable supply --------------------------------------------------- *)
 
+let counter = ref 0
+
 let fresh_var () =
-  let st = Domain.DLS.get ikey in
-  st.gensym <- st.gensym + 1;
-  var st.gensym
+  incr counter;
+  var !counter
 
 let fresh_id () =
-  let st = Domain.DLS.get ikey in
-  st.gensym <- st.gensym + 1;
-  st.gensym
+  incr counter;
+  !counter
 
-(** Reset the (domain-local) variable supply.  Only for tests that need
+(** Reset the global variable supply.  Only for tests that need
     reproducible variable numbering. *)
-let reset_gensym () = (Domain.DLS.get ikey).gensym <- 0
+let reset_gensym () = counter := 0
 
 let true_ = atom "true"
 let fail_ = atom "fail"

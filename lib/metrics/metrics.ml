@@ -57,14 +57,11 @@ let schema_version_supported v =
 
 (* --- registry ----------------------------------------------------------- *)
 
-(* Cells carry metadata plus a slot index into a per-domain value array
-   (see "multicore" below); the registry tables themselves are shared
-   and mutated only under [reg_mutex]. *)
 type cell = {
   c_name : string;
   c_units : string;
   c_doc : string;
-  c_idx : int;
+  mutable c_value : int;
 }
 
 type counter = cell
@@ -89,61 +86,24 @@ let counters_tbl : (string, cell) Hashtbl.t = Hashtbl.create 64
 let gauges_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
 let timers_tbl : (string, timer) Hashtbl.t = Hashtbl.create 32
 
-(* --- multicore ----------------------------------------------------------
-
-   Counter and gauge values live in a per-domain int array indexed by
-   the cell's slot, so a bump is still a plain (unsynchronized) array
-   store: worker domains accumulate privately and the batch runner adds
-   the whole array back into the main domain at join ([export_local] /
-   [absorb]).  Registration is rare and shared, hence mutex-protected.
-   Timers keep their hierarchical bookkeeping but record only
-   main-domain activity — a worker domain's [time] is just [f ()]. *)
-
-let reg_mutex = Mutex.create ()
-let slot_count = ref 0
-
-let values_key : int array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Array.make (max 64 !slot_count) 0))
-
-let slot (c : cell) : int array * int =
-  let r = Domain.DLS.get values_key in
-  let a = !r in
-  if c.c_idx < Array.length a then (a, c.c_idx)
-  else begin
-    let bigger = Array.make (max (2 * Array.length a) (c.c_idx + 1)) 0 in
-    Array.blit a 0 bigger 0 (Array.length a);
-    r := bigger;
-    (bigger, c.c_idx)
-  end
-
-let main_domain = Domain.self ()
-let in_main_domain () = Domain.self () = main_domain
-
-(* innermost running timers, for parent attribution (main domain only) *)
+(* innermost running timers, for parent attribution *)
 let running : timer list ref = ref []
 
 let find_or_add tbl name make =
-  Mutex.protect reg_mutex (fun () ->
-      match Hashtbl.find_opt tbl name with
-      | Some c -> c
-      | None ->
-          let c = make () in
-          Hashtbl.add tbl name c;
-          c)
-
-let fresh_idx () =
-  (* called under [reg_mutex] via find_or_add *)
-  let i = !slot_count in
-  incr slot_count;
-  i
+  match Hashtbl.find_opt tbl name with
+  | Some c -> c
+  | None ->
+      let c = make () in
+      Hashtbl.add tbl name c;
+      c
 
 let counter ?(units = "events") ?(doc = "") name : counter =
   find_or_add counters_tbl name (fun () ->
-      { c_name = name; c_units = units; c_doc = doc; c_idx = fresh_idx () })
+      { c_name = name; c_units = units; c_doc = doc; c_value = 0 })
 
 let gauge ?(units = "") ?(doc = "") name : gauge =
   find_or_add gauges_tbl name (fun () ->
-      { c_name = name; c_units = units; c_doc = doc; c_idx = fresh_idx () })
+      { c_name = name; c_units = units; c_doc = doc; c_value = 0 })
 
 let timer ?(doc = "") name : timer =
   find_or_add timers_tbl name (fun () ->
@@ -157,32 +117,15 @@ let timer ?(doc = "") name : timer =
         t_parent = None;
       })
 
-let incr c =
-  if !enabled_flag then begin
-    let a, i = slot c in
-    a.(i) <- a.(i) + 1
-  end
-
-let add c n =
-  if !enabled_flag then begin
-    let a, i = slot c in
-    a.(i) <- a.(i) + n
-  end
-
-let value c =
-  let a, i = slot c in
-  a.(i)
-
-let set g v =
-  if !enabled_flag then begin
-    let a, i = slot g in
-    a.(i) <- v
-  end
+let incr c = if !enabled_flag then c.c_value <- c.c_value + 1
+let add c n = if !enabled_flag then c.c_value <- c.c_value + n
+let value c = c.c_value
+let set g v = if !enabled_flag then g.c_value <- v
 
 let now_ns () = Monotonic_clock.now ()
 
 let time t f =
-  if (not !enabled_flag) || not (in_main_domain ()) then f ()
+  if not !enabled_flag then f ()
   else begin
     if t.t_depth = 0 then begin
       (match !running with
@@ -213,43 +156,19 @@ let time t f =
 let seconds t = Int64.to_float t.t_ns /. 1e9
 
 let counter_value name =
-  match Hashtbl.find_opt counters_tbl name with Some c -> value c | None -> 0
+  match Hashtbl.find_opt counters_tbl name with Some c -> c.c_value | None -> 0
 
 let timer_seconds name =
   match Hashtbl.find_opt timers_tbl name with Some t -> seconds t | None -> 0.
 
 let reset () =
-  let r = Domain.DLS.get values_key in
-  Array.fill !r 0 (Array.length !r) 0;
+  Hashtbl.iter (fun _ c -> c.c_value <- 0) counters_tbl;
+  Hashtbl.iter (fun _ c -> c.c_value <- 0) gauges_tbl;
   Hashtbl.iter
     (fun _ t ->
       t.t_ns <- 0L;
       t.t_count <- 0)
     timers_tbl
-
-(* --- cross-domain merge -------------------------------------------------- *)
-
-type export = int array
-
-let export_local () : export = Array.copy !(Domain.DLS.get values_key)
-
-let absorb (e : export) =
-  (* counters accumulate, so they add; a gauge is a point-in-time
-     measurement, so the merged value keeps the largest observation *)
-  Hashtbl.iter
-    (fun _ c ->
-      if c.c_idx < Array.length e && e.(c.c_idx) <> 0 then begin
-        let a, i = slot c in
-        a.(i) <- a.(i) + e.(c.c_idx)
-      end)
-    counters_tbl;
-  Hashtbl.iter
-    (fun _ g ->
-      if g.c_idx < Array.length e then begin
-        let a, i = slot g in
-        a.(i) <- max a.(i) e.(g.c_idx)
-      end)
-    gauges_tbl
 
 (* --- snapshots ---------------------------------------------------------- *)
 
@@ -272,7 +191,7 @@ type snapshot = {
 let sorted_samples tbl =
   Hashtbl.fold
     (fun _ c acc ->
-      { name = c.c_name; value = value c; units = c.c_units; doc = c.c_doc }
+      { name = c.c_name; value = c.c_value; units = c.c_units; doc = c.c_doc }
       :: acc)
     tbl []
   |> List.sort (fun a b -> String.compare a.name b.name)

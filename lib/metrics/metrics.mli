@@ -15,10 +15,10 @@
     {2 Cost model}
 
     A counter bump is a load of the global enable flag plus one unboxed
-    store into a domain-local value array — safe to leave in the
-    innermost engine loops, and race-free under multicore: each domain
-    accumulates privately and a parallel runner folds worker values back
-    with {!export_local} / {!absorb} at join.  Timers
+    integer store into the cell — safe to leave in the innermost engine
+    loops.  Every value is process-global: parallelism in this system is
+    forked worker processes, each with its own copy of the registry, so
+    nothing here is shared between threads of execution.  Timers
     read the monotonic clock (via [bechamel.monotonic_clock]'s
     [clock_gettime] stub) only at the outermost entry and exit of a
     phase; nested re-entries of the same timer are depth-counted and do
@@ -114,11 +114,7 @@ val timer : ?doc:string -> string -> timer
 val time : timer -> (unit -> 'a) -> 'a
 (** [time t f] runs [f ()] inside an activation of [t].  Exception-safe:
     the elapsed time is recorded even if [f] raises.  While disabled it
-    is exactly [f ()].  Timers record main-domain activity only: in a
-    worker domain spawned by the multicore batch runner, [time t f] is
-    exactly [f ()] (per-job wall times come from the runner; the global
-    phase timers would otherwise interleave concurrent jobs into
-    meaningless totals). *)
+    is exactly [f ()]. *)
 
 val seconds : timer -> float
 (** Accumulated seconds so far. *)
@@ -153,24 +149,6 @@ type snapshot = {
 val snapshot : unit -> snapshot
 (** Capture every registered metric, each list sorted by name.  Returns
     the empty snapshot while disabled. *)
-
-(** {1 Cross-domain merge}
-
-    Counter and gauge values are stored per domain (a worker domain
-    starts from zero), so parallel evaluation never races on a cell.
-    A multicore runner calls {!export_local} in each worker domain just
-    before it finishes and {!absorb}s the exports in the joining domain:
-    counters add, gauges keep the largest observation. *)
-
-type export
-
-val export_local : unit -> export
-(** This domain's raw counter/gauge values, detached from further
-    updates. *)
-
-val absorb : export -> unit
-(** Fold an {!export_local} from a finished worker domain into the
-    calling domain's values: counters are summed, gauges max-merged. *)
 
 (** {1 JSON}
 

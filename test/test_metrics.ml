@@ -119,45 +119,6 @@ let test_disabled () =
   M.incr c;
   Alcotest.(check int) "recording resumes when re-enabled" 1 (M.value c)
 
-(* --- cross-domain merge --------------------------------------------------- *)
-
-let test_domain_merge () =
-  (* the multicore batch contract: each worker domain accumulates bumps
-     in its own slot array (spawned zeroed), exports at the end of its
-     body, and the caller absorbs at join — counters sum, gauges
-     max-merge, and nothing a worker did is visible before the absorb *)
-  let c = M.counter "test.domain_counter" in
-  let g = M.gauge "test.domain_gauge" in
-  M.reset ();
-  M.incr c;
-  M.set g 50;
-  let worker () =
-    Alcotest.(check int) "worker starts from zero" 0 (M.value c);
-    for _ = 1 to 5 do
-      M.incr c
-    done;
-    M.set g 100;
-    (* timers are main-domain-only: transparent in a worker *)
-    let r = M.time (M.timer "test.domain_timer") (fun () -> 42) in
-    Alcotest.(check int) "time is transparent off-main" 42 r;
-    M.export_local ()
-  in
-  let d = Domain.spawn worker in
-  let exported = Domain.join d in
-  Alcotest.(check int) "worker bumps invisible before absorb" 1 (M.value c);
-  M.absorb exported;
-  Alcotest.(check int) "counters sum at absorb" 6 (M.value c);
-  let gauge_value =
-    let snap = M.snapshot () in
-    (List.find
-       (fun s -> String.equal s.M.name "test.domain_gauge")
-       snap.M.gauges)
-      .M.value
-  in
-  Alcotest.(check int) "gauges max-merge at absorb" 100 gauge_value;
-  Alcotest.(check (float 0.)) "no worker timer time billed" 0.
-    (M.timer_seconds "test.domain_timer")
-
 (* --- serialization ------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -241,10 +202,6 @@ let () =
             test_timer_exception_safety;
         ] );
       ("switch", [ Alcotest.test_case "disabled" `Quick test_disabled ]);
-      ( "domains",
-        [
-          Alcotest.test_case "export/absorb merge" `Quick test_domain_merge;
-        ] );
       ( "serialization",
         [
           Alcotest.test_case "stats_doc round-trip" `Quick test_json_roundtrip;
