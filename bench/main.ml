@@ -1,9 +1,16 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   section and the ablations motivated by its prose, then runs Bechamel
-   micro-benchmarks of the analysis phase.
+   section and the ablations motivated by its prose, the incremental
+   re-analysis matrix, and Bechamel micro-benchmarks of the
+   term-representation hot paths.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- table1  -- one section
+
+   Every section that times (analysis, config, benchmark) cells of the
+   analysis registry goes through one loop, [sweep]: an untimed warm-up,
+   then [repeats] timed runs summarized by their medians.  Tables 1-4,
+   the stress table and the registry ablations are lists of such cells
+   plus a column choice, printed by [print_table].
 
    Assessment-driven runs (lib/benchrun, docs/BENCHMARKING.md):
 
@@ -46,273 +53,589 @@ let status_cell = function
   | Guard.Partial { reason; _ } ->
       "partial:" ^ Guard.reason_to_string reason
 
-(* best of three runs, as a mild guard against scheduler noise *)
-let best3 f =
-  let r1 = f () in
-  let m1 = fst r1 in
-  let r2 = f () in
-  let m2 = fst r2 in
-  let r3 = f () in
-  let m3 = fst r3 in
-  if m1 <= m2 && m1 <= m3 then r1 else if m2 <= m3 then r2 else r3
-
 let src n =
   (Option.get (Benchdata.Registry.find_logic n)).Benchdata.Registry.source
 
-let fsrc n =
-  (Option.get (Benchdata.Registry.find_fp n)).Benchdata.Registry.source
+(* exit codes of the run-store subcommands (docs/CLI.md): 0 ok / gate
+   passed, 1 usage or load error, 2 gate found regressions *)
+let exit_usage = 1
+let exit_regression = 2
+
+let usage_fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit exit_usage)
+    fmt
 
 (* ------------------------------------------------------------------ *)
-(* Table 1: Prop-based groundness analysis                             *)
+(* Registry cells and the one measurement loop                         *)
 (* ------------------------------------------------------------------ *)
 
-let table1 () =
-  section
-    "Table 1: performance of Prop-based groundness analysis (tabled engine, \
-     dynamic mode)";
-  Printf.printf "%-8s %5s | %8s %8s %8s %8s | %8s %10s | %7s %7s %7s | %-8s %s\n"
-    "Program" "lines" "Preproc" "Analysis" "Collect" "Total" "Incr.(%)"
-    "Table(B)" "Entries" "Answers" "Resump" "Status" "Budget";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      let (total, (rep, compile)) =
-        best3 (fun () ->
-            let rep =
-              Groundness.analyze ~guard:(bench_guard ())
-                b.Benchdata.Registry.source
-            in
-            let compile =
-              Groundness.Analyze.compile_time b.Benchdata.Registry.source
-            in
-            (Prax_ground.Analyze.total rep.Prax_ground.Analyze.phases,
-             (rep, compile)))
-      in
-      let p = rep.Prax_ground.Analyze.phases in
-      let st = rep.Prax_ground.Analyze.engine_stats in
-      Printf.printf
-        "%-8s %5d | %8.4f %8.4f %8.4f %8.4f | %8.1f %10d | %7d %7d %7d | %-8s %s\n"
-        b.Benchdata.Registry.name b.Benchdata.Registry.paper_lines
-        p.Prax_ground.Analyze.preproc p.Prax_ground.Analyze.analysis
-        p.Prax_ground.Analyze.collection total
-        (100. *. total /. max 1e-9 compile)
-        rep.Prax_ground.Analyze.table_bytes
-        st.Prax_tabling.Engine.table_entries st.Prax_tabling.Engine.answers
-        st.Prax_tabling.Engine.resumptions
-        (status_cell rep.Prax_ground.Analyze.status)
-        budget_cell)
-    Benchdata.Registry.logic_benchmarks
+type program = { p_name : string; p_source : string; p_lines : int option }
 
-(* ------------------------------------------------------------------ *)
-(* Table 2: declarative-on-tabled-engine vs special-purpose (GAIA)     *)
-(* ------------------------------------------------------------------ *)
+let logic_corpus_of =
+  List.map (fun (b : Benchdata.Registry.logic_bench) ->
+      Benchdata.Registry.
+        { p_name = b.name; p_source = b.source; p_lines = Some b.paper_lines })
 
-let table2 () =
-  section
-    "Table 2: total analysis time, tabled declarative analyzer (\"XSB\") vs \
-     special-purpose abstract interpreter (\"GAIA\", BDD back-end)";
-  Printf.printf "%-8s | %10s %10s | %s\n" "Program" "tabled(s)" "gaia(s)"
-    "paper: XSB vs GAIA (s)";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      let tabled, _ =
-        best3 (fun () ->
-            let rep = Groundness.analyze b.Benchdata.Registry.source in
-            (Prax_ground.Analyze.total rep.Prax_ground.Analyze.phases, ()))
-      in
-      let gaia, _ =
-        best3 (fun () ->
-            let rep = Gaia.Analyze.analyze_bdd b.Benchdata.Registry.source in
-            (Prax_gaia.Analyze.total rep.Prax_gaia.Analyze.phases, ()))
-      in
-      let paper =
-        match (b.Benchdata.Registry.table1, b.Benchdata.Registry.gaia_total)
-        with
-        | Some row, Some g ->
-            Printf.sprintf "%.2f vs %.2f" row.Benchdata.Registry.total g
-        | _ -> "-"
-      in
-      Printf.printf "%-8s | %10.4f %10.4f | %s\n" b.Benchdata.Registry.name
-        tabled gaia paper)
-    Benchdata.Registry.logic_benchmarks
+let logic_corpus = logic_corpus_of Benchdata.Registry.logic_benchmarks
+let table4_corpus = logic_corpus_of Benchdata.Registry.table4_benchmarks
 
-(* ------------------------------------------------------------------ *)
-(* Table 3: strictness analysis                                        *)
-(* ------------------------------------------------------------------ *)
-
-let table3 () =
-  section "Table 3: performance of strictness analysis (tabled engine)";
-  Printf.printf "%-10s %5s | %8s %8s %8s %8s | %9s %10s | %7s %7s %7s | %-8s %s\n"
-    "Program" "lines" "Preproc" "Analysis" "Collect" "Total" "lines/s"
-    "Table(B)" "Entries" "Answers" "Resump" "Status" "Budget";
-  let total_lines = ref 0 and total_time = ref 0. in
-  List.iter
+let fp_corpus =
+  List.map
     (fun (b : Benchdata.Registry.fp_bench) ->
-      let (total, rep) =
-        best3 (fun () ->
-            let rep =
-              Strictness.analyze ~guard:(bench_guard ())
-                b.Benchdata.Registry.source
-            in
-            (Prax_strict.Analyze.total rep.Prax_strict.Analyze.phases, rep))
-      in
-      let p = rep.Prax_strict.Analyze.phases in
-      let st = rep.Prax_strict.Analyze.engine_stats in
-      let lines = rep.Prax_strict.Analyze.source_lines in
-      total_lines := !total_lines + lines;
-      total_time := !total_time +. total;
-      Printf.printf
-        "%-10s %5d | %8.4f %8.4f %8.4f %8.4f | %9.0f %10d | %7d %7d %7d | %-8s %s\n"
-        b.Benchdata.Registry.name lines p.Prax_strict.Analyze.preproc
-        p.Prax_strict.Analyze.analysis p.Prax_strict.Analyze.collection total
-        (float_of_int lines /. max 1e-9 total)
-        rep.Prax_strict.Analyze.table_bytes
-        st.Prax_tabling.Engine.table_entries st.Prax_tabling.Engine.answers
-        st.Prax_tabling.Engine.resumptions
-        (status_cell rep.Prax_strict.Analyze.status)
-        budget_cell)
-    Benchdata.Registry.fp_benchmarks;
-  Printf.printf
-    "\nThroughput over the whole corpus: %.0f source lines/second\n"
-    (float_of_int !total_lines /. max 1e-9 !total_time)
+      Benchdata.Registry.
+        { p_name = b.name; p_source = b.source; p_lines = Some b.paper_lines })
+    Benchdata.Registry.fp_benchmarks
 
-(* ------------------------------------------------------------------ *)
-(* Table 4: depth-k groundness                                         *)
-(* ------------------------------------------------------------------ *)
-
-let table4 () =
-  section
-    "Table 4: groundness analysis with depth-k term abstraction (k=1; the \
-     paper's Table 4 also omits gabriel/press1/press2)";
-  Printf.printf "%-8s | %8s %8s %8s %8s | %8s %10s | %7s %7s %7s | %-8s %s\n"
-    "Program" "Preproc" "Analysis" "Collect" "Total" "Incr.(%)" "Table(B)"
-    "Entries" "Answers" "Resump" "Status" "Budget";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      let (total, (rep, compile)) =
-        best3 (fun () ->
-            let rep =
-              Depthk.analyze ~guard:(bench_guard ()) ~k:1
-                b.Benchdata.Registry.source
-            in
-            let compile =
-              Groundness.Analyze.compile_time b.Benchdata.Registry.source
-            in
-            (Prax_depthk.Analyze.total rep.Prax_depthk.Analyze.phases,
-             (rep, compile)))
-      in
-      let p = rep.Prax_depthk.Analyze.phases in
-      let st = rep.Prax_depthk.Analyze.engine_stats in
-      Printf.printf
-        "%-8s | %8.4f %8.4f %8.4f %8.4f | %8.1f %10d | %7d %7d %7d | %-8s %s\n"
-        b.Benchdata.Registry.name p.Prax_depthk.Analyze.preproc
-        p.Prax_depthk.Analyze.analysis p.Prax_depthk.Analyze.collection total
-        (100. *. total /. max 1e-9 compile)
-        rep.Prax_depthk.Analyze.table_bytes
-        st.Prax_tabling.Engine.table_entries st.Prax_tabling.Engine.answers
-        st.Prax_tabling.Engine.resumptions
-        (status_cell rep.Prax_depthk.Analyze.status)
-        budget_cell)
-    Benchdata.Registry.table4_benchmarks
-
-(* ------------------------------------------------------------------ *)
-(* Stress: worst-case groundness, dynamic vs def under a step budget   *)
-(* ------------------------------------------------------------------ *)
-
-let stress () =
-  section
-    "Stress: worst-case groundness programs (examples/stress/, after \
-     Genaim-Howe-Codish) - tabled Prop (mode=dynamic) vs def-domain \
-     fast path (mode=def) under the registry step budgets";
-  Printf.printf "%-12s %8s | %-16s %10s %10s %8s | %-10s %10s %10s\n" "Program"
-    "budget" "dynamic" "total(s)" "Table(B)" "answers" "def" "total(s)"
-    "Table(B)";
-  List.iter
+let stress_corpus =
+  List.map
     (fun (b : Benchdata.Registry.stress_bench) ->
-      let measure mode =
-        let guard = Guard.create ~max_steps:b.Benchdata.Registry.max_steps () in
-        let rep =
-          match mode with
-          | `Dynamic -> Groundness.analyze ~guard b.Benchdata.Registry.source
-          | `Def ->
-              Groundness.Def.analyze ~guard b.Benchdata.Registry.source
-        in
-        rep
-      in
-      let d = measure `Dynamic and f = measure `Def in
-      Printf.printf
-        "%-12s %8d | %-16s %10.4f %10d %8d | %-10s %10.4f %10d\n"
-        b.Benchdata.Registry.name b.Benchdata.Registry.max_steps
-        (status_cell d.Prax_ground.Analyze.status)
-        (Prax_ground.Analyze.total d.Prax_ground.Analyze.phases)
-        d.Prax_ground.Analyze.table_bytes
-        d.Prax_ground.Analyze.engine_stats.Prax_tabling.Engine.answers
-        (status_cell f.Prax_ground.Analyze.status)
-        (Prax_ground.Analyze.total f.Prax_ground.Analyze.phases)
-        f.Prax_ground.Analyze.table_bytes)
+      Benchdata.Registry.
+        { p_name = b.name; p_source = b.source; p_lines = None })
     Benchdata.Registry.stress_benchmarks
 
+let cfg_corpus =
+  List.map
+    (fun (b : Benchdata.Registry.cfg_bench) ->
+      Benchdata.Registry.
+        { p_name = b.name; p_source = b.source; p_lines = None })
+    Benchdata.Registry.cfg_benchmarks
+
+(* One cell of the analysis registry: an analysis at a configuration on
+   one program.  [budget] replaces the default wall-clock guard (the
+   stress table runs under per-program step budgets); [cache] makes the
+   run a spliced re-analysis over those fragments. *)
+type cell = {
+  analysis : Analysis.t;
+  config : Analysis.config;
+  prog : program;
+  budget : Guard.spec option;
+  cache : Analysis.cache option;
+}
+
+let cell ?budget analysis config prog =
+  { analysis; config; prog; budget; cache = None }
+
+(* The registry matrix: which corpus slice each registered analysis
+   sweeps, at which configuration.  depthk reproduces Table 4 (k=1 over
+   the paper's Table-4 subset); groundness additionally sweeps the
+   worst-case stress corpus in def mode (the mode that completes it —
+   examples/stress/README.md); the other analyses take their kind's
+   whole corpus at default configuration.  [bench run]/[gate] and
+   [benchjson] measure exactly these cells. *)
+let matrix () =
+  List.concat_map
+    (fun (a : Analysis.t) ->
+      let cells config = List.map (cell a config) in
+      match (a.Analysis.name, a.Analysis.kind) with
+      | "depthk", _ -> cells [ ("k", "1") ] table4_corpus
+      | "groundness", _ ->
+          cells [] logic_corpus @ cells [ ("mode", "def") ] stress_corpus
+      | _, Analysis.Logic_program -> cells [] logic_corpus
+      | _, Analysis.Fp_program -> cells [] fp_corpus
+      | _, Analysis.Cfg_program -> cells [] cfg_corpus)
+    (Analysis.all ())
+
+let tracked_counters =
+  [
+    "engine.call_lookups";
+    "engine.call_hits";
+    "engine.call_misses";
+    "engine.answers_offered";
+    "engine.answers_inserted";
+    "engine.answers_deduped";
+    "engine.consumer_resumptions";
+    "unify.attempts";
+    "unify.failures";
+    "hashcons.hits";
+    "hashcons.misses";
+    "intern.symbols";
+    "trie.nodes";
+    "trie.prefix_hits";
+  ]
+
+(* what a spliced re-run records instead: the planner's SCC counts and
+   the invalidated cone (a gauge, in permille) *)
+let incr_counters =
+  [ "incr.sccs"; "incr.invalidated"; "incr.spliced"; "incr.cone_frac" ]
+
+(* PRAX_BENCH_SLOWDOWN="analysis:benchmark:seconds[,...]" — measurement
+   injection for testing the gate: the seconds are added to the
+   recorded evaluate/total samples of every matching row, making the
+   row *report* slower without sleeping.  CI and test_benchrun use it
+   to prove that an artificially slowed benchmark trips the gate. *)
+let injected_slowdown ~analysis ~name =
+  match Sys.getenv_opt "PRAX_BENCH_SLOWDOWN" with
+  | None -> 0.
+  | Some spec ->
+      List.fold_left
+        (fun acc entry ->
+          match String.split_on_char ':' (String.trim entry) with
+          | [ a; n; secs ] when a = analysis && n = name -> (
+              match float_of_string_opt secs with
+              | Some s -> acc +. s
+              | None -> usage_fail "PRAX_BENCH_SLOWDOWN: bad seconds in %S" entry)
+          | _ -> acc)
+        0.
+        (String.split_on_char ',' spec)
+
+(* One repeat of one cell, counters reset around it so they describe
+   exactly this repetition: the report, with any injected slowdown
+   billed to its evaluate phase, and the recorded counters. *)
+let sweep_once c =
+  Metrics.reset ();
+  let guard =
+    match c.budget with Some b -> Guard.of_spec b | None -> bench_guard ()
+  in
+  let rep =
+    Analysis.run c.analysis ~config:c.config ~guard ?cache:c.cache
+      c.prog.p_source
+  in
+  let snap = Metrics.snapshot () in
+  let value name =
+    match
+      List.find_opt
+        (fun (s : Metrics.sample) -> s.Metrics.name = name)
+        (snap.Metrics.counters @ snap.Metrics.gauges)
+    with
+    | Some s -> float_of_int s.Metrics.value
+    | None -> 0.
+  in
+  let p = rep.Analysis.phases in
+  let slow =
+    injected_slowdown ~analysis:c.analysis.Analysis.name ~name:c.prog.p_name
+  in
+  ( {
+      rep with
+      Analysis.phases =
+        { p with Analysis.analysis = p.Analysis.analysis +. slow };
+    },
+    List.map
+      (fun n -> (n, value n))
+      (if c.cache = None then tracked_counters else incr_counters) )
+
+let log_file (r : Benchrun.row) =
+  Printf.sprintf "%s-%s.log" r.Benchrun.r_analysis r.Benchrun.r_name
+
+(* The repeat-sampling loop: one row per cell, in order, plus one log per
+   row with the per-repeat raw samples. *)
+let sweep ~repeats cells =
+  let measure c =
+    (* one untimed warm-up: the cold first execution of a cell can run
+       an order of magnitude slower (heap growth, cold caches) and would
+       pollute q3/IQR *)
+    ignore (sweep_once c);
+    let runs =
+      List.init repeats (fun _ ->
+          (* settle the GC so a pending major slice from the previous
+             cell doesn't land in this one — without this, adjacent
+             cells' times trade off between otherwise-identical runs *)
+          Gc.full_major ();
+          sweep_once c)
+    in
+    let reps = List.map fst runs in
+    let stats f = Benchrun.stats_of (List.map f reps) in
+    let seconds (r : Analysis.report) = Analysis.total r.Analysis.phases in
+    let total = stats seconds in
+    (* the representative repeat (status): the one whose total lands
+       closest to the median *)
+    let off r = Float.abs (seconds r -. total.Benchrun.median) in
+    let repr =
+      List.fold_left
+        (fun a b -> if off b < off a then b else a)
+        (List.hd reps) reps
+    in
+    let rep, counters = List.nth runs (repeats - 1) in
+    let row =
+      {
+        Benchrun.r_analysis = c.analysis.Analysis.name;
+        r_name = c.prog.p_name;
+        r_config = rep.Analysis.config;
+        r_status = status_cell repr.Analysis.status;
+        r_source_lines =
+          (match rep.Analysis.source_lines with
+          | Some _ as l -> l
+          | None -> c.prog.p_lines);
+        r_clause_count = rep.Analysis.clause_count;
+        r_phases =
+          [
+            ("preprocess", stats (fun r -> r.Analysis.phases.Analysis.preproc));
+            ("evaluate", stats (fun r -> r.Analysis.phases.Analysis.analysis));
+            ("collect", stats (fun r -> r.Analysis.phases.Analysis.collection));
+          ];
+        r_total = total;
+        r_table_bytes = stats (fun r -> float_of_int r.Analysis.table_bytes);
+        r_engine =
+          (match rep.Analysis.engine with
+          | Some e ->
+              [
+                ("table_entries", e.Analysis.table_entries);
+                ("answers", e.Analysis.answers);
+                ("resumptions", e.Analysis.resumptions);
+              ]
+          | None -> []);
+        (* counters come from the LAST repeat: with the process warmed
+           up they are deterministic for a given binary and matrix
+           order, so A/B counter deltas reflect code changes, not
+           cold-start effects of whichever repeat won the median *)
+        r_counters = counters;
+      }
+    in
+    let log =
+      String.concat ""
+        (List.mapi
+           (fun i (r : Analysis.report) ->
+             let p = r.Analysis.phases in
+             Printf.sprintf
+               "repeat %d: total=%.6f preprocess=%.6f evaluate=%.6f \
+                collect=%.6f table_bytes=%d status=%s\n"
+               (i + 1) (seconds r) p.Analysis.preproc p.Analysis.analysis
+               p.Analysis.collection r.Analysis.table_bytes
+               (status_cell r.Analysis.status))
+           reps)
+    in
+    (row, (log_file row, log))
+  in
+  let measured = List.map measure cells in
+  Metrics.reset ();
+  List.split measured
+
+let print_row (r : Benchrun.row) =
+  Printf.printf "  %-10s %-10s median %8.4fs  iqr %8.4fs  table %7.0fB  %s\n%!"
+    r.Benchrun.r_analysis r.Benchrun.r_name r.Benchrun.r_total.Benchrun.median
+    (Benchrun.iqr r.Benchrun.r_total)
+    r.Benchrun.r_table_bytes.Benchrun.median r.Benchrun.r_status
+
 (* ------------------------------------------------------------------ *)
-(* Ablation: dynamic (assert) vs compiled clause store                 *)
+(* Tables rendered from cells                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* A printed column: header, printf width (negative pads on the right),
+   and its text for one program given the rows of that program's cells,
+   looked up by side label. *)
+type column = {
+  head : string;
+  width : int;
+  text : program -> (string -> Benchrun.row option) -> string;
+}
+
+(* Measure every program of [corpus] under each side — a side returns
+   [None] for a program it skips (an infeasible or too-slow cell) — and
+   print one line per program, column groups separated by " | ".
+   Returns every measured row. *)
+let print_table ~title ~repeats ~corpus ~sides groups =
+  section title;
+  let print text =
+    print_endline
+      (String.concat " | "
+         (List.map
+            (fun group ->
+              String.concat " "
+                (List.map
+                   (fun c -> Printf.sprintf "%*s" c.width (text c))
+                   group))
+            groups))
+  in
+  print (fun c -> c.head);
+  List.concat_map
+    (fun p ->
+      let labels, cells =
+        List.split
+          (List.filter_map
+             (fun (label, side) -> Option.map (fun c -> (label, c)) (side p))
+             sides)
+      in
+      let rows, _ = sweep ~repeats cells in
+      let by_side = List.combine labels rows in
+      print (fun c -> c.text p (fun s -> List.assoc_opt s by_side));
+      rows)
+    corpus
+
+(* [side aname config] measures every program [keep] admits *)
+let side ?(keep = fun _ -> true) ?budget aname config p =
+  if keep p.p_name then
+    Some
+      (cell
+         ?budget:(Option.map (fun f -> f p) budget)
+         (Option.get (Analysis.find aname))
+         config p)
+  else None
+
+let column head width text = { head; width; text }
+let program_col width = column "Program" (-width) (fun p _ -> p.p_name)
+
+(* a column of one side's row; [missing] where the side skipped the
+   program *)
+let on ?(missing = "-") s head width f =
+  column head width (fun _ row ->
+      match row s with Some r -> f r | None -> missing)
+
+let phase ph (r : Benchrun.row) =
+  (List.assoc ph r.Benchrun.r_phases).Benchrun.median
+
+let total (r : Benchrun.row) = r.Benchrun.r_total.Benchrun.median
+let secs f r = Printf.sprintf "%.4f" (f r)
+
+let bytes (r : Benchrun.row) =
+  string_of_int (int_of_float r.Benchrun.r_table_bytes.Benchrun.median)
+
+let count field (r : Benchrun.row) =
+  match List.assoc_opt field r.Benchrun.r_engine with
+  | Some n -> string_of_int n
+  | None -> "-"
+
+let status (r : Benchrun.row) = r.Benchrun.r_status
+
+(* Tables 1, 3 and 4: one analysis under the paper's columns — [lead]
+   (the program), phase times, [extra] and table space, engine counts,
+   status and budget *)
+let paper_table ~title ~corpus ~analysis:s ~config ~lead ~extra =
+  print_table ~title ~repeats:3 ~corpus ~sides:[ (s, side s config) ]
+    [
+      lead;
+      [
+        on s "Preproc" 8 (secs (phase "preprocess"));
+        on s "Analysis" 8 (secs (phase "evaluate"));
+        on s "Collect" 8 (secs (phase "collect"));
+        on s "Total" 8 (secs total);
+      ];
+      [ extra; on s "Table(B)" 10 bytes ];
+      [
+        on s "Entries" 7 (count "table_entries");
+        on s "Answers" 7 (count "answers");
+        on s "Resump" 7 (count "resumptions");
+      ];
+      [ on s "Status" (-8) status; column "Budget" 0 (fun _ _ -> budget_cell) ];
+    ]
+
+(* the paper's "Incr. %": analysis time as a percentage of the time to
+   compile the program *)
+let incr_col s =
+  column "Incr.(%)" 8 (fun p row ->
+      match row s with
+      | Some r ->
+          Printf.sprintf "%.1f"
+            (100. *. total r
+            /. Float.max 1e-9 (Groundness.Analyze.compile_time p.p_source))
+      | None -> "-")
+
+let table1 () =
+  ignore
+    (paper_table
+       ~title:
+         "Table 1: performance of Prop-based groundness analysis (tabled \
+          engine, dynamic mode)"
+       ~corpus:logic_corpus ~analysis:"groundness" ~config:[]
+       ~lead:
+         [
+           program_col 8;
+           column "lines" 5 (fun p _ -> string_of_int (Option.get p.p_lines));
+         ]
+       ~extra:(incr_col "groundness"))
+
+let table2 () =
+  let paper p =
+    match Benchdata.Registry.find_logic p.p_name with
+    | Some { Benchdata.Registry.table1 = Some row; gaia_total = Some g; _ } ->
+        Printf.sprintf "%.2f vs %.2f" row.Benchdata.Registry.total g
+    | _ -> "-"
+  in
+  ignore
+    (print_table
+       ~title:
+         "Table 2: total analysis time, tabled declarative analyzer (\"XSB\") \
+          vs special-purpose abstract interpreter (\"GAIA\", BDD back-end)"
+       ~repeats:3 ~corpus:logic_corpus
+       ~sides:
+         [
+           ("tabled", side "groundness" []);
+           ("gaia", side "gaia" [ ("backend", "bdd") ]);
+         ]
+       [
+         [ program_col 8 ];
+         [
+           on "tabled" "tabled(s)" 10 (secs total);
+           on "gaia" "gaia(s)" 10 (secs total);
+         ];
+         [ column "paper: XSB vs GAIA (s)" 0 (fun p _ -> paper p) ];
+       ])
+
+let table3 () =
+  let s = "strictness" in
+  let lines (r : Benchrun.row) = Option.get r.Benchrun.r_source_lines in
+  let rows =
+    paper_table
+      ~title:"Table 3: performance of strictness analysis (tabled engine)"
+      ~corpus:fp_corpus ~analysis:s ~config:[]
+      ~lead:[ program_col 10; on s "lines" 5 (fun r -> string_of_int (lines r)) ]
+      ~extra:
+        (on s "lines/s" 9 (fun r ->
+             Printf.sprintf "%.0f"
+               (float_of_int (lines r) /. Float.max 1e-9 (total r))))
+  in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
+  Printf.printf "\nThroughput over the whole corpus: %.0f source lines/second\n"
+    (sum (fun r -> float_of_int (lines r)) /. Float.max 1e-9 (sum total))
+
+let table4 () =
+  ignore
+    (paper_table
+       ~title:
+         "Table 4: groundness analysis with depth-k term abstraction (k=1; \
+          the paper's Table 4 also omits gabriel/press1/press2)"
+       ~corpus:table4_corpus ~analysis:"depthk" ~config:[ ("k", "1") ]
+       ~lead:[ program_col 8 ]
+       ~extra:(incr_col "depthk"))
+
+(* worst-case groundness, dynamic vs def under the registry step budgets *)
+let stress () =
+  let steps p =
+    (Option.get (Benchdata.Registry.find_stress p.p_name))
+      .Benchdata.Registry.max_steps
+  in
+  let mode m =
+    side
+      ~budget:(fun p -> Guard.spec ~max_steps:(steps p) ())
+      "groundness" [ ("mode", m) ]
+  in
+  let cols s w =
+    [
+      on s s (-w) status;
+      on s "total(s)" 10 (secs total);
+      on s "Table(B)" 10 bytes;
+    ]
+  in
+  ignore
+    (print_table
+       ~title:
+         "Stress: worst-case groundness programs (examples/stress/, after \
+          Genaim-Howe-Codish) - tabled Prop (mode=dynamic) vs def-domain fast \
+          path (mode=def) under the registry step budgets"
+       ~repeats:1 ~corpus:stress_corpus
+       ~sides:[ ("dynamic", mode "dynamic"); ("def", mode "def") ]
+       [
+         [
+           program_col 12;
+           column "budget" 8 (fun p _ -> string_of_int (steps p));
+         ];
+         cols "dynamic" 16 @ [ on "dynamic" "answers" 8 (count "answers") ];
+         cols "def" 10;
+       ])
 
 let ablation_dynvscomp () =
-  section
-    "Ablation (Section 4 prose): dynamic (assert + interpret) vs full \
-     compilation of the analysis rules";
-  Printf.printf "%-8s | %9s %9s %9s | %9s %9s %9s | %s\n" "Program" "dyn-pre"
-    "dyn-eval" "dyn-tot" "comp-pre" "comp-eval" "comp-tot" "winner";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      let measure mode =
-        best3 (fun () ->
-            let rep =
-              Groundness.Analyze.analyze ~mode b.Benchdata.Registry.source
-            in
-            let p = rep.Prax_ground.Analyze.phases in
-            (Prax_ground.Analyze.total p, p))
-      in
-      let dt, dp = measure Logic.Database.Dynamic in
-      let ct, cp = measure Logic.Database.Compiled in
-      Printf.printf
-        "%-8s | %9.4f %9.4f %9.4f | %9.4f %9.4f %9.4f | %s\n"
-        b.Benchdata.Registry.name dp.Prax_ground.Analyze.preproc
-        dp.Prax_ground.Analyze.analysis dt cp.Prax_ground.Analyze.preproc
-        cp.Prax_ground.Analyze.analysis ct
-        (if dt <= ct then "dynamic" else "compiled"))
-    Benchdata.Registry.logic_benchmarks
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: enumerative truth tables vs BDDs                          *)
-(* ------------------------------------------------------------------ *)
+  let mode m = side "groundness" [ ("mode", m) ] in
+  let times s prefix =
+    [
+      on s (prefix ^ "-pre") 9 (secs (phase "preprocess"));
+      on s (prefix ^ "-eval") 9 (secs (phase "evaluate"));
+      on s (prefix ^ "-tot") 9 (secs total);
+    ]
+  in
+  let winner _ row =
+    match (row "dynamic", row "compiled") with
+    | Some d, Some c -> if total d <= total c then "dynamic" else "compiled"
+    | _ -> "-"
+  in
+  ignore
+    (print_table
+       ~title:
+         "Ablation (Section 4 prose): dynamic (assert + interpret) vs full \
+          compilation of the analysis rules"
+       ~repeats:3 ~corpus:logic_corpus
+       ~sides:[ ("dynamic", mode "dynamic"); ("compiled", mode "compiled") ]
+       [
+         [ program_col 8 ];
+         times "dynamic" "dyn";
+         times "compiled" "comp";
+         [ column "winner" 0 winner ];
+       ])
 
 (* kalah/read: the truth-table back-end cannot represent their widest
    clauses (>20 variables); press2 takes over half a minute *)
 let bitset_infeasible = [ "kalah"; "read"; "press2" ]
 
 let ablation_repr () =
-  section
-    "Ablation (Section 4 prose): boolean-function representation in the \
-     special-purpose analyzer - enumerated truth tables vs BDDs";
-  Printf.printf "%-8s | %12s %12s\n" "Program" "bitset(s)" "bdd(s)";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      if List.mem b.Benchdata.Registry.name bitset_infeasible then
-        Printf.printf "%-8s | %12s %12s\n" b.Benchdata.Registry.name
-          "(infeasible)" "-"
-      else begin
-        (* single run: the slow side of this ablation is the datum *)
-        let tb =
-          let rep = Gaia.Analyze.analyze_bitset b.Benchdata.Registry.source in
-          Prax_gaia.Analyze.total rep.Prax_gaia.Analyze.phases
-        in
-        let td, _ =
-          best3 (fun () ->
-              let rep = Gaia.Analyze.analyze_bdd b.Benchdata.Registry.source in
-              (Prax_gaia.Analyze.total rep.Prax_gaia.Analyze.phases, ()))
-        in
-        Printf.printf "%-8s | %12.4f %12.4f\n" b.Benchdata.Registry.name tb td
-      end)
-    Benchdata.Registry.logic_benchmarks
+  let backend b =
+    side ~keep:(fun n -> not (List.mem n bitset_infeasible)) "gaia"
+      [ ("backend", b) ]
+  in
+  ignore
+    (print_table
+       ~title:
+         "Ablation (Section 4 prose): boolean-function representation in the \
+          special-purpose analyzer - enumerated truth tables vs BDDs"
+       (* one timed run: the slow side of this ablation is the datum *)
+       ~repeats:1 ~corpus:logic_corpus
+       ~sides:[ ("bitset", backend "bitset"); ("bdd", backend "bdd") ]
+       [
+         [ program_col 8 ];
+         [
+           on ~missing:"(infeasible)" "bitset" "bitset(s)" 12 (secs total);
+           on "bdd" "bdd(s)" 12 (secs total);
+         ];
+       ])
+
+(* without supplementary tabling the larger programs take minutes *)
+let supp_off_feasible = [ "eu"; "quicksort"; "listcompr"; "mergesort" ]
+
+let ablation_supp () =
+  (* no budget: mergesort without supplementary tabling runs for most
+     of a minute *)
+  let supp keep v =
+    side ~keep ~budget:(fun _ -> Guard.no_limits) "strictness"
+      [ ("supplementary", v) ]
+  in
+  ignore
+    (print_table
+       ~title:
+         "Ablation (Section 4.2): supplementary tabling for the strictness \
+          analyzer (the optimization the paper proposes but leaves \
+          unevaluated)"
+       ~repeats:1 ~corpus:fp_corpus
+       ~sides:
+         [
+           ("on", supp (fun _ -> true) "true");
+           ("off", supp (fun n -> List.mem n supp_off_feasible) "false");
+         ]
+       [
+         [ program_col 10 ];
+         [
+           on "on" "supp-on" 10 (secs total);
+           on ~missing:"(min.)" "off" "supp-off" 10 (secs total);
+         ];
+         [
+           on "on" "resump-on" 12 (count "resumptions");
+           on "off" "resump-off" 12 (count "resumptions");
+         ];
+       ])
+
+let k2_feasible = [ "qsort"; "queens"; "pg"; "gabriel"; "disj"; "cs"; "peep" ]
+
+let ablation_depthk () =
+  let k keep v = side ~keep "depthk" [ ("k", v) ] in
+  let cols ?missing s head =
+    [
+      on ?missing s head 10 (secs total);
+      on s "answers" 8 (count "answers");
+      on s "entries" 8 (count "table_entries");
+    ]
+  in
+  ignore
+    (print_table
+       ~title:"Ablation: depth-k sweep (k = 1 vs k = 2, where tractable)"
+       ~repeats:1 ~corpus:logic_corpus
+       ~sides:
+         [
+           ("k1", k (fun _ -> true) "1");
+           ("k2", k (fun n -> List.mem n k2_feasible) "2");
+         ]
+       [
+         [ program_col 8 ];
+         cols "k1" "k=1(s)";
+         cols ~missing:"(slow)" "k2" "k=2(s)";
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: top-down tabling vs bottom-up (Coral) with magic sets     *)
@@ -345,20 +668,19 @@ let ablation_magic () =
       | Some (top, arity) ->
           let abstract, _, maxiff = Groundness.Transform.program clauses in
           (* tabled top-down, goal-directed from the entry point *)
-          let t_tab, _ =
-            best3 (fun () ->
-                let db = Logic.Database.create () in
-                Logic.Database.load_clauses db abstract;
-                let e = Tabling.Engine.create db in
-                Prop.Iff.register e ~max_arity:maxiff;
-                let goal =
-                  Logic.Term.mk
-                    (Groundness.Transform.prefix ^ top)
-                    (Array.init arity (fun _ -> Logic.Term.fresh_var ()))
-                in
-                let t0 = Unix.gettimeofday () in
-                Tabling.Engine.run e goal (fun _ -> ());
-                (Unix.gettimeofday () -. t0, ()))
+          let t_tab =
+            let db = Logic.Database.create () in
+            Logic.Database.load_clauses db abstract;
+            let e = Tabling.Engine.create db in
+            Prop.Iff.register e ~max_arity:maxiff;
+            let goal =
+              Logic.Term.mk
+                (Groundness.Transform.prefix ^ top)
+                (Array.init arity (fun _ -> Logic.Term.fresh_var ()))
+            in
+            let t0 = Unix.gettimeofday () in
+            Tabling.Engine.run e goal (fun _ -> ());
+            Unix.gettimeofday () -. t0
           in
           let rules =
             Bottomup.From_prop.convert ~domain:Bottomup.From_prop.bool_domain
@@ -385,71 +707,6 @@ let ablation_magic () =
             "%-8s | %9.4f %9.4f %9.4f %9.4f | %7d %7d %7d\n"
             b.Benchdata.Registry.name t_tab t_plain t_magic t_sup f_plain
             f_magic f_sup)
-    Benchdata.Registry.logic_benchmarks
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: supplementary tabling for strictness                      *)
-(* ------------------------------------------------------------------ *)
-
-(* without supplementary tabling the larger programs take minutes *)
-let supp_off_feasible = [ "eu"; "quicksort"; "listcompr"; "mergesort" ]
-
-let ablation_supp () =
-  section
-    "Ablation (Section 4.2): supplementary tabling for the strictness \
-     analyzer (the optimization the paper proposes but leaves unevaluated)";
-  Printf.printf "%-10s | %10s %10s | %12s %12s\n" "Program" "supp-on" "supp-off"
-    "resump-on" "resump-off";
-  List.iter
-    (fun (b : Benchdata.Registry.fp_bench) ->
-      let measure supplementary =
-        let rep =
-          Strictness.Analyze.analyze ~supplementary b.Benchdata.Registry.source
-        in
-        ( Prax_strict.Analyze.total rep.Prax_strict.Analyze.phases,
-          rep.Prax_strict.Analyze.engine_stats.Prax_tabling.Engine.resumptions
-        )
-      in
-      let t_on, r_on = measure true in
-      if List.mem b.Benchdata.Registry.name supp_off_feasible then begin
-        let t_off, r_off = measure false in
-        Printf.printf "%-10s | %10.4f %10.4f | %12d %12d\n"
-          b.Benchdata.Registry.name t_on t_off r_on r_off
-      end
-      else
-        Printf.printf "%-10s | %10.4f %10s | %12d %12s\n"
-          b.Benchdata.Registry.name t_on "(min.)" r_on "-")
-    Benchdata.Registry.fp_benchmarks
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: depth parameter sweep                                     *)
-(* ------------------------------------------------------------------ *)
-
-let k2_feasible =
-  [ "qsort"; "queens"; "pg"; "gabriel"; "disj"; "cs"; "peep" ]
-
-let ablation_depthk_sweep () =
-  section "Ablation: depth-k sweep (k = 1 vs k = 2, where tractable)";
-  Printf.printf "%-8s | %10s %8s %8s | %10s %8s %8s\n" "Program" "k=1(s)"
-    "answers" "entries" "k=2(s)" "answers" "entries";
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      let measure k =
-        let rep = Depthk.analyze ~k b.Benchdata.Registry.source in
-        ( Prax_depthk.Analyze.total rep.Prax_depthk.Analyze.phases,
-          rep.Prax_depthk.Analyze.engine_stats.Prax_tabling.Engine.answers,
-          rep.Prax_depthk.Analyze.engine_stats.Prax_tabling.Engine.table_entries
-        )
-      in
-      let t1, a1, e1 = measure 1 in
-      if List.mem b.Benchdata.Registry.name k2_feasible then begin
-        let t2, a2, e2 = measure 2 in
-        Printf.printf "%-8s | %10.4f %8d %8d | %10.4f %8d %8d\n"
-          b.Benchdata.Registry.name t1 a1 e1 t2 a2 e2
-      end
-      else
-        Printf.printf "%-8s | %10.4f %8d %8d | %10s %8s %8s\n"
-          b.Benchdata.Registry.name t1 a1 e1 "(slow)" "-" "-")
     Benchdata.Registry.logic_benchmarks
 
 (* ------------------------------------------------------------------ *)
@@ -571,56 +828,6 @@ let ext_types () =
           Printf.printf "%-10s | type error: %s\n" b.Benchdata.Registry.name m)
     Benchdata.Registry.fp_benchmarks
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable stats dump                                         *)
-(* ------------------------------------------------------------------ *)
-
-let statsjson () =
-  section
-    "Machine-readable stats: one prax.stats JSON document per corpus \
-     benchmark (schema in docs/METRICS.md)";
-  let emit ~analysis ~timer_prefix ~input ~table_bytes ~guard ~status =
-    let open Metrics in
-    let g =
-      gauge ~units:"bytes" ~doc:"call/answer table space estimate"
-        "engine.table_space_bytes"
-    in
-    set g table_bytes;
-    let phases =
-      List.map
-        (fun ph -> (ph, timer_seconds (timer_prefix ^ "." ^ ph)))
-        [ "preprocess"; "evaluate"; "collect" ]
-    in
-    let extra =
-      Guard.status_json_fields status @ Guard.budget_json_fields guard
-    in
-    print_endline
-      (json_to_string
-         (stats_doc ~tool:"bench" ~analysis ~input ~phases ~extra
-            (snapshot ())))
-  in
-  List.iter
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      (* counters are process-wide: reset so each document covers one run *)
-      Metrics.reset ();
-      let guard = bench_guard () in
-      let rep = Groundness.analyze ~guard b.Benchdata.Registry.source in
-      emit ~analysis:"groundness" ~timer_prefix:"ground"
-        ~input:b.Benchdata.Registry.name
-        ~table_bytes:rep.Prax_ground.Analyze.table_bytes ~guard
-        ~status:rep.Prax_ground.Analyze.status)
-    Benchdata.Registry.logic_benchmarks;
-  List.iter
-    (fun (b : Benchdata.Registry.fp_bench) ->
-      Metrics.reset ();
-      let guard = bench_guard () in
-      let rep = Strictness.analyze ~guard b.Benchdata.Registry.source in
-      emit ~analysis:"strictness" ~timer_prefix:"strict"
-        ~input:b.Benchdata.Registry.name
-        ~table_bytes:rep.Prax_strict.Analyze.table_bytes ~guard
-        ~status:rep.Prax_strict.Analyze.status)
-    Benchdata.Registry.fp_benchmarks;
-  Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -649,28 +856,7 @@ let run_bechamel ?(quota = 0.5) ?(kde = Some 1000) tests =
         results)
     tests
 
-let bechamel () =
-  section
-    "Bechamel micro-benchmarks: one statistically-sampled representative per \
-     table (analysis pipeline end to end)";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table1/groundness-qsort"
-        (Staged.stage (fun () -> ignore (Groundness.analyze (src "qsort"))));
-      Test.make ~name:"table1/groundness-read"
-        (Staged.stage (fun () -> ignore (Groundness.analyze (src "read"))));
-      Test.make ~name:"table2/gaia-bdd-qsort"
-        (Staged.stage (fun () ->
-             ignore (Gaia.Analyze.analyze_bdd (src "qsort"))));
-      Test.make ~name:"table3/strictness-mergesort"
-        (Staged.stage (fun () ->
-             ignore (Strictness.analyze (fsrc "mergesort"))));
-      Test.make ~name:"table4/depthk-queens"
-        (Staged.stage (fun () -> ignore (Depthk.analyze ~k:1 (src "queens"))));
-    ]
-  in
-  run_bechamel tests
+
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks of the term-representation hot paths               *)
@@ -736,6 +922,7 @@ let micro () =
      canonicalization, answer-table insert/dedup)";
   run_bechamel (micro_tests ())
 
+
 (* ------------------------------------------------------------------ *)
 (* Incremental re-analysis: splice speedup per edit distance           *)
 (* ------------------------------------------------------------------ *)
@@ -751,132 +938,59 @@ let micro () =
 let incr_edit_sizes = [ 1; 4; 16 ]
 
 let incr_matrix () =
-  List.map
-    (fun (b : Benchdata.Registry.logic_bench) ->
-      ( "groundness",
-        b.Benchdata.Registry.name,
-        b.Benchdata.Registry.source,
-        Incr.Mutate.mutate_pl ))
-    Benchdata.Registry.logic_benchmarks
-  @ List.map
-      (fun (b : Benchdata.Registry.fp_bench) ->
-        ( "strictness",
-          b.Benchdata.Registry.name,
-          b.Benchdata.Registry.source,
-          Incr.Mutate.mutate_eq ))
-      Benchdata.Registry.fp_benchmarks
-
-let gauge_value name =
-  let snap = Metrics.snapshot () in
-  List.fold_left
-    (fun acc (s : Metrics.sample) ->
-      if String.equal s.Metrics.name name then s.Metrics.value else acc)
-    0 snap.Metrics.gauges
+  List.map (fun p -> ("groundness", p, Incr.Mutate.mutate_pl)) logic_corpus
+  @ List.map (fun p -> ("strictness", p, Incr.Mutate.mutate_eq)) fp_corpus
 
 type incr_row = {
-  ir_analysis : string;
-  ir_name : string;
   ir_edit : int;  (* mutation count applied to the base source *)
-  ir_scratch : Analysis.phases;
-  ir_spliced : Analysis.phases;
-  ir_sccs : int;
-  ir_invalidated : int;
-  ir_spliced_sccs : int;
-  ir_cone_permille : int;
+  ir_scratch : Benchrun.row;
+  ir_spliced : Benchrun.row;  (* its counters are [incr_counters] *)
 }
 
 (* Speedup over the phases the splice can help (evaluate + collect):
    both runs parse the same edited source, so including preprocess
    would only dilute the signal on small programs. *)
-let ir_speedup r =
-  let work (p : Analysis.phases) =
-    p.Analysis.analysis +. p.Analysis.collection
-  in
-  work r.ir_scratch /. Float.max (work r.ir_spliced) 1e-9
+let work r = phase "evaluate" r +. phase "collect" r
+let ir_speedup r = work r.ir_scratch /. Float.max (work r.ir_spliced) 1e-9
+
+let ir_count r name =
+  int_of_float (List.assoc name r.ir_spliced.Benchrun.r_counters)
 
 let incr_sweep () =
   List.concat_map
-    (fun (aname, bname, source, mut) ->
+    (fun (aname, p, mut) ->
       let a = Option.get (Analysis.find aname) in
-      let base_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
-      let populate =
-        {
-          Analysis.cache_load = (fun k -> Hashtbl.find_opt base_tbl k);
-          cache_save = (fun k v -> Hashtbl.replace base_tbl k v);
-        }
-      in
-      ignore
-        (Analysis.run_incr a ~guard:(bench_guard ()) ~cache:populate source);
-      let frozen =
-        {
-          Analysis.cache_load = (fun k -> Hashtbl.find_opt base_tbl k);
-          cache_save = (fun _ _ -> ());
-        }
-      in
+      let base = Analysis.memory_cache () in
+      ignore (Analysis.run a ~guard:(bench_guard ()) ~cache:base p.p_source);
+      let frozen = { base with Analysis.cache_save = (fun _ _ -> ()) } in
       List.filter_map
         (fun n ->
-          match Incr.Mutate.apply_n ~seed:1 ~n mut source with
-          | None -> None
-          | Some edited ->
-              let _, scratch =
-                best3 (fun () ->
-                    let rep =
-                      Analysis.run a ~guard:(bench_guard ()) edited
-                    in
-                    (Analysis.total rep.Analysis.phases, rep.Analysis.phases))
-              in
-              let _, (spliced, sccs, invalidated, spliced_sccs, cone) =
-                best3 (fun () ->
-                    Metrics.reset ();
-                    let rep =
-                      Analysis.run_incr a ~guard:(bench_guard ()) ~cache:frozen
-                        edited
-                    in
-                    ( Analysis.total rep.Analysis.phases,
-                      ( rep.Analysis.phases,
-                        Metrics.counter_value "incr.sccs",
-                        Metrics.counter_value "incr.invalidated",
-                        Metrics.counter_value "incr.spliced",
-                        gauge_value "incr.cone_frac" ) ))
-              in
-              Metrics.reset ();
-              Some
-                {
-                  ir_analysis = aname;
-                  ir_name = bname;
-                  ir_edit = n;
-                  ir_scratch = scratch;
-                  ir_spliced = spliced;
-                  ir_sccs = sccs;
-                  ir_invalidated = invalidated;
-                  ir_spliced_sccs = spliced_sccs;
-                  ir_cone_permille = cone;
-                })
+          Option.map
+            (fun edited ->
+              let scratch = cell a [] { p with p_source = edited } in
+              let spliced = { scratch with cache = Some frozen } in
+              match fst (sweep ~repeats:3 [ scratch; spliced ]) with
+              | [ s; sp ] -> { ir_edit = n; ir_scratch = s; ir_spliced = sp }
+              | _ -> assert false)
+            (Incr.Mutate.apply_n ~seed:1 ~n mut p.p_source))
         incr_edit_sizes)
     (incr_matrix ())
 
-let median xs =
-  match List.sort compare xs with
-  | [] -> nan
-  | sorted ->
-      let n = List.length sorted in
-      if n mod 2 = 1 then List.nth sorted (n / 2)
-      else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
+let median xs = (Benchrun.stats_of xs).Benchrun.median
 
-let incremental () =
-  section
-    "Incremental re-analysis: spliced re-run vs scratch per edit distance \
-     (docs/INCREMENTAL.md)";
-  let rows = incr_sweep () in
+(* one line per row, the median speedup per edit distance, and the
+   median over the acceptance slice *)
+let print_incr rows =
   List.iter
     (fun r ->
       Printf.printf
         "  %-10s %-10s edit %2d  scratch %8.4fs  spliced %8.4fs  %6.1fx  \
          cone %4d/1000 (%d/%d sccs)\n"
-        r.ir_analysis r.ir_name r.ir_edit
-        (r.ir_scratch.Analysis.analysis +. r.ir_scratch.Analysis.collection)
-        (r.ir_spliced.Analysis.analysis +. r.ir_spliced.Analysis.collection)
-        (ir_speedup r) r.ir_cone_permille r.ir_invalidated r.ir_sccs)
+        r.ir_scratch.Benchrun.r_analysis r.ir_scratch.Benchrun.r_name r.ir_edit
+        (work r.ir_scratch) (work r.ir_spliced) (ir_speedup r)
+        (ir_count r "incr.cone_frac")
+        (ir_count r "incr.invalidated")
+        (ir_count r "incr.sccs"))
     rows;
   List.iter
     (fun n ->
@@ -901,10 +1015,9 @@ let incremental () =
   match
     rows
     |> List.filter (fun r ->
-           r.ir_edit = 1 && r.ir_sccs > 1
-           && r.ir_scratch.Analysis.analysis
-              +. r.ir_scratch.Analysis.collection
-              >= amortizable_floor)
+           r.ir_edit = 1
+           && ir_count r "incr.sccs" > 1
+           && work r.ir_scratch >= amortizable_floor)
     |> List.map ir_speedup
   with
   | [] -> ()
@@ -914,203 +1027,71 @@ let incremental () =
          %.0fms scratch work): %6.1fx\n"
         (amortizable_floor *. 1000.) (median sp)
 
+let incremental () =
+  section
+    "Incremental re-analysis: spliced re-run vs scratch per edit distance \
+     (docs/INCREMENTAL.md)";
+  print_incr (incr_sweep ())
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable benchmark dump: BENCH_engine.json                  *)
 (* ------------------------------------------------------------------ *)
 
 let bench_json_file = "BENCH_engine.json"
 
-let tracked_counters =
-  [
-    "engine.call_lookups";
-    "engine.call_hits";
-    "engine.call_misses";
-    "engine.answers_offered";
-    "engine.answers_inserted";
-    "engine.answers_deduped";
-    "engine.consumer_resumptions";
-    "unify.attempts";
-    "unify.failures";
-    "hashcons.hits";
-    "hashcons.misses";
-    "intern.symbols";
-    "trie.nodes";
-    "trie.prefix_hits";
-  ]
-
-(* Which corpus slice a registered analysis sweeps in benchjson, with
-   each row's configuration.  Everything else about the row is
-   generic: the analysis is found in the registry and run through
-   [Analysis.run].  depthk reproduces Table 4 (k=1 over the paper's
-   Table-4 subset); groundness additionally sweeps the worst-case
-   stress corpus in def mode (the mode that completes it —
-   examples/stress/README.md); the other analyses take their kind's
-   whole corpus at default configuration. *)
-let bench_corpus (a : Analysis.t) :
-    (string * string * int option * Analysis.config) list =
-  match a.Analysis.name with
-  | "depthk" ->
-      List.map
-        (fun (b : Benchdata.Registry.logic_bench) ->
-          ( b.Benchdata.Registry.name,
-            b.Benchdata.Registry.source,
-            Some b.Benchdata.Registry.paper_lines,
-            [ ("k", "1") ] ))
-        Benchdata.Registry.table4_benchmarks
-  | _ -> (
-      match a.Analysis.kind with
-      | Analysis.Logic_program ->
-          List.map
-            (fun (b : Benchdata.Registry.logic_bench) ->
-              ( b.Benchdata.Registry.name,
-                b.Benchdata.Registry.source,
-                Some b.Benchdata.Registry.paper_lines,
-                [] ))
-            Benchdata.Registry.logic_benchmarks
-          @
-          if a.Analysis.name = "groundness" then
-            List.map
-              (fun (b : Benchdata.Registry.stress_bench) ->
-                ( b.Benchdata.Registry.name,
-                  b.Benchdata.Registry.source,
-                  None,
-                  [ ("mode", "def") ] ))
-              Benchdata.Registry.stress_benchmarks
-          else []
-      | Analysis.Fp_program ->
-          List.map
-            (fun (b : Benchdata.Registry.fp_bench) ->
-              ( b.Benchdata.Registry.name,
-                b.Benchdata.Registry.source,
-                Some b.Benchdata.Registry.paper_lines,
-                [] ))
-            Benchdata.Registry.fp_benchmarks
-      | Analysis.Cfg_program ->
-          List.map
-            (fun (b : Benchdata.Registry.cfg_bench) ->
-              (b.Benchdata.Registry.name, b.Benchdata.Registry.source, None, []))
-            Benchdata.Registry.cfg_benchmarks)
-
-(* One row per (registered analysis, corpus benchmark of its kind) —
-   Tables 1, 3, and 4 plus the gaia and dataflow sweeps all go through
-   the same registry dispatch.  Best of three runs, counters reset per
-   repetition so each row's counters describe exactly the run whose
-   times it reports.  The perf trajectory across PRs is tracked by
+(* The registry matrix as prax.bench rows — the median of 3 repeats per
+   cell, from the same loop and row encoder as [bench run] — plus the
+   incremental matrix.  The perf trajectory across PRs is tracked by
    diffing these files; docs/PERFORMANCE.md explains how to read one. *)
 let benchjson () =
   section
     ("Machine-readable engine benchmarks -> " ^ bench_json_file
    ^ " (every registered analysis over its corpus; docs/PERFORMANCE.md \
       explains the fields)");
-  let open Metrics in
-  let counters_now () =
-    List.map (fun c -> (c, Int (counter_value c))) tracked_counters
-  in
-  let row ~name ~lines ~(rep : Analysis.report) ~counters =
-    let p = rep.Analysis.phases in
-    Obj
-      ([
-         ("name", Str name);
-         ("analysis", Str rep.Analysis.analysis);
-         ("config", Analysis.config_to_json rep.Analysis.config);
-       ]
-      @ (match (rep.Analysis.source_lines, lines) with
-        | Some l, _ | None, Some l -> [ ("source_lines", Int l) ]
-        | None, None -> [])
-      @ [
-          ( "phases",
-            Obj
-              [
-                ("preprocess", Float p.Analysis.preproc);
-                ("evaluate", Float p.Analysis.analysis);
-                ("collect", Float p.Analysis.collection);
-              ] );
-          ("total_seconds", Float (Analysis.total p));
-          ("table_bytes", Int rep.Analysis.table_bytes);
-          ("clause_count", Int rep.Analysis.clause_count);
-        ]
-      @ (match rep.Analysis.engine with
-        | Some e ->
-            [
-              ("table_entries", Int e.Analysis.table_entries);
-              ("answers", Int e.Analysis.answers);
-              ("resumptions", Int e.Analysis.resumptions);
-            ]
-        | None -> [])
-      @ [ ("status", Str (status_cell rep.Analysis.status));
-          ("counters", Obj counters);
-        ])
-  in
-  let rows =
-    List.concat_map
-      (fun (a : Analysis.t) ->
-        let corpus = bench_corpus a in
-        List.map
-          (fun (name, source, lines, config) ->
-            let _, (rep, counters) =
-              best3 (fun () ->
-                  Metrics.reset ();
-                  let rep =
-                    Analysis.run a ~config ~guard:(bench_guard ()) source
-                  in
-                  (Analysis.total rep.Analysis.phases, (rep, counters_now ())))
-            in
-            Printf.printf "  %-10s %-10s analysis %8.4fs  table %7dB\n"
-              a.Analysis.name name
-              rep.Analysis.phases.Analysis.analysis
-              rep.Analysis.table_bytes;
-            row ~name ~lines ~rep ~counters)
-          corpus)
-      (Analysis.all ())
-  in
-  Metrics.reset ();
+  let rows, _ = sweep ~repeats:3 (matrix ()) in
+  List.iter print_row rows;
   (* the incremental section: scratch-vs-spliced re-analysis per edit
      distance, same deterministic matrix as the [incremental] console
      section (prax.bench v3 is additive over v2) *)
-  let phases_json (p : Analysis.phases) =
-    Obj
-      [
-        ("preprocess", Float p.Analysis.preproc);
-        ("evaluate", Float p.Analysis.analysis);
-        ("collect", Float p.Analysis.collection);
-      ]
+  let phases_json (r : Benchrun.row) =
+    Metrics.Obj
+      (List.map
+         (fun (ph, s) -> (ph, Metrics.Float s.Benchrun.median))
+         r.Benchrun.r_phases)
   in
+  let incr = incr_sweep () in
+  print_incr incr;
   let incr_rows =
     List.map
       (fun r ->
-        Printf.printf "  %-10s %-10s incremental edit %2d  %6.1fx\n"
-          r.ir_analysis r.ir_name r.ir_edit (ir_speedup r);
-        Obj
+        Metrics.Obj
           [
-            ("name", Str r.ir_name);
-            ("analysis", Str r.ir_analysis);
-            ("edit_clauses", Int r.ir_edit);
+            ("name", Metrics.Str r.ir_scratch.Benchrun.r_name);
+            ("analysis", Metrics.Str r.ir_scratch.Benchrun.r_analysis);
+            ("edit_clauses", Metrics.Int r.ir_edit);
             ("scratch", phases_json r.ir_scratch);
             ("spliced", phases_json r.ir_spliced);
-            ("speedup", Float (ir_speedup r));
-            ("sccs", Int r.ir_sccs);
-            ("invalidated", Int r.ir_invalidated);
-            ("spliced_sccs", Int r.ir_spliced_sccs);
-            ("cone_frac_permille", Int r.ir_cone_permille);
+            ("speedup", Metrics.Float (ir_speedup r));
+            ("sccs", Metrics.Int (ir_count r "incr.sccs"));
+            ("invalidated", Metrics.Int (ir_count r "incr.invalidated"));
+            ("spliced_sccs", Metrics.Int (ir_count r "incr.spliced"));
+            ("cone_frac_permille", Metrics.Int (ir_count r "incr.cone_frac"));
           ])
-      (incr_sweep ())
+      incr
   in
-  Metrics.reset ();
   let doc =
-    Obj
+    Metrics.Obj
       [
-        ("schema", Str "prax.bench");
-        ("schema_version", Int 3);
-        ("stats_schema_version", Int Metrics.schema_version);
-        ("report_schema_version", Int Analysis.report_schema_version);
-        ("benchmarks", Arr rows);
-        ("incremental", Arr incr_rows);
+        ("schema", Metrics.Str "prax.bench");
+        ("schema_version", Metrics.Int 3);
+        ("stats_schema_version", Metrics.Int Metrics.schema_version);
+        ("report_schema_version", Metrics.Int Analysis.report_schema_version);
+        ("benchmarks", Metrics.Arr (List.map Benchrun.row_to_json rows));
+        ("incremental", Metrics.Arr incr_rows);
       ]
   in
-  let oc = open_out bench_json_file in
-  output_string oc (json_to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  Out_channel.with_open_text bench_json_file (fun oc ->
+      output_string oc (Metrics.json_to_string doc ^ "\n"));
   Printf.printf "wrote %s (%d rows)\n" bench_json_file (List.length rows)
 
 (* ------------------------------------------------------------------ *)
@@ -1168,31 +1149,6 @@ let smoke () =
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Profiling loop: run one groundness analysis many times in-process   *)
-(* so sampling profilers (gprofng, perf) get enough samples.           *)
-(* ------------------------------------------------------------------ *)
-
-let profile () =
-  let name =
-    try Sys.getenv "PROFILE_BENCH" with Not_found -> "read"
-  in
-  let reps =
-    try int_of_string (Sys.getenv "PROFILE_REPS") with _ -> 400
-  in
-  section
-    (Printf.sprintf "Profile loop: groundness on %s x%d (for sampling \
-                     profilers; PROFILE_BENCH / PROFILE_REPS to override)"
-       name reps);
-  let source = src name in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (Groundness.analyze ~guard:(bench_guard ()) source)
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%d runs in %.3fs (%.4fs/run)\n%!" reps dt
-    (dt /. float_of_int reps)
-
-(* ------------------------------------------------------------------ *)
 (* Batch: supervised worker overhead and store warm-start             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1200,29 +1156,27 @@ let profile () =
    and a request/result-frame round trip per job, vs calling the
    analyzer in-process) and what the persistent store buys back (a warm
    second run answers every job from snapshots without forking at all).
-   docs/ROBUSTNESS.md describes the supervision protocol and the
-   snapshot format. *)
+   Jobs run the production job body ([Analyses.run_job], a prax.report
+   frame) under the production store key.  docs/ROBUSTNESS.md describes
+   the supervision protocol and the snapshot format. *)
 let batch () =
   section
     "Batch: supervised worker overhead vs in-process, and \
      persistent-store warm start";
-  let names = [ "cs"; "disj"; "gabriel"; "qsort"; "queens"; "read" ] in
-  let sources = List.map (fun n -> (n, src n)) names in
-  let jobs = List.map fst sources in
-  let config =
+  let a = Option.get (Analysis.find "groundness") in
+  let config = a.Analysis.defaults in
+  let jobs = [ "cs"; "disj"; "gabriel"; "qsort"; "queens"; "read" ] in
+  let serve =
     {
       Serve.default_config with
       Serve.jobs = 2;
       budget = Guard.spec ~timeout:bench_timeout ();
     }
   in
-  let worker ~job ~attempt:_ ~guard =
-    let rep = Groundness.analyze ~guard (List.assoc job sources) in
-    match rep.Prax_ground.Analyze.status with
-    | Guard.Complete -> (Serve.Complete, "ok:" ^ job)
-    | Guard.Partial { reason; _ } ->
-        (Serve.Partial_result (Guard.reason_to_string reason), "partial:" ^ job)
+  let run_job ~job ~guard =
+    Analyses.run_job a ~config ~guard ~input:job (src job)
   in
+  let worker ~job ~attempt:_ ~guard = run_job ~job ~guard in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1230,43 +1184,33 @@ let batch () =
   in
   let inproc, () =
     time (fun () ->
-        List.iter
-          (fun (_, source) ->
-            ignore (Groundness.analyze ~guard:(bench_guard ()) source))
-          sources)
+        List.iter (fun job -> ignore (run_job ~job ~guard:(bench_guard ()))) jobs)
   in
-  let cold, _ = time (fun () -> Serve.run_batch ~config ~worker jobs) in
+  let cold, _ = time (fun () -> Serve.run_batch ~config:serve ~worker jobs) in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "prax-bench-store.%d" (Unix.getpid ()))
   in
   let store = Store.open_dir dir in
-  let key_of job =
-    {
-      Store.analysis = "groundness";
-      source_digest = Store.digest_source (List.assoc job sources);
-      config = "mode=dynamic";
-      schema_version = Metrics.schema_version;
-    }
-  in
+  let key_of job = Analyses.store_key a ~config (src job) in
   let cached ~job = Store.load store (key_of job) in
   let persist ~job ~payload = Store.save store (key_of job) payload in
   Metrics.reset ();
   let cold_store, _ =
-    time (fun () -> Serve.run_batch ~config ~cached ~persist ~worker jobs)
+    time (fun () -> Serve.run_batch ~config:serve ~cached ~persist ~worker jobs)
   in
   let writes = Metrics.counter_value "store.writes" in
   Metrics.reset ();
   let warm, reports =
-    time (fun () -> Serve.run_batch ~config ~cached ~persist ~worker jobs)
+    time (fun () -> Serve.run_batch ~config:serve ~cached ~persist ~worker jobs)
   in
   let hits = Metrics.counter_value "store.hits" in
   let forks = Metrics.counter_value "serve.workers_spawned" in
   let n = List.length jobs in
   let pct a b = 100. *. (a -. b) /. b in
   Printf.printf "  %d groundness jobs, %d concurrent workers\n" n
-    config.Serve.jobs;
+    serve.Serve.jobs;
   Printf.printf "  in-process, sequential        %8.4fs\n" inproc;
   Printf.printf "  supervised, no store (cold)   %8.4fs  isolation overhead %+.1f%%\n"
     cold (pct cold inproc);
@@ -1298,176 +1242,6 @@ let batch () =
 (* ------------------------------------------------------------------ *)
 
 let default_runs_dir = Filename.concat "bench_data" "runs"
-
-(* exit codes of the run-store subcommands (docs/CLI.md): 0 ok / gate
-   passed, 1 usage or load error, 2 gate found regressions *)
-let exit_usage = 1
-let exit_regression = 2
-
-let usage_fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("bench: " ^ msg);
-      exit exit_usage)
-    fmt
-
-(* PRAX_BENCH_SLOWDOWN="analysis:benchmark:seconds[,...]" — measurement
-   injection for testing the gate: the seconds are added to the
-   recorded evaluate/total samples of every matching row, making the
-   row *report* slower without sleeping.  CI and test_benchrun use it
-   to prove that an artificially slowed benchmark trips the gate. *)
-let injected_slowdown ~analysis ~name =
-  match Sys.getenv_opt "PRAX_BENCH_SLOWDOWN" with
-  | None -> 0.
-  | Some spec ->
-      List.fold_left
-        (fun acc entry ->
-          match String.split_on_char ':' (String.trim entry) with
-          | [ a; n; secs ] when a = analysis && n = name -> (
-              match float_of_string_opt secs with
-              | Some s -> acc +. s
-              | None -> usage_fail "PRAX_BENCH_SLOWDOWN: bad seconds in %S" entry)
-          | _ -> acc)
-        0.
-        (String.split_on_char ',' spec)
-
-type sweep_sample = {
-  s_phases : (string * float) list;  (* preprocess/evaluate/collect *)
-  s_total : float;
-  s_bytes : float;
-  s_status : string;
-  s_counters : (string * float) list;
-}
-
-(* One repeat of one (analysis x benchmark) cell, counters reset around
-   it so they describe exactly this repetition. *)
-let sweep_once (a : Analysis.t) ~config ~name source =
-  Metrics.reset ();
-  let rep = Analysis.run a ~config ~guard:(bench_guard ()) source in
-  let p = rep.Analysis.phases in
-  let slow = injected_slowdown ~analysis:a.Analysis.name ~name in
-  ( {
-      s_phases =
-        [
-          ("preprocess", p.Analysis.preproc);
-          ("evaluate", p.Analysis.analysis +. slow);
-          ("collect", p.Analysis.collection);
-        ];
-      s_total = Analysis.total p +. slow;
-      s_bytes = float_of_int rep.Analysis.table_bytes;
-      s_status = status_cell rep.Analysis.status;
-      s_counters =
-        List.map
-          (fun c -> (c, float_of_int (Metrics.counter_value c)))
-          tracked_counters;
-    },
-    rep )
-
-(* The repeat-sampling loop over the (analysis x corpus) matrix.
-   Filters: [analyses] / [benchmarks] are comma-lists of names (None =
-   everything).  Returns the rows plus one log per row with the
-   per-repeat raw samples. *)
-let sweep ~repeats ~analyses ~benchmarks () =
-  let wanted filter x =
-    match filter with None -> true | Some l -> List.mem x l
-  in
-  let rows = ref [] and logs = ref [] in
-  List.iter
-    (fun (a : Analysis.t) ->
-      if wanted analyses a.Analysis.name then begin
-        let corpus = bench_corpus a in
-        List.iter
-          (fun (name, source, lines, config) ->
-            if wanted benchmarks name then begin
-              let samples = ref [] and last_rep = ref None in
-              (* one untimed warm-up: the cold first execution of a
-                 cell can run an order of magnitude slower (heap
-                 growth, cold caches) and would pollute q3/IQR *)
-              ignore (sweep_once a ~config ~name source);
-              for _ = 1 to repeats do
-                (* settle the GC so a pending major slice from the
-                   previous cell doesn't land in this one — without
-                   this, adjacent cells' times trade off between
-                   otherwise-identical runs *)
-                Gc.full_major ();
-                let s, rep = sweep_once a ~config ~name source in
-                samples := s :: !samples;
-                last_rep := Some rep
-              done;
-              let samples = List.rev !samples in
-              let rep = Option.get !last_rep in
-              let totals = List.map (fun s -> s.s_total) samples in
-              let total = Benchrun.stats_of totals in
-              (* the representative repeat (status): the one whose
-                 total lands closest to the median *)
-              let repr =
-                List.fold_left
-                  (fun best s ->
-                    if
-                      Float.abs (s.s_total -. total.Benchrun.median)
-                      < Float.abs (best.s_total -. total.Benchrun.median)
-                    then s
-                    else best)
-                  (List.hd samples) samples
-              in
-              let phase ph =
-                ( ph,
-                  Benchrun.stats_of
-                    (List.map (fun s -> List.assoc ph s.s_phases) samples) )
-              in
-              let row =
-                {
-                  Benchrun.r_analysis = a.Analysis.name;
-                  r_name = name;
-                  r_config = config;
-                  r_status = repr.s_status;
-                  r_source_lines =
-                    (match (rep.Analysis.source_lines, lines) with
-                    | Some l, _ | None, Some l -> Some l
-                    | None, None -> None);
-                  r_clause_count = rep.Analysis.clause_count;
-                  r_phases =
-                    List.map phase [ "preprocess"; "evaluate"; "collect" ];
-                  r_total = total;
-                  r_table_bytes =
-                    Benchrun.stats_of (List.map (fun s -> s.s_bytes) samples);
-                  (* counters come from the LAST repeat: with the
-                     process warmed up they are deterministic for a
-                     given binary and matrix order, so A/B counter
-                     deltas reflect code changes, not cold-start
-                     effects of whichever repeat won the median *)
-                  r_counters =
-                    (List.nth samples (List.length samples - 1)).s_counters;
-                }
-              in
-              Printf.printf "  %-10s %-10s median %8.4fs  iqr %8.4fs  table %7.0fB  %s\n%!"
-                a.Analysis.name name total.Benchrun.median
-                (Benchrun.iqr total) row.Benchrun.r_table_bytes.Benchrun.median
-                repr.s_status;
-              let log =
-                String.concat ""
-                  (List.mapi
-                     (fun i s ->
-                       Printf.sprintf
-                         "repeat %d: total=%.6f preprocess=%.6f \
-                          evaluate=%.6f collect=%.6f table_bytes=%.0f \
-                          status=%s\n"
-                         (i + 1) s.s_total
-                         (List.assoc "preprocess" s.s_phases)
-                         (List.assoc "evaluate" s.s_phases)
-                         (List.assoc "collect" s.s_phases)
-                         s.s_bytes s.s_status)
-                     samples)
-              in
-              rows := row :: !rows;
-              logs :=
-                (Printf.sprintf "%s-%s.log" a.Analysis.name name, log) :: !logs
-            end)
-          corpus
-      end)
-    (Analysis.all ());
-  Metrics.reset ();
-  (List.rev !rows, List.rev !logs)
 
 (* --- flag parsing (shared by run/ab/gate) --------------------------- *)
 
@@ -1604,13 +1378,10 @@ let sharded_sweep o =
       (Printf.sprintf "prax-bench-shards-%d" (Unix.getpid ()))
   in
   let filters =
-    (match o.analyses with
-    | Some l -> [ "--analyses"; String.concat "," l ]
-    | None -> [])
-    @
-    match o.benchmarks with
-    | Some l -> [ "--benchmarks"; String.concat "," l ]
-    | None -> []
+    List.concat_map
+      (fun (flag, f) ->
+        Option.fold ~none:[] ~some:(fun l -> [ flag; String.concat "," l ]) f)
+      [ ("--analyses", o.analyses); ("--benchmarks", o.benchmarks) ]
   in
   let shard_dirs =
     List.mapi
@@ -1645,38 +1416,31 @@ let sharded_sweep o =
         Filename.concat tmp id)
       per_shard
   in
-  let shards =
-    List.map
-      (fun d ->
-        match Benchrun.load_run d with
-        | Ok run -> run
-        | Error msg -> usage_fail "bench run: shard unreadable: %s" msg)
-      shard_dirs
+  let rows =
+    Benchrun.pool_rows
+      (List.map
+         (fun d ->
+           match Benchrun.load_run d with
+           | Ok run -> run.Benchrun.rows
+           | Error msg -> usage_fail "bench run: shard unreadable: %s" msg)
+         shard_dirs)
   in
-  let rows = Benchrun.pool_rows (List.map (fun r -> r.Benchrun.rows) shards) in
   (* merge the per-cell logs, one "# shard i" block per process *)
-  let logs = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iteri
-    (fun i d ->
-      let ldir = Filename.concat d "logs" in
-      if Sys.file_exists ldir then
-        Array.iter
-          (fun f ->
-            let ic = open_in (Filename.concat ldir f) in
-            let len = in_channel_length ic in
-            let content = really_input_string ic len in
-            close_in ic;
-            let name = f in
-            if not (Hashtbl.mem logs name) then order := name :: !order;
-            Hashtbl.replace logs name
-              (Option.value ~default:"" (Hashtbl.find_opt logs name)
-              ^ Printf.sprintf "# shard %d\n" (i + 1)
-              ^ content))
-          (Sys.readdir ldir))
-    shard_dirs;
   let logs =
-    List.rev_map (fun name -> (name, Hashtbl.find logs name)) !order
+    List.map
+      (fun r ->
+        let file = log_file r in
+        ( file,
+          String.concat ""
+            (List.mapi
+               (fun i d ->
+                 let path = Filename.concat (Filename.concat d "logs") file in
+                 if Sys.file_exists path then
+                   Printf.sprintf "# shard %d\n%s" (i + 1)
+                     (In_channel.with_open_bin path In_channel.input_all)
+                 else "")
+               shard_dirs) ))
+      rows
   in
   let rec rm path =
     if Sys.is_directory path then begin
@@ -1686,15 +1450,6 @@ let sharded_sweep o =
     else Sys.remove path
   in
   (try rm tmp with Sys_error _ -> ());
-  List.iter
-    (fun (r : Benchrun.row) ->
-      Printf.printf
-        "  %-10s %-10s median %8.4fs  iqr %8.4fs  table %7.0fB  %s\n%!"
-        r.Benchrun.r_analysis r.Benchrun.r_name
-        r.Benchrun.r_total.Benchrun.median
-        (Benchrun.iqr r.Benchrun.r_total)
-        r.Benchrun.r_table_bytes.Benchrun.median r.Benchrun.r_status)
-    rows;
   (rows, logs)
 
 (* bench run: execute the matrix, persist a run directory *)
@@ -1716,13 +1471,22 @@ let cmd_run args =
        o.shards
        (if o.shards = 1 then "" else "s")
        dir);
+  let wanted filter x =
+    match filter with None -> true | Some l -> List.mem x l
+  in
   let rows, logs =
     if o.shards > 1 && o.repeats > 1 then sharded_sweep o
     else
-      sweep ~repeats:o.repeats ~analyses:o.analyses ~benchmarks:o.benchmarks ()
+      sweep ~repeats:o.repeats
+        (List.filter
+           (fun c ->
+             wanted o.analyses c.analysis.Analysis.name
+             && wanted o.benchmarks c.prog.p_name)
+           (matrix ()))
   in
   if rows = [] then
     usage_fail "bench run: the filters selected no (analysis x benchmark) cells";
+  List.iter print_row rows;
   let manifest =
     Benchrun.make_manifest ~run_id ~repeats:o.repeats
       ~argv:(Array.to_list Sys.argv)
@@ -1773,31 +1537,19 @@ let cmd_gate args =
         (* no candidate run given: sweep one now, restricted to the
            baseline's matrix so missing-row gating compares like with
            like *)
-        let analyses =
-          match o.analyses with
-          | Some _ as f -> f
-          | None ->
-              Some
-                (List.sort_uniq compare
-                   (List.map
-                      (fun r -> r.Benchrun.r_analysis)
-                      base.Benchrun.rows))
-        in
-        let benchmarks =
-          match o.benchmarks with
-          | Some _ as f -> f
-          | None ->
-              Some
-                (List.sort_uniq compare
-                   (List.map (fun r -> r.Benchrun.r_name) base.Benchrun.rows))
+        let filter given field =
+          String.concat ","
+            (match given with
+            | Some l -> l
+            | None -> List.sort_uniq compare (List.map field base.Benchrun.rows))
         in
         let id =
           cmd_run
             ([ "--repeats"; string_of_int o.repeats;
                "--shards"; string_of_int o.shards;
                "--runs-dir"; o.runs_dir;
-               "--analyses"; String.concat "," (Option.get analyses);
-               "--benchmarks"; String.concat "," (Option.get benchmarks);
+               "--analyses"; filter o.analyses (fun r -> r.Benchrun.r_analysis);
+               "--benchmarks"; filter o.benchmarks (fun r -> r.Benchrun.r_name);
              ]
             @ match o.run_id with Some id -> [ "--id"; id ] | None -> [])
         in
@@ -1825,19 +1577,16 @@ let sections =
     ("ablation_repr", ablation_repr);
     ("ablation_magic", ablation_magic);
     ("ablation_supp", ablation_supp);
-    ("ablation_depthk", ablation_depthk_sweep);
+    ("ablation_depthk", ablation_depthk);
     ("ablation_opencall", ablation_opencall);
     ("ext_dataflow", ext_dataflow);
     ("ext_widening", ext_widening);
     ("ext_types", ext_types);
-    ("statsjson", statsjson);
     ("incremental", incremental);
     ("benchjson", benchjson);
-    ("bechamel", bechamel);
     ("micro", micro);
     ("smoke", smoke);
     ("batch", batch);
-    ("profile", profile);
   ]
 
 let () =
@@ -1846,12 +1595,7 @@ let () =
   | "run" :: rest -> ignore (cmd_run rest)
   | "ab" :: rest -> cmd_ab rest
   | "gate" :: rest -> cmd_gate rest
-  | [] ->
-      (* the profiling loop is opt-in: it exists for sampling profilers,
-         not for the report *)
-      List.iter
-        (fun (n, f) -> if n <> "profile" then f ())
-        sections
+  | [] -> List.iter (fun (_, f) -> f ()) sections
   | names ->
       List.iter
         (fun n ->

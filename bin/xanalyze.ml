@@ -726,20 +726,9 @@ let batch_cmd =
         specs
     in
     let store = Option.map Store.open_dir store_dir in
-    (* Store keys must distinguish results that could differ: the
-       analysis name, the exact source bytes, and the effective
-       configuration (canonical k=v rendering).  The budget is
-       deliberately not in the key — only complete results are
-       persisted, and a complete result does not depend on how generous
-       the budget was. *)
     let key_of job =
       let bj = Hashtbl.find table job in
-      {
-        Store.analysis = bj.bj_analysis.Analysis.name;
-        source_digest = Store.digest_source bj.bj_src;
-        config = Analysis.config_to_string bj.bj_config;
-        schema_version = Analysis.report_schema_version;
-      }
+      Analyses.store_key bj.bj_analysis ~config:bj.bj_config bj.bj_src
     in
     let cached ~job =
       Option.bind store (fun t -> Store.load t (key_of job))

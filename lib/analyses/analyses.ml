@@ -13,6 +13,7 @@ module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
 module Guard = Prax_guard.Guard
 module Serve = Prax_serve.Serve
+module Store = Prax_store.Store
 module Diag = Prax_logic.Diag
 module Pretty = Prax_logic.Pretty
 module Sld = Prax_logic.Sld
@@ -58,6 +59,20 @@ let diagnose ~file ~text (exn : exn) : Diag.t option =
   | Analysis.Config_error msg | Prax_dataflow.Cfg.Parse_error msg ->
       Some (Diag.make ~file msg)
   | _ -> None
+
+(** The result-store key of one run of [a] under its complete
+    (defaults-merged) [config] on [source]: everything that can change
+    the [prax.report] payload — the analysis, the exact source bytes, the
+    canonical config rendering and the report schema.  The budget is not
+    in the key: only complete results are stored, and a complete result
+    does not depend on how generous the budget was. *)
+let store_key (a : Analysis.t) ~config source : Store.key =
+  {
+    Store.analysis = a.Analysis.name;
+    source_digest = Store.digest_source source;
+    config = Analysis.config_to_string config;
+    schema_version = Analysis.report_schema_version;
+  }
 
 (** The body of a supervised analysis job, run in the worker: the
     [prax.report] document of [input] as the frame payload, tagged

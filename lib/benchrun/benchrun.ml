@@ -61,8 +61,11 @@ type row = {
   r_phases : (string * stats) list;
   r_total : stats;
   r_table_bytes : stats;
+  r_engine : (string * int) list;
   r_counters : (string * float) list;
 }
+
+let engine_fields = [ "table_entries"; "answers"; "resumptions" ]
 
 let row_key r = (r.r_analysis, r.r_name)
 
@@ -229,6 +232,9 @@ let row_to_json r =
         ("total_seconds", Float r.r_total.median);
         ("table_bytes", Int (int_of_float r.r_table_bytes.median));
         ("clause_count", Int r.r_clause_count);
+      ]
+    @ List.map (fun (k, v) -> (k, Int v)) r.r_engine
+    @ [
         ("status", Str r.r_status);
         ( "counters",
           Obj (List.map (fun (c, v) -> (c, Float v)) r.r_counters) );
@@ -290,6 +296,10 @@ let row_of_json j =
                   phases;
               r_total;
               r_table_bytes;
+              r_engine =
+                List.filter_map
+                  (fun k -> Option.map (fun v -> (k, v)) (get_int j k))
+                  engine_fields;
               r_counters = counters;
             }
       | _ -> None)

@@ -62,8 +62,8 @@ val iqr : stats -> float
 
     One row per (analysis x benchmark), carrying the prax.bench v2
     columns as repeat-sample {!stats} (times, table bytes) or
-    representative values (status, counters — taken from the
-    median-total repeat). *)
+    representative values (status from the median-total repeat;
+    engine counts and counters from the last). *)
 
 type row = {
   r_analysis : string;  (** registered analysis name *)
@@ -76,12 +76,25 @@ type row = {
       (** [preprocess] / [evaluate] / [collect], seconds *)
   r_total : stats;  (** sum of phases, seconds *)
   r_table_bytes : stats;
+  r_engine : (string * int) list;
+      (** the report's [table_entries] / [answers] / [resumptions];
+          empty for analyses that report no engine counts (gaia) *)
   r_counters : (string * float) list;
-      (** tracked process-wide counters of the median-total repeat *)
+      (** tracked process-wide counters of the last repeat *)
 }
 
 val row_key : row -> string * string
 (** [(analysis, benchmark)] — the identity rows are matched on. *)
+
+val row_to_json : row -> Metrics.json
+(** The one prax.bench row encoder: the v2 columns (time medians,
+    table bytes, engine counts, status, counters) plus the raw repeat
+    [samples].  [rows.json] and [BENCH_engine.json] rows both use it. *)
+
+val row_of_json : Metrics.json -> row option
+(** Decode a row written by {!row_to_json}, or a plain prax.bench v2
+    row without [samples] (each scalar becomes a one-sample statistic);
+    [None] when the identity or the time/byte columns are missing. *)
 
 val pool_rows : row list list -> row list
 (** Merge shard sweeps (one [row list] per process) into one row set:

@@ -394,12 +394,7 @@ let handle_analyze d conn ~id ~client ~analysis ~input ~source ~config =
                     [ ("reason", Metrics.Str msg) ]
               | Ok cfg -> (
                   let store_key =
-                    {
-                      Store.analysis = a.Analysis.name;
-                      source_digest = Store.digest_source source;
-                      config = Analysis.config_to_string cfg;
-                      schema_version = Analysis.report_schema_version;
-                    }
+                    Prax_analyses.Analyses.store_key a ~config:cfg source
                   in
                   let ckey = cache_key store_key in
                   match warm_lookup d ckey store_key with

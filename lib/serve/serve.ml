@@ -70,11 +70,7 @@ type config = {
   retries : int;
   job_timeout : float option;
   budget : Guard.spec;
-  reduced_budget_factor : float;
   backoff_base : float;
-  backoff_factor : float;
-  backoff_jitter : float;
-  max_stderr_bytes : int;
   max_frame_bytes : int;
 }
 
@@ -84,11 +80,7 @@ let default_config =
     retries = 2;
     job_timeout = None;
     budget = Guard.no_limits;
-    reduced_budget_factor = 0.5;
     backoff_base = 0.05;
-    backoff_factor = 2.0;
-    backoff_jitter = 0.25;
-    max_stderr_bytes = 64 * 1024;
     max_frame_bytes = 256 * 1024 * 1024;
   }
 
@@ -146,6 +138,10 @@ let worker_minor_heap_words = 262_144
    stays for the next attempt. *)
 let frame_magic = "PXF1"
 let frame_header_len = 4 + 1 + 1 + 2 + 4 + 4 + 16
+
+(* captured worker stderr is capped: a crash report needs its tail of
+   diagnostics, not megabytes of a runaway trace *)
+let max_stderr_bytes = 64 * 1024
 
 type frame_fault = Unknown_status | Digest_mismatch
 
@@ -253,11 +249,13 @@ let rec write_all fd s pos len =
   end
 
 (* the budget rung of the degradation ladder: full budget for the first
-   attempt and its first retry, then geometrically reduced so a job
+   attempt and its first retry, then halved per further attempt so a job
    whose budget appetite is what kills it terminates degraded *)
-let budget_scale config attempt =
+let reduced_budget_factor = 0.5
+
+let budget_scale attempt =
   if attempt <= 2 then 1.0
-  else config.reduced_budget_factor ** float_of_int (attempt - 2)
+  else reduced_budget_factor ** float_of_int (attempt - 2)
 
 let cpu_seconds () =
   let t = Unix.times () in
@@ -287,7 +285,7 @@ let child_main config ~worker ~req_fd ~result_fd : 'never =
             let guard =
               Guard.of_spec
                 (Guard.scale_spec config.budget
-                   (budget_scale config attempt *. scale))
+                   (budget_scale attempt *. scale))
             in
             worker ~job ~attempt ~guard req
           with exn ->
@@ -381,9 +379,9 @@ let jitter_of job attempt =
 
 let backoff_delay config ~job ~attempt =
   (* attempt is the one that just failed; first retry (attempt 1
-     failed) waits base, then geometric *)
-  let exp' = config.backoff_base *. (config.backoff_factor ** float_of_int (attempt - 1)) in
-  let j = 1. +. (config.backoff_jitter *. jitter_of job attempt) in
+     failed) waits base, then doubles, with a relative jitter of 0.25 *)
+  let exp' = config.backoff_base *. (2.0 ** float_of_int (attempt - 1)) in
+  let j = 1. +. (0.25 *. jitter_of job attempt) in
   Float.max 0. (exp' *. j)
 
 (* worker CPU arrives in microseconds; the counter is in milliseconds,
@@ -712,7 +710,7 @@ module Pool = struct
                 then Buffer.add_subbytes buf t.p_read_chunk 0 n;
                 if List.memq k t.p_workers then check_frame t now k else None
             | `Stderr ->
-                let room = config.max_stderr_bytes - Buffer.length buf in
+                let room = max_stderr_bytes - Buffer.length buf in
                 if room >= n then Buffer.add_subbytes buf t.p_read_chunk 0 n
                 else begin
                   if room > 0 then Buffer.add_subbytes buf t.p_read_chunk 0 room;

@@ -71,23 +71,19 @@ type config = {
       (** watchdog: seconds of wall clock per attempt before SIGKILL *)
   budget : Guard.spec;
       (** in-worker evaluation budget for attempt 1 (and 2); minted
-          fresh per attempt *)
-  reduced_budget_factor : float;
-      (** per-extra-attempt budget scale applied from attempt 3 on
-          (the "retry at reduced budget" rung); 0 < f ≤ 1 *)
-  backoff_base : float;  (** seconds before the first retry *)
-  backoff_factor : float;  (** exponential growth per further retry *)
-  backoff_jitter : float;
-      (** relative jitter amplitude in [0,1], deterministic per
-          (job, attempt) so runs are reproducible *)
-  max_stderr_bytes : int;  (** cap on captured worker stderr *)
+          fresh per attempt, halved per extra attempt from attempt 3 on
+          (the "retry at reduced budget" rung) *)
+  backoff_base : float;
+      (** seconds before the first retry; the delay doubles per further
+          retry, with a ±25% jitter deterministic per (job, attempt) so
+          runs are reproducible *)
   max_frame_bytes : int;  (** cap on a result frame's payload *)
 }
 
 val default_config : config
 (** [jobs=2; retries=2; job_timeout=None; budget=no_limits;
-    reduced_budget_factor=0.5; backoff_base=0.05; backoff_factor=2.0;
-    backoff_jitter=0.25; max_stderr_bytes=64k; max_frame_bytes=256M] *)
+    backoff_base=0.05; max_frame_bytes=256M].  Captured worker stderr
+    is capped at 64 KiB. *)
 
 val recycle_heap_bytes : int
 (** 64 MiB: the growth of a worker's major-heap high-water mark, since

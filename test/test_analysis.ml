@@ -262,7 +262,6 @@ let quick_config =
     Serve.jobs = 2;
     retries = 1;
     backoff_base = 0.01;
-    backoff_factor = 2.0;
     budget = Guard.spec ~timeout:30. ();
   }
 

@@ -44,6 +44,7 @@ let row ?(analysis = "groundness") ?(name = "qsort") ?(status = "complete")
       ];
     r_total = mkstats total;
     r_table_bytes = mkstats bytes;
+    r_engine = [ ("table_entries", 35); ("answers", 24); ("resumptions", 53) ];
     r_counters = counters;
   }
 
@@ -263,6 +264,8 @@ let test_roundtrip () =
             loaded.Benchrun.r_total.Benchrun.values;
           Alcotest.(check string) "config survives" "dynamic"
             (List.assoc "mode" loaded.Benchrun.r_config);
+          Alcotest.(check (list (pair string int))) "engine counts survive"
+            orig.Benchrun.r_engine loaded.Benchrun.r_engine;
           (* identity comparison: zero deltas flagged, zero regressions *)
           let ab = Benchrun.compare_runs run run in
           Alcotest.(check int) "self-ab regressions" 0 ab.Benchrun.regressions;
@@ -368,6 +371,56 @@ let test_gate_exit_codes () =
       Alcotest.(check int) "ab reports without gating (exit 0)" 0
         (run_code [ bench_exe; "ab"; "--runs-dir"; dir; "base"; "slow" ]))
 
+(* --- the committed BENCH_engine.json ---------------------------------------- *)
+
+(* The snapshot is written by the same row encoder as a run's rows.json,
+   so every row must decode through the run-store decoder, and it holds
+   one row per cell of the registry matrix (51 today): groundness over
+   the logic and stress corpora, strictness over the functional corpus,
+   depth-k over the Table-4 subset, gaia over the logic corpus, dataflow
+   over the CFG corpus. *)
+let test_bench_engine_rows () =
+  let module R = Prax_benchdata.Registry in
+  let doc =
+    Benchrun.Metrics.json_of_string
+      (In_channel.with_open_text
+         (Filename.concat
+            (Filename.dirname (Filename.dirname Sys.executable_name))
+            "BENCH_engine.json")
+         In_channel.input_all)
+  in
+  let entries =
+    match Benchrun.Metrics.member "benchmarks" doc with
+    | Some (Benchrun.Metrics.Arr l) -> l
+    | _ -> Alcotest.fail "BENCH_engine.json: no benchmarks array"
+  in
+  let logic = List.length R.logic_benchmarks in
+  let matrix =
+    logic
+    + List.length R.stress_benchmarks
+    + List.length R.fp_benchmarks
+    + List.length R.table4_benchmarks
+    + logic
+    + List.length R.cfg_benchmarks
+  in
+  Alcotest.(check int) "rows in the snapshot" matrix (List.length entries);
+  List.iter
+    (fun j ->
+      match Benchrun.row_of_json j with
+      | None -> Alcotest.fail "a row does not decode"
+      | Some r ->
+          let id = r.Benchrun.r_analysis ^ "/" ^ r.Benchrun.r_name in
+          Alcotest.(check bool)
+            (id ^ " has a status") true
+            (Benchrun.Metrics.member "status" j <> None);
+          (* gaia is the one analysis off the tabled engine *)
+          Alcotest.(check (list string))
+            (id ^ " engine counts")
+            (if r.Benchrun.r_analysis = "gaia" then []
+             else [ "table_entries"; "answers"; "resumptions" ])
+            (List.map fst r.Benchrun.r_engine))
+    entries
+
 let () =
   Alcotest.run "benchrun"
     [
@@ -397,4 +450,9 @@ let () =
         ] );
       ( "gate",
         [ Alcotest.test_case "exit codes" `Quick test_gate_exit_codes ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "BENCH_engine.json rows decode" `Quick
+            test_bench_engine_rows;
+        ] );
     ]

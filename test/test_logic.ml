@@ -213,13 +213,20 @@ let prop_unify_symmetric =
       let t2 = Term.rename t2 in
       Unify.unifiable t1 t2 = Unify.unifiable t2 t1)
 
+(* renaming apart is not enough here: [t1] alone can repeat a variable
+   (f(X, X) against f(Y, g(Y))), and unification without the occur check
+   then binds a cycle that [resolve] never leaves.  The property is only
+   claimed where the occur check passes. *)
 let prop_mgu_is_unifier =
   QCheck2.Test.make ~name:"mgu equalizes both sides" ~count:200
     (QCheck2.Gen.pair gen_term gen_term) (fun (t1, t2) ->
       let t2 = Term.rename t2 in
-      match Unify.unify Subst.empty t1 t2 with
+      match Unify.unify_oc Subst.empty t1 t2 with
       | None -> true
-      | Some s -> Term.equal (Subst.resolve s t1) (Subst.resolve s t2))
+      | Some _ -> (
+          match Unify.unify Subst.empty t1 t2 with
+          | None -> false
+          | Some s -> Term.equal (Subst.resolve s t1) (Subst.resolve s t2)))
 
 let prop_rename_variant =
   QCheck2.Test.make ~name:"rename produces a variant" ~count:200 gen_term

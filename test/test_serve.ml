@@ -41,7 +41,6 @@ let quick_config =
     Serve.jobs = 2;
     retries = 2;
     backoff_base = 0.01;
-    backoff_factor = 2.0;
   }
 
 let payload_for job = "result:" ^ job
