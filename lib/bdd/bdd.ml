@@ -9,7 +9,10 @@
     re-measured.
 
     Variables are non-negative integers ordered by value.  Nodes are
-    globally hash-consed, so structural equality is physical equality. *)
+    hash-consed, so structural equality is physical equality — within
+    one run: {!reset} drops the hash-cons table and the apply memo when
+    a run ends, so a BDD must not outlive the run that built it (a stale
+    node is never equal to a node built after the reset). *)
 
 type t = Leaf of bool | Node of { id : int; var : int; lo : t; hi : t }
 
@@ -19,20 +22,31 @@ let zero = Leaf false
 let one = Leaf true
 
 (* hash-cons table: (var, lo-id, hi-id) -> node; process-global, like
-   the apply memo below *)
-let table : (int * int * int, t) Hashtbl.t = Hashtbl.create 1024
+   the apply memo below, and emptied by [reset] at the end of a run.
+   [next_id] never goes back, so no node built after a reset shares an
+   id with a stale one and no memo key can alias across runs. *)
+module Key = struct
+  type t = int * int * int
+
+  let equal ((a, b, c) : t) ((a', b', c') : t) = a = a' && b = b' && c = c'
+  let hash ((a, b, c) : t) = (((a * 65599) + b) * 65599) + c
+end
+
+module Tbl = Hashtbl.Make (Key)
+
+let table : t Tbl.t = Tbl.create 1024
 let next_id = ref 2
 
 let node var lo hi =
   if id lo = id hi then lo
   else
     let key = (var, id lo, id hi) in
-    match Hashtbl.find_opt table key with
+    match Tbl.find_opt table key with
     | Some n -> n
     | None ->
         let n = Node { id = !next_id; var; lo; hi } in
         incr next_id;
-        Hashtbl.add table key n;
+        Tbl.add table key n;
         n
 
 let var v = node v zero one
@@ -42,7 +56,7 @@ let equal a b = id a = id b
 
 (* --- apply ----------------------------------------------------------------- *)
 
-let apply_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 4096
+let apply_cache : t Tbl.t = Tbl.create 4096
 
 type op = And | Or | Xor | Imp | Iff
 
@@ -73,7 +87,7 @@ let rec apply op a b =
       | Some r -> r
       | None ->
           let key = (op_code op, id a, id b) in
-          (match Hashtbl.find_opt apply_cache key with
+          (match Tbl.find_opt apply_cache key with
           | Some r -> r
           | None ->
               let split =
@@ -88,8 +102,16 @@ let rec apply op a b =
               in
               let v, alo, ahi, blo, bhi = split in
               let r = node v (apply op alo blo) (apply op ahi bhi) in
-              Hashtbl.add apply_cache key r;
+              Tbl.add apply_cache key r;
               r))
+
+(** End of a run: drop every hash-consed node and memoized [apply]
+    result, so a long-lived process (a daemon worker, the bench loop)
+    does not carry one run's nodes into the next.  BDDs built before the
+    call must not be used after it. *)
+let reset () =
+  Tbl.reset table;
+  Tbl.reset apply_cache
 
 let conj a b = apply And a b
 let disj a b = apply Or a b
@@ -109,6 +131,22 @@ let iff v set =
 
 (* --- quantification and restriction ----------------------------------------- *)
 
+(* Per-call memo on node ids: each shared subgraph is rebuilt once. *)
+let memo_rec (step : (t -> t) -> t -> t) : t -> t =
+  let memo = Hashtbl.create 64 in
+  let rec go f =
+    match f with
+    | Leaf _ -> step go f
+    | Node { id; _ } -> (
+        match Hashtbl.find_opt memo id with
+        | Some r -> r
+        | None ->
+            let r = step go f in
+            Hashtbl.add memo id r;
+            r)
+  in
+  go
+
 let rec restrict f v value =
   match f with
   | Leaf _ -> f
@@ -118,6 +156,17 @@ let rec restrict f v value =
       else node w (restrict lo v value) (restrict hi v value)
 
 let exists f v = disj (restrict f v false) (restrict f v true)
+
+(** [exists_when drop f]: quantify out every variable satisfying [drop],
+    in one memoized pass. *)
+let exists_when drop f =
+  memo_rec
+    (fun go f ->
+      match f with
+      | Leaf _ -> f
+      | Node { var = v; lo; hi; _ } ->
+          if drop v then disj (go lo) (go hi) else node v (go lo) (go hi))
+    f
 
 let rec forall_list f = function [] -> f | v :: vs -> forall_list (exists f v) vs
 
@@ -170,7 +219,7 @@ let of_rows ~nvars rows =
     zero rows
 
 (** Number of live hash-consed nodes (global). *)
-let node_count () = Hashtbl.length table
+let node_count () = Tbl.length table
 
 let rec size f =
   match f with Leaf _ -> 1 | Node { lo; hi; _ } -> 1 + size lo + size hi

@@ -79,4 +79,5 @@ let hooks ~k : Prax_tabling.Engine.hooks =
     abstract_call = (fun t -> Canon.of_term (truncate ~k t));
     abstract_answer = (fun t -> Canon.of_term (truncate ~k t));
     widen = None;
+    answer_leq = None;
   }

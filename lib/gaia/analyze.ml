@@ -92,7 +92,10 @@ let analyze_bitset (src : string) : report =
     end)
     src
 
+(* The report keeps no BDD, so the run's nodes are dropped when it ends
+   (Bdd.reset), whether it returns or raises. *)
 let analyze_bdd (src : string) : report =
+  Fun.protect ~finally:Prax_bdd.Bdd.reset @@ fun () ->
   analyze_gen
     (module struct
       type result = Bdd_backend.result

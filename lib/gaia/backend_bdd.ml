@@ -22,26 +22,33 @@ let disj a b = { n = max a.n b.n; f = Bdd.disj a.f b.f }
 let ite c t e = Bdd.disj (Bdd.conj c t) (Bdd.conj (Bdd.neg c) e)
 
 (* rebuild with variable substitution; correct for arbitrary mappings *)
-let rec rename (m : int -> int) (f : Bdd.t) : Bdd.t =
-  match f with
-  | Bdd.Leaf _ -> f
-  | Bdd.Node { var = v; lo; hi; _ } ->
-      ite (Bdd.var (m v)) (rename m hi) (rename m lo)
+let rename (m : int -> int) : Bdd.t -> Bdd.t =
+  Bdd.memo_rec (fun go f ->
+      match f with
+      | Bdd.Leaf _ -> f
+      | Bdd.Node { var = v; lo; hi; _ } -> ite (Bdd.var (m v)) (go hi) (go lo))
 
+(* Keep positions [kept] (slot j holds position [kept_j]): quantify out
+   every other position, rename each kept position to the first slot it
+   fills, and tie any further slot of the same position to that one.
+   Quantifying before renaming keeps the intermediate BDDs over the
+   kept positions only. *)
 let project a kept =
-  let k = List.length kept in
-  (* tie fresh positions above the universe to the kept ones, quantify
-     out the originals, then shift down *)
-  let tied =
+  let slot = Hashtbl.create 8 in
+  List.iteri
+    (fun j p -> if not (Hashtbl.mem slot p) then Hashtbl.add slot p j)
+    kept;
+  let quantified = Bdd.exists_when (fun v -> not (Hashtbl.mem slot v)) a.f in
+  let f = rename (Hashtbl.find slot) quantified in
+  let f, k =
     List.fold_left
-      (fun (j, f) p -> (j + 1, Bdd.conj f (Bdd.iff2 (Bdd.var (a.n + j)) (Bdd.var p))))
-      (0, a.f) kept
-    |> snd
+      (fun (f, j) p ->
+        let first = Hashtbl.find slot p in
+        if first = j then (f, j + 1)
+        else (Bdd.conj f (Bdd.iff2 (Bdd.var j) (Bdd.var first)), j + 1))
+      (f, 0) kept
   in
-  let quantified =
-    List.fold_left Bdd.exists tied (List.init a.n Fun.id)
-  in
-  { n = k; f = rename (fun v -> v - a.n) quantified }
+  { n = k; f }
 
 let extend a mapping n =
   let arr = Array.of_list mapping in

@@ -308,6 +308,12 @@ let run_goals engine goals =
       Guard.combine acc (Engine.run_status engine goal (fun _ -> ())))
     Guard.Complete goals
 
+(* A complete run's call table, made independent of discovery order
+   under answer subsumption ([Engine.settle]) before anything reads or
+   persists it. *)
+let settle engine status =
+  if not (Guard.is_partial status) then Engine.settle engine
+
 let splice { fragments = cache; table_class } ~(engine : Engine.t)
     ~(clauses : Parser.clause list) ~(goals : Term.t list) :
     Guard.status * outcome =
@@ -383,6 +389,7 @@ let splice { fragments = cache; table_class } ~(engine : Engine.t)
           let k = Queue.pop pending in
           status := Guard.combine !status (Engine.demand_status engine k)
         done;
+        settle engine !status;
         !status)
   with
   | exception e ->
@@ -452,7 +459,10 @@ let splice { fragments = cache; table_class } ~(engine : Engine.t)
 
 let run_tabled ?cache ~engine ~clauses ~goals () =
   match cache with
-  | None -> (run_goals engine goals, None)
+  | None ->
+      let status = run_goals engine goals in
+      settle engine status;
+      (status, None)
   | Some c ->
       let status, o = splice c ~engine ~clauses ~goals in
       (status, Some o)

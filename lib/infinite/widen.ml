@@ -141,6 +141,7 @@ let hooks ~chain : Prax_tabling.Engine.hooks =
       (fun c -> Canon.of_term (normalize ~chain (generalize_call ~chain c)));
     abstract_answer = (fun a -> Canon.of_term (normalize ~chain a));
     widen = Some (fun ~previous ans -> widen_answers ~chain ~previous ans);
+    answer_leq = None;
   }
 
 (* --- driver ------------------------------------------------------------- *)

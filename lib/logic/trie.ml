@@ -172,6 +172,52 @@ let find_or_add t key mk =
       t.count <- t.count + 1;
       Added (v, !fresh)
 
+(* Read-only walk recording the node path, root first. *)
+let rec walk_path path node (x : Term.t) =
+  match find_child node x with
+  | None -> None
+  | Some child -> (
+      let path = child :: path in
+      match x with
+      | Term.Struct (_, args, _) ->
+          let n = Array.length args in
+          let rec go path i =
+            if i >= n then Some path
+            else
+              match walk_path path (List.hd path) args.(i) with
+              | None -> None
+              | Some path -> go path (i + 1)
+          in
+          go path 0
+      | _ -> Some path)
+
+(* Drop [child] from [node]'s edges, keeping the other edges' order. *)
+let remove_child node child =
+  let n = node.nkids in
+  let rec find i = if node.kids.(i) == child then i else find (i + 1) in
+  let i = find 0 in
+  Array.blit node.labels (i + 1) node.labels i (n - i - 1);
+  Array.blit node.kids (i + 1) node.kids i (n - i - 1);
+  node.nkids <- n - 1
+
+let remove t key =
+  match walk_path [ t.root ] t.root key with
+  | Some (({ payload = Some _; _ } as terminal) :: _ as path) ->
+      terminal.payload <- None;
+      t.count <- t.count - 1;
+      (* prune the now-empty tail of the path, deepest node first *)
+      let rec prune freed = function
+        | ({ payload = None; nkids = 0; _ } as node) :: (parent :: _ as rest)
+          ->
+            remove_child parent node;
+            prune (freed + 1) rest
+        | _ -> freed
+      in
+      let freed = prune 0 path in
+      t.nodes <- t.nodes - freed;
+      Some freed
+  | _ -> None
+
 let iter f t =
   let rec go node =
     (match node.payload with Some (k, v) -> f k v | None -> ());

@@ -41,6 +41,12 @@ val find_or_add : 'a t -> Term.t -> (unit -> 'a) -> 'a outcome
 (** [find_or_add t key mk]: single-walk lookup-or-insert.  [mk] is
     called only when the key is absent. *)
 
+val remove : 'a t -> Term.t -> int option
+(** [remove t key]: drop [key]'s value and prune the trie nodes no
+    other key uses, so the node count is again that of the remaining
+    key set.  [Some freed] gives the number of nodes pruned; [None]
+    when [key] holds no value. *)
+
 val iter : (Term.t -> 'a -> unit) -> 'a t -> unit
 (** Preorder over the trie; visiting order is insertion-history
     dependent, so callers needing a canonical order must sort (the

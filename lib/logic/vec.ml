@@ -34,8 +34,23 @@ let fold f acc v =
   done;
   !acc
 
+let exists p v =
+  let rec go i = i < v.len && (p v.data.(i) || go (i + 1)) in
+  go 0
+
 let to_list v = List.init v.len (fun i -> v.data.(i))
 
 let clear v =
   v.data <- [||];
   v.len <- 0
+
+(* The backing array and the length: slots below the length are never
+   written again ([push] writes only at the length, [retain] allocates a
+   fresh array), so a reader can walk them while the vector changes. *)
+let frozen_prefix v = (v.data, v.len)
+
+(* Keep the elements satisfying [p], in order, in a fresh backing array. *)
+let retain p v =
+  let kept = List.filter p (to_list v) in
+  v.data <- Array.of_list kept;
+  v.len <- Array.length v.data

@@ -46,9 +46,12 @@ let wrap ~config (rep : Analyze.report) : Analysis.report =
 
 (* Table-compatibility (docs/INCREMENTAL.md): supplementary folding
    changes the derived rule set, hence the table shape — the two
-   settings must not share fragments. *)
+   settings must not share fragments.  Answer subsumption keeps only
+   minimal answers, so fragments of the variant-tabled classes ("slg",
+   "slg-nosupp") hold other tables and must never be spliced here. *)
 let table_class config =
-  if Analysis.config_bool config "supplementary" then "slg" else "slg-nosupp"
+  if Analysis.config_bool config "supplementary" then "slg-sub"
+  else "slg-sub-nosupp"
 
 let run ?cache ~config ~guard src : Analysis.report =
   let supplementary = Analysis.config_bool config "supplementary" in

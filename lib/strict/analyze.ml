@@ -80,6 +80,19 @@ let demands_of_answers arity (answers : Term.t list) : Demand.t array option =
         answers;
       Some out
 
+(* Answer subsumption: every table keeps only the answers minimal under
+   the pointwise demand order, each stored as its least instance.
+   Collection takes the per-argument glb, which the minimal answers
+   already determine, and every base relation is monotone in the order
+   (test_strict checks it), so the demands are those of variant tabling
+   (docs/ANALYSES.md). *)
+let hooks =
+  {
+    Engine.concrete_hooks with
+    abstract_answer = Demand.least_instance;
+    answer_leq = Some Demand.answer_leq;
+  }
+
 (* Preprocessing: derive the sp/pm rules (with supplementary folding)
    and load them. *)
 let prepare ~mode ~supplementary ~guard p =
@@ -93,7 +106,7 @@ let prepare ~mode ~supplementary ~guard p =
   in
   let db = Database.create ~mode () in
   Database.load_clauses db rules;
-  (rules, Engine.create ~guard db)
+  (rules, Engine.create ~hooks ~guard db)
 
 (* The evaluation-phase demand: [sp_f(e,…)] and [sp_f(d,…)] for every
    function, in function order. *)
@@ -112,31 +125,32 @@ let demand_goals funcs =
 let collect_results e status funcs =
   List.map
     (fun (f, arity) ->
-      let answers_under dem =
-        (* answers across all call variants, filtered by demand *)
-        Engine.answers_for e (Transform.sp_name f, arity + 1)
-        |> List.filter (fun ans ->
-               match (Term.args_of ans).(0) with
-               | Term.Atom a ->
-                   String.equal a (String.make 1 (Demand.to_char dem))
-               | _ -> false)
+      let p = (Transform.sp_name f, arity + 1) in
+      let under dem t =
+        match (Term.args_of t).(0) with
+        | Term.Atom a -> String.equal a (String.make 1 (Demand.to_char dem))
+        | _ -> false
       in
-      if
-        Guard.is_partial status
-        && Engine.calls_for e (Transform.sp_name f, arity + 1) = []
-      then
-        (* the budget tripped before this function's sp goals even
-           created table entries: claim nothing (no demand guaranteed
-           on any argument), not "unusable under demand" *)
-        let no_claim = Some (Array.make arity Demand.N) in
-        { fname = f; arity; e_demands = no_claim; d_demands = no_claim }
-      else
-        {
-          fname = f;
-          arity;
-          e_demands = demands_of_answers arity (answers_under Demand.E);
-          d_demands = demands_of_answers arity (answers_under Demand.D);
-        })
+      let demands dem =
+        if
+          Guard.is_partial status
+          && not (List.exists (under dem) (Engine.calls_for e p))
+        then
+          (* the budget tripped before the sp goal under this demand
+             created its table entry: claim nothing (no demand
+             guaranteed on any argument), not "unusable under demand" *)
+          Some (Array.make arity Demand.N)
+        else
+          (* answers across all call variants, filtered by demand *)
+          demands_of_answers arity
+            (List.filter (under dem) (Engine.answers_for e p))
+      in
+      {
+        fname = f;
+        arity;
+        e_demands = demands Demand.E;
+        d_demands = demands Demand.D;
+      })
     funcs
 
 (** Run the analysis on a checked program.  With a fragment [cache] the

@@ -74,6 +74,13 @@ let m_answers_deduped =
     ~doc:"candidate answers suppressed by the variant check"
     "engine.answers_deduped"
 
+let m_answers_retracted =
+  Metrics.counter ~units:"answers"
+    ~doc:
+      "stored answers removed by answer subsumption (a new answer of the \
+       same call variant is below them)"
+    "engine.answers_retracted"
+
 let m_suspensions =
   Metrics.counter ~units:"consumers"
     ~doc:"consumer registrations on a table entry (suspensions)"
@@ -120,6 +127,13 @@ type hooks = {
           the entry and may extrapolate the incoming one.  With a widening
           operator whose image has finite chains this makes analyses over
           infinite domains terminate. *)
+  answer_leq : (Term.t -> Term.t -> bool) option;
+      (** answer subsumption over a partial order: [leq a b] holds when
+          answer [a] makes answer [b] of the same call variant redundant.
+          A new answer above a stored one is dropped, and stored answers
+          above a new one are removed, so every table holds the
+          antichain of its minimal answers.  Sound only when every
+          relation of the program is monotone in that order. *)
 }
 
 let concrete_hooks =
@@ -128,6 +142,7 @@ let concrete_hooks =
     abstract_call = Fun.id;
     abstract_answer = Fun.id;
     widen = None;
+    answer_leq = None;
   }
 
 type stats = {
@@ -156,7 +171,8 @@ type entry = {
           exhausted, so abort recovery must treat this entry as open
           whenever a dep is open *)
   mutable completed : bool;  (** producer exhausted clause resolution *)
-  mutable mark : bool;  (** scratch for abort-recovery closure computation *)
+  mutable mark : bool;
+      (** scratch for abort-recovery closure computation and {!settle} *)
 }
 
 type t = {
@@ -187,7 +203,15 @@ type t = {
           them as the entry's complete answer set and the producer is
           skipped (docs/INCREMENTAL.md) *)
   mutable spliced : int;  (** entries installed by the splice resolver *)
+  mutable roots : Term.t list;
+      (** top-level goals, newest first, kept under answer subsumption
+          for {!settle} *)
+  mutable walk : walk option;  (** set while {!settle} walks the tables *)
 }
+
+(* The demand walk of [settle]: entries reached but not yet walked, and
+   the demand edges of the entry being walked. *)
+and walk = { pending : entry Queue.t; mutable edges : entry Vec.t }
 
 and builtin = t -> Subst.t -> Term.t array -> (Subst.t -> unit) -> unit
 
@@ -250,6 +274,8 @@ let create ?(hooks = concrete_hooks) ?(tabled = fun _ -> true)
     run_depth = 0;
     resolver = None;
     spliced = 0;
+    roots = [];
+    walk = None;
   }
 
 let set_guard e g = e.guard <- g
@@ -287,6 +313,36 @@ let grow_space e words =
   Guard.note_space e.guard (8 * e.space_words)
 
 let table_space_bytes e : int = 8 * e.space_words
+
+(* Answer subsumption ([hooks.answer_leq]): is [ans] admitted to
+   [entry]?  It is not when a stored answer is below it (a stored
+   variant included); otherwise every stored answer above it is removed
+   from both the vector and the trie, with its space.  Consumers that
+   already received a removed answer are not retracted: anything they
+   derived from it is above what they derive from [ans]. *)
+let admit e entry ans =
+  match e.hooks.answer_leq with
+  | None -> true
+  | Some leq ->
+      if Vec.exists (fun s -> leq s ans) entry.answers then false
+      else begin
+        if Vec.exists (fun s -> leq ans s) entry.answers then
+          Vec.retain
+            (fun s ->
+              (not (leq ans s))
+              ||
+              match Trie.remove entry.answer_set s with
+              | None -> assert false (* the vector and the trie agree *)
+              | Some freed ->
+                  let words = freed + answer_overhead in
+                  entry.answer_space <- entry.answer_space - words;
+                  e.space_words <- e.space_words - words;
+                  e.stats.answers <- e.stats.answers - 1;
+                  Metrics.incr m_answers_retracted;
+                  false)
+            entry.answers;
+        true
+      end
 
 (* Find or create the table entry for an already-canonical call [key].
    Incremental splice (docs/INCREMENTAL.md): a fresh entry may be
@@ -345,6 +401,15 @@ let find_entry e key =
   (entry, is_new)
 
 (* --- core resolution --------------------------------------------------- *)
+
+exception Walk_miss
+
+(* The table key of a tabled goal under [s]: canonical, opened under
+   the open-call strategy, then abstracted. *)
+let call_key e s goal =
+  let canonical = Canon.canonical s goal in
+  e.hooks.abstract_call
+    (if e.open_calls then open_call_of canonical else canonical)
 
 let rec solve e (s : Subst.t) (goal : Term.t) (sc : Subst.t -> unit) : unit =
   Guard.check e.guard;
@@ -411,14 +476,14 @@ and solve_program e s g sc =
     (Database.matching e.db s g)
 
 and solve_tabled e s goal sc =
+  match e.walk with
+  | Some w -> walk_tabled e w s goal sc
+  | None -> solve_tabled_live e s goal sc
+
+and solve_tabled_live e s goal sc =
   e.stats.calls <- e.stats.calls + 1;
   Metrics.incr m_call_lookups;
-  let canonical = Canon.canonical s goal in
-  let key =
-    e.hooks.abstract_call
-      (if e.open_calls then open_call_of canonical else canonical)
-  in
-  let entry, is_new = find_entry e key in
+  let entry, is_new = find_entry e (call_key e s goal) in
   (* Attribute the registration to the producer on whose behalf we
      consume: new answers in [entry] can extend that producer's answer
      set even after its own clause resolution finished, so abort
@@ -466,18 +531,53 @@ and solve_tabled e s goal sc =
      once: answers arriving after registration come via the broadcast.
      [find_entry] splices before we get here, so spliced answers are
      delivered through the replay below exactly like the answers an
-     existing entry would replay. *)
-  let n0 = Vec.length entry.answers in
+     existing entry would replay.  The replay walks the snapshot's
+     array, which answer subsumption never shrinks under it. *)
+  let snapshot, n0 = Vec.frozen_prefix entry.answers in
   Metrics.incr m_suspensions;
   Vec.push entry.consumers consumer;
   if is_new && not entry.completed then producer e entry;
   for i = 0 to n0 - 1 do
-    consumer (Vec.get entry.answers i)
+    consumer snapshot.(i)
   done
+
+(* A tabled call during [settle]: the entry must exist (the walk only
+   follows minimal answers, which every consumer of a complete run has
+   received); it is marked reached, recorded as a demand edge of the
+   entry being walked, and its stored answers are delivered directly. *)
+and walk_tabled e w s goal sc =
+  match Trie.find_opt e.tables (call_key e s goal) with
+  | None -> raise Walk_miss
+  | Some q ->
+      if not q.mark then begin
+        q.mark <- true;
+        Queue.add q w.pending
+      end;
+      let n = Vec.length w.edges in
+      if n = 0 || Vec.get w.edges (n - 1) != q then Vec.push w.edges q;
+      Vec.iter
+        (fun ans ->
+          match e.hooks.unify s goal (Canon.instantiate ans) with
+          | Some s' -> sc s'
+          | None -> ())
+        q.answers
+
+(* Resolve [call] against the program clauses, each body solved into [k]. *)
+and resolve_clauses e call k =
+  let concrete = e.hooks.unify == Unify.unify in
+  List.iter
+    (fun c ->
+      let activation =
+        if concrete then Database.activate c Subst.empty call
+        else Database.activate_with ~unify:e.hooks.unify c Subst.empty call
+      in
+      match activation with
+      | Some (s', body) -> solve_goals e s' body k
+      | None -> ())
+    (Database.matching e.db Subst.empty call)
 
 and producer e entry =
   let call = Canon.instantiate entry.call in
-  let concrete = e.hooks.unify == Unify.unify in
   let on_success s' =
     (* the eager-broadcast cascade (answer -> consumer -> new answer)
        never re-enters [solve], so the guard must also be checked at the
@@ -492,38 +592,33 @@ and producer e entry =
           Metrics.incr m_widenings;
           Canon.of_term (w ~previous:(Vec.to_list entry.answers) ans)
     in
-    match Trie.find_or_add entry.answer_set ans (fun () -> ()) with
-    | Trie.Existing () ->
-        e.stats.duplicates <- e.stats.duplicates + 1;
-        Metrics.incr m_answers_deduped
-    | Trie.Added ((), fresh_nodes) ->
-        Vec.push entry.answers ans;
-        e.stats.answers <- e.stats.answers + 1;
-        Metrics.incr m_answers_inserted;
-        let words = fresh_nodes + answer_overhead in
-        entry.answer_space <- entry.answer_space + words;
-        grow_space e words;
-        (* Eager broadcast — but only to the consumers present when the
-           answer arrived: a consumer that registers during this loop has
-           already snapshotted this answer into its replay (it is in
-           [entry.answers]), so delivering it here too would duplicate
-           derivations, which diverges through recursive cycles. *)
-        let ncons = Vec.length entry.consumers in
-        for i = 0 to ncons - 1 do
-          (Vec.get entry.consumers i) ans
-        done
+    let duplicate () =
+      e.stats.duplicates <- e.stats.duplicates + 1;
+      Metrics.incr m_answers_deduped
+    in
+    if not (admit e entry ans) then duplicate ()
+    else
+      match Trie.find_or_add entry.answer_set ans (fun () -> ()) with
+      | Trie.Existing () -> duplicate ()
+      | Trie.Added ((), fresh_nodes) ->
+          Vec.push entry.answers ans;
+          e.stats.answers <- e.stats.answers + 1;
+          Metrics.incr m_answers_inserted;
+          let words = fresh_nodes + answer_overhead in
+          entry.answer_space <- entry.answer_space + words;
+          grow_space e words;
+          (* Eager broadcast — but only to the consumers present when the
+             answer arrived: a consumer that registers during this loop has
+             already snapshotted this answer into its replay (it is in
+             [entry.answers]), so delivering it here too would duplicate
+             derivations, which diverges through recursive cycles. *)
+          let ncons = Vec.length entry.consumers in
+          for i = 0 to ncons - 1 do
+            (Vec.get entry.consumers i) ans
+          done
   in
   e.producing <- entry :: e.producing;
-  List.iter
-    (fun c ->
-      let activation =
-        if concrete then Database.activate c Subst.empty call
-        else Database.activate_with ~unify:e.hooks.unify c Subst.empty call
-      in
-      match activation with
-      | Some (s', body) -> solve_goals e s' body on_success
-      | None -> ())
-    (Database.matching e.db Subst.empty call);
+  resolve_clauses e call on_success;
   (* All program clauses for this call variant are exhausted.  With eager
      broadcast there is no separate completion phase; this is the closest
      event to an SCC completion. *)
@@ -577,30 +672,29 @@ let force_complete_tables e =
         incr widened;
         e.stats.forced <- e.stats.forced + 1;
         Metrics.incr m_forced_completions;
-        match Trie.find_or_add entry.answer_set entry.call (fun () -> ()) with
-        | Trie.Existing () -> ()
-        | Trie.Added ((), fresh_nodes) ->
-            Vec.push entry.answers entry.call;
-            e.stats.answers <- e.stats.answers + 1;
-            (* account the widened answer directly: consulting the guard
-               here would re-trip a sticky table-space budget from inside
-               the recovery path *)
-            let words = fresh_nodes + answer_overhead in
-            entry.answer_space <- entry.answer_space + words;
-            e.space_words <- e.space_words + words
+        if admit e entry entry.call then
+          match Trie.find_or_add entry.answer_set entry.call (fun () -> ()) with
+          | Trie.Existing () -> ()
+          | Trie.Added ((), fresh_nodes) ->
+              Vec.push entry.answers entry.call;
+              e.stats.answers <- e.stats.answers + 1;
+              (* account the widened answer directly: consulting the
+                 guard here would re-trip a sticky table-space budget
+                 from inside the recovery path *)
+              let words = fresh_nodes + answer_overhead in
+              entry.answer_space <- entry.answer_space + words;
+              e.space_words <- e.space_words + words
       end;
       scrub_entry entry)
     e.tables;
   e.producing <- [];
   !widened
 
-(* A non-guard exception (crashing user builtin, [Not_definite], …):
-   there is no partial result to report, so restore the invariants by
-   discarding every entry whose answer set may be incomplete — a reused
-   engine then re-produces those calls from scratch instead of replaying
-   silently truncated tables. *)
-let recover_after_error e =
-  closed_set e;
+(* Keep only the marked entries.  The call trie is rebuilt from the
+   survivors and the space estimate recomputed from the fresh-node counts
+   (each entry's answer trie is untouched, so its accounted words carry
+   over exactly). *)
+let retain_marked e =
   let survivors =
     Trie.fold
       (fun key entry acc ->
@@ -612,17 +706,10 @@ let recover_after_error e =
         end)
       e.tables []
   in
-  (* Rebuild the call trie from the surviving entries: dropping a key
-     from a discrimination tree cannot reclaim the prefix nodes it
-     shares, so this cold path re-inserts the survivors into a fresh
-     trie and recomputes the space estimate from the fresh-node counts
-     (each entry's answer trie is untouched, so its accounted words
-     carry over exactly). *)
   let tables = Trie.create () in
   e.space_words <- 0;
   List.iter
     (fun (key, entry) ->
-      scrub_entry entry;
       match Trie.find_or_add tables key (fun () -> entry) with
       | Trie.Existing _ -> assert false (* keys were distinct in the old trie *)
       | Trie.Added (_, fresh_nodes) ->
@@ -630,6 +717,16 @@ let recover_after_error e =
             e.space_words + fresh_nodes + entry_overhead + entry.answer_space)
     survivors;
   e.tables <- tables;
+  survivors
+
+(* A non-guard exception (crashing user builtin, [Not_definite], …):
+   there is no partial result to report, so restore the invariants by
+   discarding every entry whose answer set may be incomplete — a reused
+   engine then re-produces those calls from scratch instead of replaying
+   silently truncated tables. *)
+let recover_after_error e =
+  closed_set e;
+  List.iter (fun (_, entry) -> scrub_entry entry) (retain_marked e);
   e.producing <- []
 
 (* Table invariants, checked by the fault-injection tests: every entry's
@@ -668,6 +765,7 @@ let run_status e (goal : Term.t) (k : Subst.t -> unit) : Guard.status =
   end
   else begin
     e.run_depth <- 1;
+    if Option.is_some e.hooks.answer_leq then e.roots <- goal :: e.roots;
     match solve e Subst.empty goal k with
     | () ->
         e.run_depth <- 0;
@@ -768,6 +866,57 @@ let calls_for e (name, arity) : Term.t list =
          | Some (n, a) -> String.equal n name && a = arity
          | None -> false)
 
+(** Canonical call table under answer subsumption.  A consumer may
+    resume on an answer that a smaller one later removes, and the calls
+    it made from it stay in the table, so which variants a run created
+    depends on discovery order.  [settle] walks the tables from the root
+    goals, resolving each reached entry's clauses again against the
+    answers the tables hold, and keeps exactly the variants that walk
+    demands, with the demand edges it found: a function of the answer
+    antichains alone, so dumps, exports and space estimates do not
+    depend on goal or clause order.  Call it after the last goal of a
+    complete run; without an answer order it does nothing. *)
+let settle e =
+  if Option.is_some e.hooks.answer_leq then begin
+    Trie.iter (fun _ entry -> entry.mark <- false) e.tables;
+    let w = { pending = Queue.create (); edges = Vec.create () } in
+    let walked = ref [] in
+    let guard = e.guard in
+    e.guard <- Guard.unlimited;
+    e.walk <- Some w;
+    let reached =
+      Fun.protect
+        ~finally:(fun () ->
+          e.walk <- None;
+          e.guard <- guard)
+        (fun () ->
+          match
+            List.iter
+              (fun goal -> solve e Subst.empty goal (fun _ -> ()))
+              (List.rev e.roots);
+            while not (Queue.is_empty w.pending) do
+              let p = Queue.pop w.pending in
+              w.edges <- Vec.create ();
+              resolve_clauses e (Canon.instantiate p.call) (fun _ -> ());
+              walked := (p, Vec.to_list w.edges) :: !walked
+            done
+          with
+          | () -> true
+          | exception Walk_miss -> false)
+    in
+    (* a miss means the run was not complete: keep its tables *)
+    if reached then begin
+      List.iter
+        (fun (p, edges) ->
+          Vec.clear p.deps;
+          List.iter (fun q -> if q != p then Vec.push p.deps q) edges)
+        !walked;
+      if not (Trie.fold (fun _ entry all -> all && entry.mark) e.tables true)
+      then ignore (retain_marked e)
+    end;
+    Trie.iter (fun _ entry -> entry.mark <- false) e.tables
+  end
+
 (* --- outcome serialization (docs/ROBUSTNESS.md) -------------------------- *)
 
 (** Canonical textual dump of the call/answer tables: one line per call
@@ -835,6 +984,7 @@ let reset_tables e =
   e.producing <- [];
   e.run_depth <- 0;
   e.spliced <- 0;
+  e.roots <- [];
   e.stats.calls <- 0;
   e.stats.table_entries <- 0;
   e.stats.answers <- 0;

@@ -30,6 +30,15 @@ type hooks = {
   widen : (previous:Term.t list -> Term.t -> Term.t) option;
       (** on-the-fly widening: sees the answers already in the entry and
           may extrapolate the incoming one *)
+  answer_leq : (Term.t -> Term.t -> bool) option;
+      (** answer subsumption: [leq a b] when answer [a] makes answer [b]
+          of the same call variant redundant.  A new answer above a
+          stored one is dropped (counted as a duplicate); stored answers
+          above a new one are removed ([engine.answers_retracted]), so a
+          complete table holds the antichain of its minimal answers.
+          Sound only for a program whose relations are all monotone in
+          the order.  [None] (every analysis but strictness) is variant
+          tabling. *)
 }
 
 val concrete_hooks : hooks
@@ -51,6 +60,9 @@ val concrete_hooks : hooks
     - [engine.answers_inserted] / [engine.answers_deduped] — genuinely
       new answers recorded vs. variants suppressed; inserted + deduped =
       offered;
+    - [engine.answers_retracted] — stored answers removed by answer
+      subsumption ({!hooks.answer_leq}); inserted − retracted is the
+      number of answers held, summed over engines;
     - [engine.consumer_suspensions] — consumer registrations on a table
       entry (one per tabled call occurrence);
     - [engine.consumer_resumptions] — answer deliveries to consumers,
@@ -69,7 +81,7 @@ val concrete_hooks : hooks
 type stats = {
   mutable calls : int;  (** tabled call occurrences *)
   mutable table_entries : int;  (** distinct call variants *)
-  mutable answers : int;  (** distinct answers recorded *)
+  mutable answers : int;  (** distinct answers held in the tables *)
   mutable duplicates : int;  (** answers filtered by variant check *)
   mutable resumptions : int;  (** consumer deliveries *)
   mutable forced : int;  (** entries force-completed after an abort *)
@@ -180,6 +192,17 @@ val demand_status : t -> Term.t -> Guard.status
     continuation ignored every answer; the incremental replay
     (docs/INCREMENTAL.md) uses this to reconstruct the demanded variant
     set without paying per-answer instantiation. *)
+
+val settle : t -> unit
+(** Canonical call table under answer subsumption ({!hooks.answer_leq}).
+    A consumer may resume on an answer that a smaller one later removes,
+    so the call variants a run created depend on discovery order.
+    [settle] walks the tables from the top-level goals of {!run_status},
+    following only the answers the tables hold, and keeps exactly the
+    variants it reaches, with the demand edges it found.  Dumps, exports
+    and space estimates are then a function of the answer antichains.
+    Call it after the last goal of a complete run; it does nothing
+    without an answer order. *)
 
 val query : t -> Term.t -> Term.t list
 (** Distinct canonical solutions, in discovery order. *)

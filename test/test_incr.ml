@@ -320,9 +320,10 @@ let fingerprint (r : Analysis.report) =
    no fragments, so every incremental run of a partial pair repeats the
    scratch run's work, and the full fingerprint (status included) must
    still match.  [roomy] clears every case that completes with margin
-   (the largest, strictness pcprove and its edits, take 3.0M steps and
-   12.8 MB of tables). *)
-let roomy = (4_000_000, 32 * 1024 * 1024)
+   (strictness pcprove took 3.0M steps and 12.8 MB of tables under
+   variant tabling; with answer subsumption it takes about 5k steps). *)
+let roomy_bytes = 32 * 1024 * 1024
+let roomy = (4_000_000, roomy_bytes)
 
 let oracle ?(seeds = [ 1; 2; 3 ]) ?(budget = roomy) ?(expect = "complete")
     ~label ~config ~mut name src =
@@ -394,9 +395,9 @@ let test_oracle_strictness () =
 (* supplementary folding changes the derived rules, hence the fragments:
    the nosupp class must be exact too (and must not share the cache
    entries — its table_class differs, checked below).  Without folding,
-   mergesort's evaluation runs away (gigabytes within seconds), so this
-   is the partial-vs-partial pair: a budget a tenth of [roomy] trips it
-   within a fraction of a second per run. *)
+   mergesort completes in about 750 derivation steps, so a 400-step
+   budget makes the partial-vs-partial pair and [roomy] the complete
+   one. *)
 let test_oracle_strictness_nosupp () =
   let src =
     (match Registry.find_fp "mergesort" with
@@ -404,11 +405,11 @@ let test_oracle_strictness_nosupp () =
     | None -> Alcotest.fail "no fp benchmark mergesort")
       .Registry.source
   in
-  oracle ~label:"strictness/nosupp mergesort"
-    ~budget:(250_000, 32 * 1024 * 1024)
-    ~expect:"partial"
-    ~config:[ ("supplementary", "false") ]
-    ~mut:Mutate.mutate_eq "strictness" src
+  let config = [ ("supplementary", "false") ] in
+  oracle ~label:"strictness/nosupp mergesort partial" ~budget:(400, roomy_bytes)
+    ~expect:"partial" ~config ~mut:Mutate.mutate_eq "strictness" src;
+  oracle ~label:"strictness/nosupp mergesort" ~config ~mut:Mutate.mutate_eq
+    "strictness" src
 
 (* A run without a cache is the scratch run, and pays nothing for the
    incremental machinery: no dependency graph (no incr.plan time), no
@@ -456,6 +457,13 @@ let test_table_classes () =
   check_b "supplementary setting splits the strictness class" true
     (tc "strictness" [ ("supplementary", "true") ]
     <> tc "strictness" [ ("supplementary", "false") ]);
+  (* answer subsumption changed what a strictness table holds: the
+     variant-tabled classes "slg"/"slg-nosupp" must never be spliced *)
+  check_s "strictness class under answer subsumption" "slg-sub"
+    (tc "strictness" [ ("supplementary", "true") ]);
+  check_s "nosupp strictness class under answer subsumption"
+    "slg-sub-nosupp"
+    (tc "strictness" [ ("supplementary", "false") ]);
   check_b "analyses without incremental support say so" true
     (Analysis.table_class (analysis "gaia") () = None);
   (* the class prefixes the closure digest, so equal digests in

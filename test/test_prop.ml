@@ -139,6 +139,23 @@ let test_bdd_exists () =
   Alcotest.(check bool) "exists y (x&y) = x" true
     (Bdd.equal (Bdd.exists f 1) (Bdd.var 0))
 
+(* BDD state lives for one run: a gaia run leaves no node behind, and
+   ids keep growing across a reset, so a stale node can never share an
+   id (hence a memo key) with a new one. *)
+let test_bdd_run_scoped () =
+  let before = Bdd.id (Bdd.conj (Bdd.var 40) (Bdd.var 41)) in
+  let src =
+    (Option.get (Prax_benchdata.Registry.find_logic "qsort"))
+      .Prax_benchdata.Registry.source
+  in
+  ignore (Prax_gaia.Analyze.analyze_bdd src);
+  Alcotest.(check int) "no node outlives the gaia run" 0 (Bdd.node_count ());
+  let after = Bdd.id (Bdd.conj (Bdd.var 40) (Bdd.var 41)) in
+  Alcotest.(check bool) "ids stay monotone across the reset" true
+    (after > before);
+  Bdd.reset ();
+  Alcotest.(check int) "reset empties the table" 0 (Bdd.node_count ())
+
 (* random cross-check Bf vs Bdd through all shared operations *)
 let gen_bf =
   QCheck2.Gen.(list_size (int_range 0 10) (int_range 0 15))
@@ -255,6 +272,7 @@ let () =
           Alcotest.test_case "iff" `Quick test_bdd_iff;
           Alcotest.test_case "definite" `Quick test_bdd_definite;
           Alcotest.test_case "exists" `Quick test_bdd_exists;
+          Alcotest.test_case "run-scoped state" `Quick test_bdd_run_scoped;
         ] );
       ( "iff builtin",
         [

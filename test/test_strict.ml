@@ -166,6 +166,251 @@ let test_corpus_known_results () =
      it is guaranteed across equations; the list is always forced *)
   Alcotest.(check string) "smaller under e" "ne" (dstr eq)
 
+(* --- answer subsumption ------------------------------------------------ *)
+
+module Term = Prax_logic.Term
+module Engine = Prax_tabling.Engine
+module Guard = Prax_guard.Guard
+module Registry = Prax_benchdata.Registry
+
+let fp_program name =
+  match Registry.find_fp name with
+  | Some b -> Check.parse_and_check b.Registry.source
+  | None -> Alcotest.failf "no fp benchmark %s" name
+
+let corpus_names =
+  List.map (fun (b : Registry.fp_bench) -> b.Registry.name)
+    Registry.fp_benchmarks
+
+(* Proof obligation of answer subsumption: every base relation is
+   monotone from its inputs to its outputs.  For each tuple (i, o) and
+   each input i' <= i there is a tuple (i', o') with o' <= o, so lowering
+   an answer never loses a derivation, only lowers what it derives.
+   Demand flows top-down through spc/sp_if/spstrict (input: the demand
+   on the expression) and bottom-up through pm (inputs: the component
+   demands) and dlub (inputs: the two joined demands). *)
+let input_positions name arity =
+  match name with
+  | "dlub" -> [ 0; 1 ]
+  | "sp_if" | "spstrict1" | "spstrict2" -> [ 0 ]
+  | _ when String.starts_with ~prefix:"spc_" name -> [ 0 ]
+  | _ when String.starts_with ~prefix:"pm_" name -> List.init (arity - 1) succ
+  | _ -> Alcotest.failf "unexpected base relation %s/%d" name arity
+
+(* a fact's ground instances over {n,d,e}, as demand ranks *)
+let ground_instances (head : Term.t) : int array list =
+  let vars = List.sort_uniq compare (Term.vars head) in
+  let rec assignments = function
+    | [] -> [ [] ]
+    | v :: rest ->
+        List.concat_map
+          (fun tl -> List.map (fun d -> (v, d) :: tl) Demand.all)
+          (assignments rest)
+  in
+  List.map
+    (fun asg ->
+      let t = Term.map_vars (fun v -> Demand.to_atom (List.assoc v asg)) head in
+      Array.map
+        (fun a ->
+          match Demand.of_term a with
+          | Some d -> Demand.rank d
+          | None -> Alcotest.failf "non-demand position in a base fact")
+        (Term.args_of t))
+    (assignments vars)
+
+(* every tuple over {0,1,2} pointwise <= [bound] on [positions] *)
+let rec lowerings bound positions (t : int array) =
+  match positions with
+  | [] -> [ Array.copy t ]
+  | p :: rest ->
+      List.concat_map
+        (fun r ->
+          let t' = Array.copy t in
+          t'.(p) <- r;
+          lowerings bound rest t')
+        (List.init (bound.(p) + 1) Fun.id)
+
+let monotone ~inputs (rel : int array list) =
+  List.for_all
+    (fun t ->
+      let outputs =
+        List.filter (fun i -> not (List.mem i inputs))
+          (List.init (Array.length t) Fun.id)
+      in
+      List.for_all
+        (fun lowered ->
+          List.exists
+            (fun t' ->
+              List.for_all (fun i -> t'.(i) = lowered.(i)) inputs
+              && List.for_all (fun i -> t'.(i) <= t.(i)) outputs)
+            rel)
+        (lowerings t inputs t))
+    rel
+
+let base_relations constructors =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (c : Prax_logic.Parser.clause) ->
+      match Term.functor_of c.Prax_logic.Parser.head with
+      | Some key ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
+          Hashtbl.replace tbl key
+            (ground_instances c.Prax_logic.Parser.head @ prev)
+      | None -> Alcotest.fail "atomless base fact")
+    (Transform.base_facts constructors);
+  Hashtbl.fold (fun key rel acc -> (key, rel) :: acc) tbl []
+
+let test_base_relations_monotone () =
+  (* the checker itself rejects a relation that raises its output when
+     its input drops: (e -> n) but (d -> e) *)
+  Alcotest.(check bool) "checker rejects a non-monotone relation" false
+    (monotone ~inputs:[ 0 ] [ [| 2; 0 |]; [| 1; 2 |] ]);
+  let checked = Hashtbl.create 64 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun ((rel_name, arity), rel) ->
+          Hashtbl.replace checked rel_name ();
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s/%d monotone" name rel_name arity)
+            true
+            (monotone ~inputs:(input_positions rel_name arity) rel))
+        (base_relations (Ast.constructors (fp_program name))))
+    corpus_names;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r ^ " was checked") true (Hashtbl.mem checked r))
+    [ "dlub"; "sp_if"; "spstrict1"; "spstrict2"; "spc_cons"; "pm_cons" ]
+
+(* The oracle: the engine built straight from the derived rules, with
+   the strictness answer order ([Analyze.hooks]) or plain variant tabling
+   ([Engine.concrete_hooks]), under a deterministic guard.  Variant
+   tabling of pcprove takes 3.0M steps and 12.8 MB of tables. *)
+let oracle_budget = (4_000_000, 32 * 1024 * 1024)
+
+let evaluate ?(reverse = false) ?(budget = oracle_budget) ~hooks
+    ~supplementary prog =
+  let rules = Transform.program prog in
+  let rules =
+    if supplementary then
+      Prax_tabling.Supplement.fold_program ~threshold:2 rules
+    else rules
+  in
+  let db = Prax_logic.Database.create () in
+  Prax_logic.Database.load_clauses db rules;
+  let max_steps, max_table_bytes = budget in
+  let guard = Guard.create ~max_steps ~max_table_bytes () in
+  let e = Engine.create ~hooks ~guard db in
+  let funcs = Ast.functions prog in
+  let goals = Analyze.demand_goals funcs in
+  let status =
+    List.fold_left
+      (fun acc g -> Guard.combine acc (Engine.run_status e g (fun _ -> ())))
+      Guard.Complete
+      (if reverse then List.rev goals else goals)
+  in
+  if not (Guard.is_partial status) then Engine.settle e;
+  (e, status, Analyze.collect_results e status funcs)
+
+let demand_text results =
+  String.concat "\n" (List.map Analyze.result_to_string results)
+
+let complete label status =
+  Alcotest.(check bool) (label ^ " completes under the budget") false
+    (Guard.is_partial status)
+
+let check_same_demands ~supplementary name =
+  let prog = fp_program name in
+  let label = Printf.sprintf "%s (supplementary=%b)" name supplementary in
+  let _, st_var, variant =
+    evaluate ~hooks:Engine.concrete_hooks ~supplementary prog
+  in
+  let _, st_sub, subsumed = evaluate ~hooks:Analyze.hooks ~supplementary prog in
+  complete (label ^ " variant") st_var;
+  complete (label ^ " subsumption") st_sub;
+  Alcotest.(check string)
+    (label ^ ": demands with subsumption == variant tabling")
+    (demand_text variant) (demand_text subsumed)
+
+let test_subsumption_same_demands () =
+  List.iter (check_same_demands ~supplementary:true) corpus_names;
+  (* without folding the variant side of the other programs runs for
+     seconds to minutes (mergesort 37 s) *)
+  List.iter
+    (check_same_demands ~supplementary:false)
+    [ "eu"; "listcompr"; "quicksort" ]
+
+(* The tables are the antichains of minimal answers, whatever the
+   discovery order: running the demand goals backwards dumps the same
+   bytes. *)
+let test_subsumption_canonical_tables () =
+  List.iter
+    (fun supplementary ->
+      List.iter
+        (fun name ->
+          let prog = fp_program name in
+          let e_fwd, st_fwd, _ =
+            evaluate ~hooks:Analyze.hooks ~supplementary prog
+          in
+          let e_rev, st_rev, _ =
+            evaluate ~reverse:true ~hooks:Analyze.hooks ~supplementary prog
+          in
+          let label =
+            Printf.sprintf "%s (supplementary=%b)" name supplementary
+          in
+          complete label st_fwd;
+          complete (label ^ " reversed") st_rev;
+          Alcotest.(check bool) (label ^ ": tables consistent") true
+            (Engine.tables_consistent e_fwd);
+          Alcotest.(check string)
+            (label ^ ": dump_tables independent of goal order")
+            (Engine.dump_tables e_fwd) (Engine.dump_tables e_rev))
+        corpus_names)
+    [ true; false ]
+
+(* A budget partial claims no more than the complete run: every partial
+   demand is <= the complete one, and a function the complete run finds
+   unusable under a demand may read anything. *)
+let demands_leq partial complete =
+  match (partial, complete) with
+  | _, None -> true
+  | None, Some _ -> false
+  | Some p, Some c ->
+      Array.for_all2 (fun a b -> Demand.rank a <= Demand.rank b) p c
+
+let test_subsumption_partial_below_complete () =
+  List.iter
+    (fun name ->
+      let prog = fp_program name in
+      let _, st, full =
+        evaluate ~hooks:Analyze.hooks ~supplementary:true prog
+      in
+      complete name st;
+      List.iter
+        (fun steps ->
+          let e, st, partial =
+            evaluate ~budget:(steps, 32 * 1024 * 1024) ~hooks:Analyze.hooks
+              ~supplementary:true prog
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d steps: tables consistent" name steps)
+            true
+            (Engine.tables_consistent ~after_abort:(Guard.is_partial st) e);
+          List.iter2
+            (fun (p : Analyze.func_result) (c : Analyze.func_result) ->
+              let ok =
+                demands_leq p.Analyze.e_demands c.Analyze.e_demands
+                && demands_leq p.Analyze.d_demands c.Analyze.d_demands
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s at %d steps: %s below %s" name steps
+                   (Analyze.result_to_string p)
+                   (Analyze.result_to_string c))
+                true ok)
+            partial full)
+        [ 50; 300; 1000; 3000 ])
+    corpus_names
+
 (* --- soundness against the interpreter ------------------------------------ *)
 
 (* For strict arguments, forcing before the call must preserve results on
@@ -250,6 +495,17 @@ let () =
         ] );
       ( "corpus",
         [ Alcotest.test_case "known results" `Quick test_corpus_known_results ] );
+      ( "answer subsumption",
+        [
+          Alcotest.test_case "base relations monotone" `Quick
+            test_base_relations_monotone;
+          Alcotest.test_case "same demands as variant tabling" `Slow
+            test_subsumption_same_demands;
+          Alcotest.test_case "tables independent of goal order" `Quick
+            test_subsumption_canonical_tables;
+          Alcotest.test_case "partial below complete" `Quick
+            test_subsumption_partial_below_complete;
+        ] );
       ( "soundness",
         Alcotest.test_case "forcing strict args" `Quick test_soundness_forcing
         :: qsuite );
