@@ -313,16 +313,10 @@ let groundness_cmd =
       $ incr_store_arg)
 
 let strictness_cmd =
-  let run input bench timings no_supp stats timeout max_steps max_bytes
-      incremental store =
-    run_single ~name:"strictness"
-      ~config:(if no_supp then [ ("supplementary", "false") ] else [])
-      ~input ~bench ~timings ~stats ~timeout ~max_steps ~max_bytes
-      ~incremental ~store
-  in
-  let no_supp =
-    Arg.(value & flag & info [ "no-supplementary" ]
-           ~doc:"Disable supplementary tabling (Section 4.2). May be very slow.")
+  let run input bench timings stats timeout max_steps max_bytes incremental
+      store =
+    run_single ~name:"strictness" ~config:[] ~input ~bench ~timings ~stats
+      ~timeout ~max_steps ~max_bytes ~incremental ~store
   in
   Cmd.v
     (Cmd.info "strictness"
@@ -330,7 +324,7 @@ let strictness_cmd =
          "Demand-propagation strictness analysis of a lazy functional \
           program (Figure 3)")
     Term.(
-      const run $ input_pos $ bench_flag $ timings_flag $ no_supp $ stats_arg
+      const run $ input_pos $ bench_flag $ timings_flag $ stats_arg
       $ timeout_arg $ max_steps_arg $ max_table_bytes_arg $ incremental_flag
       $ incr_store_arg)
 

@@ -140,7 +140,12 @@ module Strictness = struct
   module Transform = Prax_strict.Transform
   module Analyze = Prax_strict.Analyze
 
-  let analyze = Prax_strict.Analyze.analyze
+  (** Analyze a functional program's strictness; [supplementary]
+      defaults to the registry setting (docs/ANALYSES.md). *)
+  let analyze ?cache ?mode
+      ?(supplementary = Prax_strict.Analysis_def.default_supplementary) ?guard
+      src =
+    Prax_strict.Analyze.analyze ?cache ?mode ~supplementary ?guard src
 end
 
 module Depthk = struct

@@ -218,16 +218,32 @@ let remove t key =
       Some freed
   | _ -> None
 
-let iter f t =
-  let rec go node =
-    (match node.payload with Some (k, v) -> f k v | None -> ());
-    for i = 0 to node.nkids - 1 do
-      go node.kids.(i)
-    done
-  in
-  go t.root
+let rec iter_node f node =
+  (match node.payload with Some (k, v) -> f k v | None -> ());
+  for i = 0 to node.nkids - 1 do
+    iter_node f node.kids.(i)
+  done
+
+let iter f t = iter_node f t.root
 
 let fold f t acc =
   let acc = ref acc in
   iter (fun k v -> acc := f k v !acc) t;
+  !acc
+
+(* A key's first label is its root functor, so the keys of [name/arity]
+   all lie under the root edges labelled with it: [Lfun (name, arity)],
+   or [Latom name] for a nullary key. *)
+let fold_functor (name, arity) f t acc =
+  let acc = ref acc in
+  let root = t.root in
+  for i = 0 to root.nkids - 1 do
+    let matches =
+      match root.labels.(i) with
+      | Lfun (g, n) -> n = arity && String.equal g name
+      | Latom a -> arity = 0 && String.equal a name
+      | Lvar _ | Lint _ -> false
+    in
+    if matches then iter_node (fun k v -> acc := f k v !acc) root.kids.(i)
+  done;
   !acc

@@ -54,4 +54,11 @@ val iter : (Term.t -> 'a -> unit) -> 'a t -> unit
 
 val fold : (Term.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
+val fold_functor :
+  string * int -> (Term.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** [fold_functor (name, arity) f t acc] folds over the keys whose root
+    functor is [name/arity] (an atom when [arity = 0]), in {!iter}
+    order.  It descends only the root edge of that functor, so its cost
+    is that predicate's share of the trie, not the whole trie. *)
+
 val clear : 'a t -> unit

@@ -93,14 +93,16 @@ let hooks =
     answer_leq = Some Demand.answer_leq;
   }
 
-(* Preprocessing: derive the sp/pm rules (with supplementary folding)
-   and load them. *)
+(* Preprocessing: derive the sp/pm rules (optionally with
+   supplementary folding) and load them. *)
 let prepare ~mode ~supplementary ~guard p =
   let rules = Transform.program p in
   let rules =
-    (* supplementary tabling (Section 4.2): indispensable for the
-       long bodies deep expression nesting produces — see the
-       ablation bench *)
+    (* supplementary tabling (Section 4.2) folds long bodies into
+       tabled chains.  Under variant tabling it was indispensable
+       (mergesort took 40 s without it); with answer subsumption the
+       chains only add entries and resumptions, so the registry default
+       is off and [bench ablation_supp] keeps the comparison. *)
     if supplementary then Supplement.fold_program ~threshold:2 rules
     else rules
   in
@@ -131,6 +133,8 @@ let collect_results e status funcs =
         | Term.Atom a -> String.equal a (String.make 1 (Demand.to_char dem))
         | _ -> false
       in
+      (* answers across all call variants, filtered by demand below *)
+      let answers = Engine.answers_for e p in
       let demands dem =
         if
           Guard.is_partial status
@@ -140,10 +144,7 @@ let collect_results e status funcs =
              created its table entry: claim nothing (no demand
              guaranteed on any argument), not "unusable under demand" *)
           Some (Array.make arity Demand.N)
-        else
-          (* answers across all call variants, filtered by demand *)
-          demands_of_answers arity
-            (List.filter (under dem) (Engine.answers_for e p))
+        else demands_of_answers arity (List.filter (under dem) answers)
       in
       {
         fname = f;
@@ -157,8 +158,9 @@ let collect_results e status funcs =
     evaluation is edit-aware over the derived sp/pm rules — unchanged
     cones splice their tables back instead of recomputing
     (docs/INCREMENTAL.md) — and the report is byte-identical to a run
-    without one. *)
-let analyze_program ?cache ?(mode = Database.Dynamic) ?(supplementary = true)
+    without one.  [supplementary] has no default here: the registry
+    entry ({!Analysis_def}) holds the only one. *)
+let analyze_program ?cache ?(mode = Database.Dynamic) ~supplementary
     ?(guard = Guard.unlimited) ~source_lines (p : Ast.program) : report =
   let funcs = Ast.functions p in
   let phases, (rules, e), (status, _), results =
@@ -181,13 +183,13 @@ let analyze_program ?cache ?(mode = Database.Dynamic) ?(supplementary = true)
   }
 
 (** Full pipeline from source text. *)
-let analyze ?cache ?(mode = Database.Dynamic) ?supplementary ?guard
+let analyze ?cache ?(mode = Database.Dynamic) ~supplementary ?guard
     (src : string) : report =
   let t0 = now () in
   let prog = Metrics.time t_preprocess (fun () -> Check.parse_and_check src) in
   let t_parse = now () -. t0 in
   let r =
-    analyze_program ?cache ~mode ?supplementary ?guard
+    analyze_program ?cache ~mode ~supplementary ?guard
       ~source_lines:(Check.line_count src) prog
   in
   { r with phases = Analysis.add_preproc r.phases t_parse }

@@ -848,23 +848,18 @@ let calls e : Term.t list =
   Trie.fold (fun _ entry acc -> entry.call :: acc) e.tables []
   |> List.sort Term.compare
 
-(** Recorded answers of every call variant of predicate [p]. *)
-let answers_for e (name, arity) : Term.t list =
-  Trie.fold
-    (fun _ entry acc ->
-      match Term.functor_of entry.call with
-      | Some (n, a) when String.equal n name && a = arity ->
-          Vec.fold (fun acc t -> t :: acc) acc entry.answers
-      | _ -> acc)
+(* Per-predicate reads descend only [p]'s root edge of the call trie, so
+   collecting every predicate costs one pass over the table, not one
+   pass per predicate. *)
+let answers_for e p : Term.t list =
+  Trie.fold_functor p
+    (fun _ entry acc -> Vec.fold (fun acc t -> t :: acc) acc entry.answers)
     e.tables []
   |> List.sort Term.compare
 
-let calls_for e (name, arity) : Term.t list =
-  calls e
-  |> List.filter (fun c ->
-         match Term.functor_of c with
-         | Some (n, a) -> String.equal n name && a = arity
-         | None -> false)
+let calls_for e p : Term.t list =
+  Trie.fold_functor p (fun _ entry acc -> entry.call :: acc) e.tables []
+  |> List.sort Term.compare
 
 (** Canonical call table under answer subsumption.  A consumer may
     resume on an answer that a smaller one later removes, and the calls

@@ -216,7 +216,12 @@ val calls : t -> Term.t list
     free" observation. *)
 
 val calls_for : t -> string * int -> Term.t list
+(** The call variants of one predicate, sorted.  Reads only that
+    predicate's subtrie of the call table ({!Prax_logic.Trie.fold_functor}). *)
+
 val answers_for : t -> string * int -> Term.t list
+(** The answers of every call variant of one predicate, sorted; same
+    per-predicate read as {!calls_for}. *)
 
 val table_space_bytes : t -> int
 (** Table-space estimate, the Table 1/3/4 metric: one word per trie

@@ -102,7 +102,11 @@ let test_all_engines_run_corpus () =
 let test_strictness_runs_corpus () =
   List.iter
     (fun (b : Registry.fp_bench) ->
-      let r = Prax_strict.Analyze.analyze b.Registry.source in
+      let r =
+        Prax_strict.Analyze.analyze
+          ~supplementary:Prax_strict.Analysis_def.default_supplementary
+          b.Registry.source
+      in
       Alcotest.(check bool) (b.Registry.name ^ " strict") true
         (r.Prax_strict.Analyze.results <> []))
     [ Option.get (Registry.find_fp "eu");

@@ -7,7 +7,8 @@
 open Prax_fp
 open Prax_strict
 
-let analyze = Analyze.analyze
+let analyze =
+  Analyze.analyze ~supplementary:Analysis_def.default_supplementary
 
 let demands rep f =
   match Analyze.result_for rep f with
@@ -121,29 +122,6 @@ let test_short_circuit_and () =
   let rep = analyze "conj(a, b) = a and b;" in
   let _, d = demands rep "conj" in
   Alcotest.(check string) "short-circuit" "en" (dstr d)
-
-(* --- supplementary tabling equivalence ----------------------------------- *)
-
-let test_supplementary_same_results () =
-  List.iter
-    (fun src ->
-      let r1 = Analyze.analyze ~supplementary:true src in
-      let r2 = Analyze.analyze ~supplementary:false src in
-      List.iter2
-        (fun a b ->
-          Alcotest.(check string)
-            (a.Analyze.fname ^ " e-demands agree")
-            (dstr a.Analyze.e_demands) (dstr b.Analyze.e_demands);
-          Alcotest.(check string)
-            (a.Analyze.fname ^ " d-demands agree")
-            (dstr a.Analyze.d_demands) (dstr b.Analyze.d_demands))
-        r1.Analyze.results r2.Analyze.results)
-    [
-      ap_src;
-      "f(c, x, y, z) = if c == 0 then x + y else x + z;";
-      "sum([]) = 0;\nsum(x:xs) = x + sum(xs);\n\
-       sq([]) = [];\nsq(x:xs) = (x*x) : sq(xs);\nmain(l) = sum(sq(l));";
-    ]
 
 (* --- corpus sanity --------------------------------------------------------- *)
 
@@ -410,6 +388,46 @@ let test_subsumption_partial_below_complete () =
             partial full)
         [ 50; 300; 1000; 3000 ])
     corpus_names
+
+(* --- supplementary tabling equivalence ----------------------------------- *)
+
+(* Both settings of [supplementary] give byte-identical reports, text and
+   JSON, through the registry entry that xanalyze and the daemon run: on a
+   few small sources and on every corpus program.  The corpus cases tie
+   the registry default to the variant-tabling oracle above. *)
+let test_supplementary_same_results () =
+  let module Analysis = Prax_analysis.Analysis in
+  let module Metrics = Prax_metrics.Metrics in
+  let run label src supplementary =
+    let max_steps, max_table_bytes = oracle_budget in
+    let rep =
+      Analysis.run Analysis_def.def
+        ~config:[ ("supplementary", string_of_bool supplementary) ]
+        ~guard:(Guard.create ~max_steps ~max_table_bytes ())
+        src
+    in
+    complete (Printf.sprintf "%s (supplementary=%b)" label supplementary)
+      rep.Analysis.status;
+    rep
+  in
+  List.iter
+    (fun (label, src) ->
+      let folded = run label src true and plain = run label src false in
+      Alcotest.(check string) (label ^ ": payload_text")
+        folded.Analysis.payload_text plain.Analysis.payload_text;
+      Alcotest.(check string) (label ^ ": payload_json")
+        (Metrics.json_to_string folded.Analysis.payload_json)
+        (Metrics.json_to_string plain.Analysis.payload_json))
+    ([
+       ("ap", ap_src);
+       ("branches", "f(c, x, y, z) = if c == 0 then x + y else x + z;");
+       ( "sum of squares",
+         "sum([]) = 0;\nsum(x:xs) = x + sum(xs);\n\
+          sq([]) = [];\nsq(x:xs) = (x*x) : sq(xs);\nmain(l) = sum(sq(l));" );
+     ]
+    @ List.map
+        (fun name -> (name, (Option.get (Registry.find_fp name)).Registry.source))
+        corpus_names)
 
 (* --- soundness against the interpreter ------------------------------------ *)
 
