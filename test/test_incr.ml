@@ -384,20 +384,25 @@ let test_oracle_stress_def () =
         ~mut:Mutate.mutate_pl "groundness" b.Registry.source)
     Registry.stress_benchmarks
 
+(* Both supplementary settings, on every corpus program: [] takes the
+   registry default (no folding, class slg-sub-nosupp), and
+   supplementary=true is the section 4.2 folding (class slg-sub), whose
+   derived rules, hence fragments, differ. *)
 let test_oracle_strictness () =
   List.iter
-    (fun (b : Registry.fp_bench) ->
-      oracle
-        ~label:("strictness " ^ b.Registry.name)
-        ~config:[] ~mut:Mutate.mutate_eq "strictness" b.Registry.source)
-    Registry.fp_benchmarks
+    (fun (label, config) ->
+      List.iter
+        (fun (b : Registry.fp_bench) ->
+          oracle
+            ~label:(label ^ " " ^ b.Registry.name)
+            ~config ~mut:Mutate.mutate_eq "strictness" b.Registry.source)
+        Registry.fp_benchmarks)
+    [ ("strictness", []); ("strictness/supp", [ ("supplementary", "true") ]) ]
 
-(* supplementary folding changes the derived rules, hence the fragments:
-   the nosupp class must be exact too (and must not share the cache
-   entries — its table_class differs, checked below).  Without folding,
+(* The partial-vs-partial pair of the default (no folding) setting; the
+   corpus oracle above covers its complete runs.  Without folding,
    mergesort completes in about 750 derivation steps, so a 400-step
-   budget makes the partial-vs-partial pair and [roomy] the complete
-   one. *)
+   budget trips both sides of the pair at the same point. *)
 let test_oracle_strictness_nosupp () =
   let src =
     (match Registry.find_fp "mergesort" with
@@ -405,11 +410,10 @@ let test_oracle_strictness_nosupp () =
     | None -> Alcotest.fail "no fp benchmark mergesort")
       .Registry.source
   in
-  let config = [ ("supplementary", "false") ] in
   oracle ~label:"strictness/nosupp mergesort partial" ~budget:(400, roomy_bytes)
-    ~expect:"partial" ~config ~mut:Mutate.mutate_eq "strictness" src;
-  oracle ~label:"strictness/nosupp mergesort" ~config ~mut:Mutate.mutate_eq
-    "strictness" src
+    ~expect:"partial"
+    ~config:[ ("supplementary", "false") ]
+    ~mut:Mutate.mutate_eq "strictness" src
 
 (* A run without a cache is the scratch run, and pays nothing for the
    incremental machinery: no dependency graph (no incr.plan time), no
@@ -464,6 +468,8 @@ let test_table_classes () =
   check_s "nosupp strictness class under answer subsumption"
     "slg-sub-nosupp"
     (tc "strictness" [ ("supplementary", "false") ]);
+  check_s "the default strictness class is the nosupp one" "slg-sub-nosupp"
+    (tc "strictness" []);
   check_b "analyses without incremental support say so" true
     (Analysis.table_class (analysis "gaia") () = None);
   (* the class prefixes the closure digest, so equal digests in
