@@ -43,7 +43,7 @@ let socket_arg =
 
 let serve_cmd =
   let run socket jobs max_queue rate burst max_request_bytes drain_deadline
-      store_dir incremental cache_entries cache_bytes chaos_file retries
+      store_dir incremental cache_entries cache_bytes chaos retries
       job_timeout timeout max_steps max_bytes quiet =
     let serve =
       {
@@ -57,30 +57,16 @@ let serve_cmd =
     (* a chaos plan is test machinery: a bad plan must fail startup
        loudly, never be silently ignored *)
     let chaos =
-      let from_file =
-        match chaos_file with
-        | None -> []
-        | Some path -> (
-            let text =
-              try In_channel.with_open_text path In_channel.input_all
-              with Sys_error msg ->
-                Printf.eprintf "praxd: %s\n" msg;
-                exit exit_startup
-            in
-            match Inject.daemon_plan_of_json text with
-            | Ok plan -> plan
-            | Error msg ->
-                Printf.eprintf "praxd: --chaos %s: %s\n" path msg;
-                exit exit_startup)
-      in
-      let from_env =
-        match Inject.daemon_plan_of_env () with
+      let plan what = function
         | Ok plan -> plan
         | Error msg ->
-            Printf.eprintf "praxd: %s: %s\n" Inject.inject_daemon_var msg;
+            Printf.eprintf "praxd: %s: %s\n" what msg;
             exit exit_startup
       in
-      from_file @ from_env
+      (match chaos with
+      | None -> []
+      | Some p -> plan "--chaos" (Inject.daemon_plan_of_string p))
+      @ plan Inject.inject_daemon_var (Inject.daemon_plan_of_env ())
     in
     let config =
       {
@@ -204,19 +190,21 @@ let serve_cmd =
       & info [ "cache-bytes" ] ~docv:"N"
           ~doc:"Resident result-cache byte cap (keys + payloads).")
   in
-  let chaos_file =
+  let chaos =
     Arg.(
       value
       & opt (some string) None
-      & info [ "chaos" ] ~docv:"PLAN.json"
+      & info [ "chaos" ] ~docv:"PLAN"
           ~doc:
-            "Deterministic fault plan for the chaos harness: \
-             $(b,{\"faults\":[{\"at\":N,\"fault\":\"worker-crash\"}, ...]}) \
-             fires each fault at the Nth analyze request.  Faults: \
-             $(b,worker-crash), $(b,worker-exit), $(b,worker-hang), \
-             $(b,conn-reset), $(b,store-enospc), $(b,store-short-write), \
-             $(b,drain).  The $(b,PRAX_INJECT_DAEMON) environment variable \
-             ($(b,kind\\@N,kind\\@N,...)) adds to the plan.")
+            "Deterministic fault plan for the chaos harness, \
+             $(b,kind@N,kind@N,...): each fault fires at the Nth \
+             analyze request, and several may share an N.  Kinds: \
+             $(b,crash), $(b,exit), $(b,hang) (worker faults), $(b,reset) \
+             (connection reset mid-frame), $(b,enospc), $(b,shortwrite) \
+             (store write faults), $(b,drain); long names such as \
+             $(b,worker-crash) are accepted too.  The \
+             $(b,PRAX_INJECT_DAEMON) environment variable takes the same \
+             grammar and adds to the plan.")
   in
   let retries =
     Arg.(
@@ -264,7 +252,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ jobs $ max_queue $ rate $ burst
       $ max_request_bytes $ drain_deadline $ store_dir $ incremental
-      $ cache_entries $ cache_bytes $ chaos_file $ retries $ job_timeout
+      $ cache_entries $ cache_bytes $ chaos $ retries $ job_timeout
       $ timeout $ max_steps $ max_bytes $ quiet)
 
 (* --- control verbs -------------------------------------------------------- *)

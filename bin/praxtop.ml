@@ -217,21 +217,6 @@ let show_analyses () =
         | d -> Analysis.config_to_string d))
     (Analysis.all ())
 
-let bench_source_of_kind (kind : Analysis.source_kind) name =
-  match kind with
-  | Analysis.Logic_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.logic_bench) -> b.source)
-        (Benchdata.Registry.find_logic name)
-  | Analysis.Fp_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.fp_bench) -> b.source)
-        (Benchdata.Registry.find_fp name)
-  | Analysis.Cfg_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.cfg_bench) -> b.source)
-        (Benchdata.Registry.find_cfg name)
-
 (* :- analyze(name, 'file' | bench(b) [, 'k=v,...']).  Any registered
    analysis, run under the session's budgets; failures never kill the
    session. *)
@@ -250,7 +235,7 @@ let run_analysis s (args : Logic.Term.t array) =
         let source =
           match input with
           | Logic.Term.Struct ("bench", [| Logic.Term.Atom b |], _) -> (
-              match bench_source_of_kind a.Analysis.kind b with
+              match Corpus.source_of_kind a.Analysis.kind b with
               | Some src -> Some src
               | None ->
                   Printf.printf "unknown %s benchmark %s\n"

@@ -1,16 +1,15 @@
 (* xanalyze — command-line front end to the analysis registry.
 
      xanalyze --list-analyses             print the registry
-     xanalyze groundness file.pl          Prop groundness of a logic program
-     xanalyze strictness file.eq          strictness of a functional program
-     xanalyze depthk -k 2 file.pl         depth-k groundness
      xanalyze analyze NAME FILE           any registered analysis by name
+     xanalyze analyze depthk FILE --set k=2
+                                          ... with a configuration override
      xanalyze batch DIR --corpus all      supervised batch over a corpus
 
    Every analysis command dispatches through the Prax.Analysis registry
-   (docs/ANALYSES.md): the named subcommands only map their flags to
-   configuration assignments.  Input "-" reads stdin.  --timings prints
-   the phase breakdown the paper reports.
+   (docs/ANALYSES.md); --set KEY=VALUE overrides a registry default.
+   Input "-" reads stdin.  --timings prints the phase breakdown the
+   paper reports.
 
    Resource budgets (docs/ROBUSTNESS.md): --timeout DUR, --max-steps N,
    --max-table-bytes N bound the evaluation; on exhaustion the analysis
@@ -53,31 +52,14 @@ let read_input = function
         Printf.eprintf "xanalyze: %s\n" msg;
         exit exit_input)
 
-let bench_source_of_kind (kind : Analysis.source_kind) name =
-  match kind with
-  | Analysis.Logic_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.logic_bench) -> b.source)
-        (Benchdata.Registry.find_logic name)
-  | Analysis.Fp_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.fp_bench) -> b.source)
-        (Benchdata.Registry.find_fp name)
-  | Analysis.Cfg_program ->
-      Option.map
-        (fun (b : Benchdata.Registry.cfg_bench) -> b.source)
-        (Benchdata.Registry.find_cfg name)
+let source_kinds =
+  [ Analysis.Logic_program; Analysis.Fp_program; Analysis.Cfg_program ]
 
 let source_of ?kind ~bench name_or_path =
   if bench then
-    let kinds =
-      match kind with
-      | Some k -> [ k ]
-      | None ->
-          [ Analysis.Logic_program; Analysis.Fp_program; Analysis.Cfg_program ]
-    in
+    let kinds = match kind with Some k -> [ k ] | None -> source_kinds in
     match
-      List.find_map (fun k -> bench_source_of_kind k name_or_path) kinds
+      List.find_map (fun k -> Corpus.source_of_kind k name_or_path) kinds
     with
     | Some src -> src
     | None ->
@@ -228,9 +210,7 @@ let find_analysis name =
 (* One analysis of one input through the registry: resolve the source,
    run under the guard, print the driver-rendered report plus the shared
    timings line, emit stats, map the status to the exit code.  There is
-   no per-analysis code here — the registry entry carries everything;
-   the named subcommands below only translate their flags into
-   configuration assignments. *)
+   no per-analysis code here — the registry entry carries everything. *)
 let run_single ~name ~config ~input ~bench ~timings ~stats ~timeout ~max_steps
     ~max_bytes ~incremental ~store =
   let a = find_analysis name in
@@ -255,9 +235,6 @@ let run_single ~name ~config ~input ~bench ~timings ~stats ~timeout ~max_steps
   emit_stats ~analysis:name ~input ~table_bytes:rep.Analysis.table_bytes
     ~phases:rep.Analysis.phases ~guard ~status:rep.Analysis.status stats;
   finish rep.Analysis.status
-
-let input_pos =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
 
 let bench_flag =
   Arg.(
@@ -291,61 +268,6 @@ let incr_store_arg =
            store at $(docv) (created if needed; atomic writes, CRC \
            trailers, orphan-temp sweep).  Without it $(b,--incremental) \
            has no cache and runs from scratch.")
-
-let groundness_cmd =
-  let run input bench timings compiled stats timeout max_steps max_bytes
-      incremental store =
-    run_single ~name:"groundness"
-      ~config:(if compiled then [ ("mode", "compiled") ] else [])
-      ~input ~bench ~timings ~stats ~timeout ~max_steps ~max_bytes
-      ~incremental ~store
-  in
-  let compiled =
-    Arg.(value & flag & info [ "compiled" ]
-           ~doc:"Use the compiled clause store instead of dynamic (assert) mode.")
-  in
-  Cmd.v
-    (Cmd.info "groundness"
-       ~doc:"Prop-domain groundness analysis of a logic program (Figure 1)")
-    Term.(
-      const run $ input_pos $ bench_flag $ timings_flag $ compiled $ stats_arg
-      $ timeout_arg $ max_steps_arg $ max_table_bytes_arg $ incremental_flag
-      $ incr_store_arg)
-
-let strictness_cmd =
-  let run input bench timings stats timeout max_steps max_bytes incremental
-      store =
-    run_single ~name:"strictness" ~config:[] ~input ~bench ~timings ~stats
-      ~timeout ~max_steps ~max_bytes ~incremental ~store
-  in
-  Cmd.v
-    (Cmd.info "strictness"
-       ~doc:
-         "Demand-propagation strictness analysis of a lazy functional \
-          program (Figure 3)")
-    Term.(
-      const run $ input_pos $ bench_flag $ timings_flag $ stats_arg
-      $ timeout_arg $ max_steps_arg $ max_table_bytes_arg $ incremental_flag
-      $ incr_store_arg)
-
-let depthk_cmd =
-  let run input bench timings k stats timeout max_steps max_bytes incremental
-      store =
-    run_single ~name:"depthk"
-      ~config:[ ("k", string_of_int k) ]
-      ~input ~bench ~timings ~stats ~timeout ~max_steps ~max_bytes
-      ~incremental ~store
-  in
-  let k =
-    Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc:"Term-depth bound.")
-  in
-  Cmd.v
-    (Cmd.info "depthk"
-       ~doc:"Groundness analysis with depth-k term abstraction (Section 5)")
-    Term.(
-      const run $ input_pos $ bench_flag $ timings_flag $ k $ stats_arg
-      $ timeout_arg $ max_steps_arg $ max_table_bytes_arg $ incremental_flag
-      $ incr_store_arg)
 
 (* --- analyze: any registered analysis by name ----------------------------- *)
 
@@ -390,8 +312,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run any registered analysis on an input (pure registry dispatch; \
-          the named subcommands are shorthands for this)")
+         "Run any registered analysis on an input (pure registry dispatch)")
     Term.(
       const run $ aname $ input $ bench_flag $ set_args $ timings_flag
       $ stats_arg $ timeout_arg $ max_steps_arg $ max_table_bytes_arg
@@ -615,12 +536,7 @@ let corpus_names_of_kind = function
         Benchdata.Registry.cfg_benchmarks
 
 let corpus_kind_of name =
-  if Benchdata.Registry.find_logic name <> None then
-    Some Analysis.Logic_program
-  else if Benchdata.Registry.find_fp name <> None then Some Analysis.Fp_program
-  else if Benchdata.Registry.find_cfg name <> None then
-    Some Analysis.Cfg_program
-  else None
+  List.find_opt (fun k -> Corpus.source_of_kind k name <> None) source_kinds
 
 let batch_jobs_of_corpus ~analysis spec =
   let split spec =
@@ -636,7 +552,7 @@ let batch_jobs_of_corpus ~analysis spec =
       in
       List.map
         (fun name ->
-          if bench_source_of_kind a.Analysis.kind name = None then begin
+          if Corpus.source_of_kind a.Analysis.kind name = None then begin
             Printf.eprintf "xanalyze batch: unknown %s benchmark %s\n"
               (Analysis.kind_to_string a.Analysis.kind)
               name;
@@ -647,12 +563,7 @@ let batch_jobs_of_corpus ~analysis spec =
   | None ->
       let names =
         match spec with
-        | "all" ->
-            List.concat_map corpus_names_of_kind
-              [
-                Analysis.Logic_program; Analysis.Fp_program;
-                Analysis.Cfg_program;
-              ]
+        | "all" -> List.concat_map corpus_names_of_kind source_kinds
         | _ -> split spec
       in
       List.map
@@ -701,7 +612,7 @@ let batch_cmd =
           let job = a.Analysis.name ^ ":" ^ input in
           if Hashtbl.mem table job then None
           else begin
-            let bench = bench_source_of_kind a.Analysis.kind input <> None in
+            let bench = Corpus.source_of_kind a.Analysis.kind input <> None in
             let src = source_of ~kind:a.Analysis.kind ~bench input in
             let config =
               match
@@ -1276,6 +1187,6 @@ let () =
        (Cmd.group ~default:default_term
           (Cmd.info "xanalyze" ~doc)
           [
-            groundness_cmd; strictness_cmd; depthk_cmd; analyze_cmd; run_cmd;
-            eval_cmd; types_cmd; widen_cmd; batch_cmd; client_cmd;
+            analyze_cmd; run_cmd; eval_cmd; types_cmd; widen_cmd; batch_cmd;
+            client_cmd;
           ]))

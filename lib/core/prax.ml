@@ -52,6 +52,9 @@ module Analysis = Prax_analysis.Analysis
     [Analyses.ensure ()] before the first registry lookup. *)
 module Analyses = Prax_analyses.Analyses
 
+(** The corpus benchmark behind a [--bench] name, by source kind. *)
+module Corpus = Prax_analyses.Corpus
+
 (** Supervised batch evaluation: process-isolated worker fleet with a
     per-job watchdog, retry/backoff, and a degradation ladder (see
     docs/ROBUSTNESS.md). *)

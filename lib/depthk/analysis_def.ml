@@ -56,7 +56,7 @@ let def : Analysis.t =
     doc = "Groundness analysis with depth-k term abstraction (Section 5)";
     kind = Analysis.Logic_program;
     extensions = [ ".pl" ];
-    defaults = [ ("k", "2") ];
+    defaults = [ ("k", "1") ];
     run;
     table_class = None;
   }

@@ -179,7 +179,7 @@ let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited) ~k
     status;
   }
 
-let analyze ?(mode = Database.Dynamic) ?guard ?(k = 2) (src : string) : report
+let analyze ?(mode = Database.Dynamic) ?guard ?(k = 1) (src : string) : report
     =
   let t0 = now () in
   let clauses = Metrics.time t_preprocess (fun () -> Parser.parse_clauses src) in

@@ -407,98 +407,78 @@ let bf_of_value arity (v : value) : Bf.t =
       done;
       f
 
-(* --- fragment values + per-SCC evaluation --------------------------------- *)
+(* --- fragment values + per-SCC evaluation ---------------------------- *)
 
 module Depgraph = Prax_incr.Depgraph
 module Incr = Prax_incr.Incr
 
-(* Value (de)serialization for the fragment cache: one predicate per
-   line, [p <name> <arity> <desc>] where [desc] is [bot] or [f] followed
-   by one [;]-prefixed segment per argument (comma-separated antecedent
-   masks).  Anything that fails the strict parse degrades the whole
-   fragment to a cache miss — never to a wrong value. *)
-let def_fragment_magic = "prax.incr.def 1"
+(* A def fragment in the shared fragment codec: one record per member
+   predicate, its call the open call and its single answer the value —
+   [bot], or [f] with one list of antecedent masks per argument. *)
+let record_of_value ((name, arity) : string * int) (v : value) :
+    Engine.exported =
+  let answer =
+    match v with
+    | Bot -> Term.atom "bot"
+    | F impl ->
+        Term.mk "f"
+          (Array.map (fun ms -> Term.of_list (List.map Term.int ms)) impl)
+  in
+  {
+    Engine.ex_call = Term.mk name (Array.init arity Term.var);
+    ex_answers = [ answer ];
+    ex_subcalls = [];
+  }
 
-let value_desc (v : value) : string =
-  match v with
-  | Bot -> "bot"
-  | F impl ->
-      "f"
-      ^ String.concat ""
-          (Array.to_list
-             (Array.map
-                (fun ms ->
-                  ";" ^ String.concat "," (List.map string_of_int ms))
-                impl))
-
-let value_of_desc arity (desc : string) : value option =
-  if desc = "bot" then Some Bot
-  else if String.length desc >= 1 && desc.[0] = 'f' then
-    let rest = String.sub desc 1 (String.length desc - 1) in
-    match (arity, rest) with
-    | 0, "" -> Some (F [||])
-    | _ -> (
-        match String.split_on_char ';' rest with
-        | "" :: segs when List.length segs = arity -> (
-            try
-              Some
-                (F
-                   (Array.of_list
-                      (List.map
-                         (fun seg ->
-                           if seg = "" then []
-                           else
-                             List.map int_of_string
-                               (String.split_on_char ',' seg))
-                         segs)))
-            with _ -> None)
-        | _ -> None)
-  else None
-
-let values_to_string (vs : ((string * int) * value) list) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b def_fragment_magic;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (((name, arity), v) : (string * int) * value) ->
-      Buffer.add_string b
-        (Printf.sprintf "p %s %d %s\n" name arity (value_desc v)))
-    vs;
-  Buffer.contents b
-
-let values_of_string (s : string) : ((string * int) * value) list option =
-  match String.split_on_char '\n' s with
-  | magic :: lines when String.equal magic def_fragment_magic -> (
-      try
-        Some
-          (List.filter_map
-             (fun line ->
-               if line = "" then None
-               else
-                 match String.split_on_char ' ' line with
-                 | [ "p"; name; arity_s; desc ] -> (
-                     let arity = int_of_string arity_s in
-                     match value_of_desc arity desc with
-                     | Some v -> Some ((name, arity), v)
+(* The strict inverse: a record whose value has the wrong arity, a mask
+   that is not an integer over the other arguments, or whose predicate
+   set is not exactly [members] makes the whole fragment a miss. *)
+let values_of_records members (records : Engine.exported list) =
+  let mask arity y (t : Term.t) =
+    match t with
+    | Term.Int m when m >= 0 && m lsr arity = 0 && m land (1 lsl y) = 0 -> m
+    | _ -> raise Exit
+  in
+  let value (r : Engine.exported) =
+    match (Term.functor_of r.ex_call, r.ex_answers, r.ex_subcalls) with
+    | Some p, [ Term.Atom "bot" ], [] -> (p, Bot)
+    | Some ((_, arity) as p), [ t ], [] -> (
+        match Term.functor_of t with
+        | Some ("f", n) when n = arity ->
+            ( p,
+              F
+                (Array.mapi
+                   (fun y l ->
+                     match Term.list_elements l with
+                     | Some ms -> List.map (mask arity y) ms
                      | None -> raise Exit)
-                 | _ -> raise Exit)
-             lines)
-      with _ -> None)
+                   (Term.args_of t)) )
+        | _ -> raise Exit)
+    | _ -> raise Exit
+  in
+  match List.map value records with
+  | vs when List.sort compare (List.map fst vs) = members -> Some vs
   | _ -> None
+  | exception Exit -> None
 
 (* Per-SCC bottom-up evaluation in reverse topological order (callees
    first, so their values are final when a caller's paths read them) —
    the same least fixpoint as the global chaotic iteration, which is
    what makes the incremental report byte-equal to the scratch one.
-   SCCs whose closure digest hits the cache splice their serialized
-   values instead of iterating; recomputed SCCs are saved at once (their
-   values are final even if a later SCC trips a budget). *)
+   The plan, the fragment loads and the saves are [Incr]'s; SCCs whose
+   fragment loads splice their values instead of iterating, and
+   recomputed SCCs are saved at once (their values are final even if a
+   later SCC trips a budget). *)
 let saturate_sccs (c : Incr.cache) ~guard (abstract : Parser.clause list)
     (store : store) (rs : run_stats) (pcs : pclause list) =
-  let g =
-    Depgraph.build ~is_call:(fun (name, _) -> name <> "iff") abstract
-  in
+  let plan = Incr.plan c ~is_call:(fun (name, _) -> name <> "iff") abstract in
+  let g = Incr.graph plan in
   let n = Depgraph.scc_count g in
+  let members =
+    Array.init n (fun s ->
+        List.filter (Hashtbl.mem store) (Depgraph.members g s))
+  in
+  let loaded = Incr.load plan ~want:(fun s -> members.(s) <> []) in
   let spliced = ref 0 in
   let invalidated = ref 0 in
   Fun.protect
@@ -512,36 +492,19 @@ let saturate_sccs (c : Incr.cache) ~guard (abstract : Parser.clause list)
         })
   @@ fun () ->
   for s = 0 to n - 1 do
-    let members = List.filter (Hashtbl.mem store) (Depgraph.members g s) in
-    let key =
-      Incr.fragment_key ~table_class:c.Incr.table_class
-        (Depgraph.closure_digest g s)
-    in
-    let cached =
-      if members = [] then None
-      else
-        match
-          Option.bind (c.Incr.fragments.Analysis.cache_load key)
-            values_of_string
-        with
-        | Some vs
-          when List.sort compare (List.map fst vs)
-               = List.sort compare members ->
-            Some vs
-        | _ -> None
-    in
-    match cached with
+    match Option.bind loaded.(s) (values_of_records members.(s)) with
     | Some vs ->
         incr spliced;
         List.iter (fun (p, v) -> Hashtbl.replace store p v) vs
-    | None when members = [] -> incr spliced  (* nothing to compute *)
+    | None when members.(s) = [] -> incr spliced  (* nothing to compute *)
     | None ->
         incr invalidated;
         saturate ~guard store rs
-          (List.filter (fun pc -> List.mem pc.pc_pred members) pcs);
-        c.Incr.fragments.Analysis.cache_save key
-          (values_to_string
-             (List.map (fun p -> (p, Hashtbl.find store p)) members))
+          (List.filter (fun pc -> List.mem pc.pc_pred members.(s)) pcs);
+        Incr.save plan s
+          (List.map
+             (fun p -> record_of_value p (Hashtbl.find store p))
+             members.(s))
   done
 
 (* The least fixpoint over every abstracted predicate, all starting at

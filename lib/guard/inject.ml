@@ -144,7 +144,8 @@ let apply_worker_fault : worker_fault -> unit = function
     {e is} the fault — but the daemon still generated it once) {e and
     the daemon exits clean}.
 
-    Grammar of [PRAX_INJECT_DAEMON] (comma-separated [kind\@N]):
+    Grammar of [praxd serve --chaos PLAN] and of [PRAX_INJECT_DAEMON]
+    (comma-separated [kind\@N]; several faults may share an [N]):
 
     {v crash@1,reset@3,enospc@4,drain@6
 
@@ -154,10 +155,8 @@ kind ∈ crash | exit | hang   worker fault on request N's job
        enospc | shortwrite   fail the next store write (N's snapshot)
        drain                 begin graceful drain when request N arrives v}
 
-    The same plan can be shipped as a JSON file ([praxd serve --chaos
-    plan.json]): [{"faults":[{"at":1,"fault":"worker-crash"},...]}]
-    with fault names [worker-crash], [worker-exit], [worker-hang],
-    [conn-reset], [store-enospc], [store-short-write], [drain]. *)
+    Each kind also has a long name: [worker-crash], [worker-exit],
+    [worker-hang], [conn-reset], [store-enospc], [store-short-write]. *)
 
 type store_fault = Enospc | Short_write
 
@@ -226,46 +225,6 @@ let daemon_plan_of_env () : (daemon_plan, string) result =
   match Sys.getenv_opt inject_daemon_var with
   | None | Some "" -> Ok []
   | Some v -> daemon_plan_of_string v
-
-(** Parse a JSON plan document: [{"faults":[{"at":N,"fault":NAME},...]}]
-    (or the bare array). *)
-let daemon_plan_of_json (text : string) : (daemon_plan, string) result =
-  let module M = Prax_metrics.Metrics in
-  match M.json_of_string text with
-  | exception _ -> Error "chaos plan is not JSON"
-  | doc -> (
-      let entries =
-        match doc with
-        | M.Arr l -> Ok l
-        | M.Obj _ -> (
-            match M.member "faults" doc with
-            | Some (M.Arr l) -> Ok l
-            | Some _ -> Error "chaos plan: \"faults\" must be an array"
-            | None -> Error "chaos plan: missing \"faults\" array")
-        | _ -> Error "chaos plan: expected an object or array"
-      in
-      match entries with
-      | Error _ as e -> e
-      | Ok l ->
-          let entry j =
-            match (M.member "at" j, M.member "fault" j) with
-            | Some (M.Int at), Some (M.Str name) when at >= 1 -> (
-                match daemon_fault_of_name name with
-                | Some f -> Ok (at, f)
-                | None -> Error (Printf.sprintf "unknown chaos fault %S" name))
-            | _ ->
-                Error
-                  "chaos plan entry: want {\"at\": <ordinal >= 1>, \
-                   \"fault\": <name>}"
-          in
-          let rec all acc = function
-            | [] -> Ok (List.rev acc)
-            | j :: rest -> (
-                match entry j with
-                | Ok e -> all (e :: acc) rest
-                | Error _ as e -> e)
-          in
-          all [] l)
 
 (** The faults scheduled for analyze-request ordinal [n]. *)
 let daemon_faults_at (plan : daemon_plan) n : daemon_fault list =

@@ -314,39 +314,65 @@ let run_goals engine goals =
 let settle engine status =
   if not (Guard.is_partial status) then Engine.settle engine
 
-let splice { fragments = cache; table_class } ~(engine : Engine.t)
-    ~(clauses : Parser.clause list) ~(goals : Term.t list) :
-    Guard.status * outcome =
-  let g =
-    Metrics.time t_plan (fun () ->
-        Depgraph.build
-          ~is_call:(fun p -> not (Engine.is_builtin engine p))
-          clauses)
+(* --- per-SCC fragments: plan, load, save ------------------------------ *)
+
+(* The one per-SCC planner: the tabled splice below and the def domain's
+   per-SCC fixpoint both go through it, so every edit-aware run moves
+   the same timers and reads and writes the same fragment codec. *)
+type plan = { cache : cache; graph : Depgraph.t; keys : string array }
+
+let plan (cache : cache) ~is_call (clauses : Parser.clause list) : plan =
+  Metrics.time t_plan @@ fun () ->
+  let graph = Depgraph.build ~is_call clauses in
+  let keys =
+    Array.init (Depgraph.scc_count graph) (fun s ->
+        fragment_key ~table_class:cache.table_class
+          (Depgraph.closure_digest graph s))
   in
-  let n = Depgraph.scc_count g in
-  (* load: one fragment per closure-digest cache hit *)
-  let hit = Array.make n false in
-  let old_records : Engine.exported list array = Array.make n [] in
+  { cache; graph; keys }
+
+let graph p = p.graph
+
+(* a missing or corrupt fragment is a miss *)
+let load ?(want = fun _ -> true) (p : plan) :
+    Engine.exported list option array =
+  Metrics.time t_load @@ fun () ->
+  Array.mapi
+    (fun s key ->
+      if want s then
+        Option.bind (p.cache.fragments.Analysis.cache_load key)
+          fragment_of_string
+      else None)
+    p.keys
+
+let save (p : plan) s (records : Engine.exported list) =
+  Metrics.time t_persist @@ fun () ->
+  p.cache.fragments.Analysis.cache_save p.keys.(s) (fragment_to_string records)
+
+(* --- the splice ------------------------------------------------------- *)
+
+let splice (c : cache) ~(engine : Engine.t) ~(clauses : Parser.clause list)
+    ~(goals : Term.t list) : Guard.status * outcome =
+  let p =
+    plan c ~is_call:(fun p -> not (Engine.is_builtin engine p)) clauses
+  in
+  let n = Depgraph.scc_count p.graph in
+  (* load: one fragment per closure-digest cache hit, indexed by call
+     variant ([load] nests in the same timer activation) *)
   let frag : (Term.t list * Term.t list) Canon.Tbl.t =
     Canon.Tbl.create 256
   in
-  Metrics.time t_load (fun () ->
-      for s = 0 to n - 1 do
-        let key = fragment_key ~table_class (Depgraph.closure_digest g s) in
-        match cache.Analysis.cache_load key with
-        | None -> ()
-        | Some payload -> (
-            match fragment_of_string payload with
-            | None -> ()  (* corrupt fragment = miss *)
-            | Some records ->
-                hit.(s) <- true;
-                old_records.(s) <- records;
-                List.iter
-                  (fun (r : Engine.exported) ->
-                    Canon.Tbl.replace frag r.ex_call
-                      (r.ex_answers, r.ex_subcalls))
-                  records)
-      done);
+  let loaded =
+    Metrics.time t_load (fun () ->
+        let loaded = load p in
+        Array.iter
+          (Option.iter
+             (List.iter (fun (r : Engine.exported) ->
+                  Canon.Tbl.replace frag r.ex_call
+                    (r.ex_answers, r.ex_subcalls))))
+          loaded;
+        loaded)
+  in
   (* splice: answer new table entries from the fragments, queueing their
      recorded demand edges for replay *)
   let pending : Term.t Queue.t = Queue.create () in
@@ -401,8 +427,14 @@ let splice { fragments = cache; table_class } ~(engine : Engine.t)
          that hit on every SCC and spliced every entry it created has a
          table identical to the cached fragments — skip the export
          walk entirely (the common fully-warm case). *)
-      let all_hit = Array.for_all Fun.id hit in
-      if not (Guard.is_partial status) && not (all_hit && !resolver_misses = 0)
+      let spliced =
+        Array.fold_left
+          (fun a l -> if Option.is_some l then a + 1 else a)
+          0 loaded
+      in
+      if
+        (not (Guard.is_partial status))
+        && not (spliced = n && !resolver_misses = 0)
       then begin
         Metrics.time t_persist @@ fun () ->
         let buckets : Engine.exported list array = Array.make n [] in
@@ -410,42 +442,34 @@ let splice { fragments = cache; table_class } ~(engine : Engine.t)
           (fun (r : Engine.exported) ->
             match Term.functor_of r.ex_call with
             | None -> ()
-            | Some p -> (
-                match Depgraph.scc_of g p with
+            | Some pred -> (
+                match Depgraph.scc_of p.graph pred with
                 | Some s -> buckets.(s) <- r :: buckets.(s)
                 | None -> ()))
           (Engine.export_tables engine);
         for s = 0 to n - 1 do
           let fresh = List.rev buckets.(s) in
-          let key =
-            fragment_key ~table_class (Depgraph.closure_digest g s)
-          in
-          if not hit.(s) then begin
-            if fresh <> [] then
-              cache.Analysis.cache_save key (fragment_to_string fresh)
-          end
-          else begin
-            (* merge: keep every cached record (a spliced entry's export
-               has no demand edges, so it must not overwrite the record
-               that does), append variants this run demanded afresh *)
-            let old_calls : unit Canon.Tbl.t = Canon.Tbl.create 16 in
-            List.iter
-              (fun (r : Engine.exported) ->
-                Canon.Tbl.replace old_calls r.ex_call ())
-              old_records.(s);
-            let added =
-              List.filter
+          match loaded.(s) with
+          | None -> if fresh <> [] then save p s fresh
+          | Some old ->
+              (* merge: keep every cached record (a spliced entry's
+                 export has no demand edges, so it must not overwrite
+                 the record that does), append variants this run
+                 demanded afresh *)
+              let old_calls : unit Canon.Tbl.t = Canon.Tbl.create 16 in
+              List.iter
                 (fun (r : Engine.exported) ->
-                  not (Canon.Tbl.mem old_calls r.ex_call))
-                fresh
-            in
-            if added <> [] then
-              cache.Analysis.cache_save key
-                (fragment_to_string (old_records.(s) @ added))
-          end
+                  Canon.Tbl.replace old_calls r.ex_call ())
+                old;
+              let added =
+                List.filter
+                  (fun (r : Engine.exported) ->
+                    not (Canon.Tbl.mem old_calls r.ex_call))
+                  fresh
+              in
+              if added <> [] then save p s (old @ added)
         done
       end;
-      let spliced = Array.fold_left (fun a h -> if h then a + 1 else a) 0 hit in
       let o =
         {
           sccs = n;

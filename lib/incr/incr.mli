@@ -1,5 +1,6 @@
-(** Incremental re-analysis: per-SCC fragment cache, the engine splice
-    resolver, and the edit-aware evaluation loop (docs/INCREMENTAL.md).
+(** Incremental re-analysis: the per-SCC planner, the fragment codec,
+    the engine splice resolver, and the edit-aware evaluation loop
+    (docs/INCREMENTAL.md).
 
     The paper's analyses are deterministic fixpoints of the program
     text, so re-analysis after an edit only has to recompute the
@@ -7,15 +8,26 @@
     predicate is reachable.  Everything below the cone is textually
     identical — witnessed by an unchanged {!Depgraph.closure_digest} —
     and its results can be spliced back from a cache instead of
-    recomputed.  This module owns the machinery shared by the tabled
-    drivers (groundness [mode=dynamic]/[mode=compiled], strictness):
+    recomputed.  This module is the only code that plans, loads and
+    persists per-SCC fragments, for every incremental analysis:
 
-    - the {b fragment codec}: a cached fragment is one SCC's call-table
-      slice — per call variant, the sorted answers and the demand edges
-      (subcall keys) its producer consumed from — one term per line in a
+    - {b one planner} ({!plan}, {!load}, {!save}): the dependency graph
+      and closure-digest keys under [incr.plan], one probe and decode
+      per SCC under [incr.load] (a missing or corrupt fragment is a
+      miss), saves under [incr.persist].  The tabled drivers use it
+      through {!run_tabled}; the bottom-up def domain ([mode=def],
+      [Prax_ground.Def]) drives it per SCC itself;
+    - {b one fragment codec}: a fragment is a list of records — per
+      call variant, the sorted answers and the demand edges (subcall
+      keys) its producer consumed from — one term per line in a
       preorder, length-prefixed encoding that preserves canonical
       variable ids, so decoding needs no parser and no
-      re-canonicalization (decode speed bounds the warm-run splice);
+      re-canonicalization (decode speed bounds the warm-run splice).
+      A def fragment holds one record per member predicate whose single
+      answer is its value ([bot], or [f] with one list of antecedent
+      masks per argument).  Fragments of the retired
+      [prax.incr.def 1] format fail the magic check, read as misses and
+      are recomputed;
     - {b the evaluation phase} ({!run_tabled}): without a cache, the
       plain goal fold of a from-scratch run; with one, the splice loop —
       load fragments for every closure-digest cache hit, install the
@@ -25,11 +37,7 @@
       run (reports read input modes off the call table), then persist
       fresh fragments for the recomputed cone;
     - the {b store binding} ({!cache_of_store}, {!store_cache}) and the [incr.*]
-      metrics (docs/METRICS.md, schema v6).
-
-    The bottom-up def domain ([mode=def]) reuses {!Depgraph}, {!cache}
-    and the cache-key convention but serializes its own implication-set
-    values (see [Prax_ground.Def]). *)
+      metrics (docs/METRICS.md, schema v6). *)
 
 open Prax_logic
 module Engine = Prax_tabling.Engine
@@ -60,7 +68,7 @@ val record : outcome -> unit
     and set the [incr.cone_frac] gauge (invalidated/sccs in permille;
     0 on an empty condensation). *)
 
-(** {1 The evaluation phase} *)
+(** {1 The per-SCC planner} *)
 
 type cache = {
   fragments : Analysis.cache;  (** where fragments are loaded and saved *)
@@ -70,6 +78,29 @@ type cache = {
           every {!fragment_key} *)
 }
 (** The fragment cache of one edit-aware run. *)
+
+type plan
+(** One run's condensation and the fragment key of each of its SCCs. *)
+
+val plan :
+  cache -> is_call:(string * int -> bool) -> Parser.clause list -> plan
+(** [plan cache ~is_call clauses] builds the dependency graph over the
+    (abstract) [clauses] and keys every SCC by its closure digest under
+    the cache's table class, timed as [incr.plan]. *)
+
+val graph : plan -> Depgraph.t
+
+val load : ?want:(int -> bool) -> plan -> Engine.exported list option array
+(** [load ?want plan] probes and decodes, once each and timed as
+    [incr.load], the fragment of every SCC [s] with [want s] (default:
+    every SCC).  [None] is a miss: no fragment, one that does not
+    decode, or an SCC not wanted. *)
+
+val save : plan -> int -> Engine.exported list -> unit
+(** [save plan s records] encodes and stores SCC [s]'s fragment, timed
+    as [incr.persist]. *)
+
+(** {1 The evaluation phase} *)
 
 val run_tabled :
   ?cache:cache ->

@@ -78,6 +78,6 @@ let def : Analysis.t =
   }
 
 (** The registry's [supplementary] setting, for typed callers of
-    {!Analyze.analyze} that want what [xanalyze strictness] runs. *)
+    {!Analyze.analyze} that want what [xanalyze analyze strictness] runs. *)
 let default_supplementary =
   Analysis.config_bool def.Analysis.defaults "supplementary"

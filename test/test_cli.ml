@@ -111,13 +111,16 @@ let with_temp_dir prefix f =
 
 let test_exit_complete () =
   let r =
-    run ~stdin_data:"p(a). q(X) :- p(X)." [ xanalyze; "groundness"; "-" ]
+    run ~stdin_data:"p(a). q(X) :- p(X)."
+      [ xanalyze; "analyze"; "groundness"; "-" ]
   in
   check_code "complete analysis" 0 r;
   Alcotest.(check bool) "report printed" true (String.length r.out > 0)
 
 let test_exit_input_error () =
-  let r = run ~stdin_data:"p(a" [ xanalyze; "groundness"; "-" ] in
+  let r =
+    run ~stdin_data:"p(a" [ xanalyze; "analyze"; "groundness"; "-" ]
+  in
   check_code "malformed input" 1 r;
   Alcotest.(check bool) "structured diagnostic on stderr" true
     (String.length r.err > 0);
@@ -143,7 +146,11 @@ let test_batch_invalid_input () =
 
 let test_exit_partial () =
   let r =
-    run [ xanalyze; "groundness"; "cs"; "--bench"; "--max-steps"; "10" ]
+    run
+      [
+        xanalyze; "analyze"; "groundness"; "cs"; "--bench"; "--max-steps";
+        "10";
+      ]
   in
   check_code "budget-bounded analysis" 3 r;
   Alcotest.(check bool) "partial notice on stderr" true
@@ -237,6 +244,24 @@ let test_analyze_dispatch () =
       [ xanalyze; "analyze"; "groundness"; "-"; "--set"; "mode=def" ]
   in
   check_code "analyze groundness --set mode=def" 0 r
+
+(* depthk's registry default is k=1, the depth of Table 4: on qsort,
+   whose k=1 and k=2 reports differ, a run without --set prints the
+   k=1 report *)
+let test_depthk_default () =
+  let report sets =
+    let r =
+      run ([ xanalyze; "analyze"; "depthk"; "qsort"; "--bench" ] @ sets)
+    in
+    check_code ("analyze depthk qsort " ^ String.concat " " sets) 0 r;
+    r.out
+  in
+  let default = report [] in
+  Alcotest.(check bool) "k=1 and k=2 reports differ on qsort" true
+    (report [ "--set"; "k=1" ] <> report [ "--set"; "k=2" ]);
+  Alcotest.(check string) "the default is the k=1 report"
+    (report [ "--set"; "k=1" ])
+    default
 
 let test_batch_per_analysis () =
   (* every registered analysis sweeps its slice of the corpus through
@@ -538,6 +563,8 @@ let () =
           Alcotest.test_case "--list-analyses" `Quick test_list_analyses;
           Alcotest.test_case "analyze dispatches any analysis" `Quick
             test_analyze_dispatch;
+          Alcotest.test_case "analyze depthk defaults to k=1" `Quick
+            test_depthk_default;
           Alcotest.test_case "batch --analysis" `Quick test_batch_per_analysis;
           Alcotest.test_case "praxtop :- analyses. and :- analyze(...)" `Quick
             test_praxtop_analyses;

@@ -226,22 +226,16 @@ let test_chaos_plan_grammar () =
   reject "missing ordinal" "crash";
   reject "zero ordinal" "crash@0";
   reject "non-numeric ordinal" "crash@soon";
-  (* the JSON plan document (praxd serve --chaos) *)
-  (match
-     Inject.daemon_plan_of_json
-       {|{"faults":[{"at":2,"fault":"store-enospc"},{"at":2,"fault":"worker-hang"}]}|}
-   with
+  reject "not a plan" "]junk[";
+  reject "zero ordinal, long name" "drain@0";
+  (* several faults may share an ordinal (praxd serve --chaos takes the
+     same grammar) *)
+  match Inject.daemon_plan_of_string "store-enospc@2,worker-hang@2" with
   | Ok plan ->
       Alcotest.(check (list string)) "two faults share ordinal 2"
         [ "store-enospc"; "worker-hang" ]
         (List.map Inject.daemon_fault_name (Inject.daemon_faults_at plan 2))
-  | Error e -> Alcotest.failf "good JSON plan rejected: %s" e);
-  (match Inject.daemon_plan_of_json "]junk[" with
-  | Ok _ -> Alcotest.fail "non-JSON plan accepted"
-  | Error _ -> ());
-  match Inject.daemon_plan_of_json {|{"faults":[{"at":0,"fault":"drain"}]}|} with
-  | Ok _ -> Alcotest.fail "zero ordinal accepted in JSON"
-  | Error _ -> ()
+  | Error e -> Alcotest.failf "good plan rejected: %s" e
 
 (* --- the wire grammar ---------------------------------------------------- *)
 
@@ -1294,24 +1288,14 @@ let test_chaos_plan_end_to_end () =
      of them: each request gets exactly one response attempt (a
      structured line, or the scripted mid-frame reset) and the daemon
      exits clean *)
-  let plan_file =
-    Filename.temp_file "prax-chaos" ".json"
-  in
+  let plan = "worker-crash@1,store-enospc@2,conn-reset@3,drain@4" in
   let store_dir =
     let d = Filename.temp_file "prax-chaos-store" "" in
     Sys.remove d;
     d
   in
-  Out_channel.with_open_text plan_file (fun oc ->
-      output_string oc
-        {|{"faults":[
-            {"at":1,"fault":"worker-crash"},
-            {"at":2,"fault":"store-enospc"},
-            {"at":3,"fault":"conn-reset"},
-            {"at":4,"fault":"drain"}]}|});
   Fun.protect
     ~finally:(fun () ->
-      (try Sys.remove plan_file with Sys_error _ -> ());
       try
         Sys.readdir store_dir
         |> Array.iter (fun f -> Sys.remove (Filename.concat store_dir f));
@@ -1319,7 +1303,7 @@ let test_chaos_plan_end_to_end () =
       with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () ->
       with_daemon
-        ~args:[ "--chaos"; plan_file; "--retries"; "2"; "--store"; store_dir ]
+        ~args:[ "--chaos"; plan; "--retries"; "2"; "--store"; store_dir ]
         (fun ~socket ~pid ->
           let analyze i =
             analyze_req
@@ -1373,21 +1357,29 @@ let test_chaos_plan_end_to_end () =
 
 let test_chaos_bad_plan_fails_startup () =
   (* a misspelled plan must refuse to serve, not silently run without
-     faults *)
-  let socket = fresh_socket () in
-  let null = devnull () in
-  let pid =
-    Unix.create_process_env praxd
-      [| praxd; "serve"; "--socket"; socket; "-q" |]
-      (env_with [ ("PRAX_INJECT_DAEMON", "meteor@1") ])
-      null null null
-  in
-  Unix.close null;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 1 -> ()
-  | _, Unix.WEXITED c ->
-      Alcotest.failf "bad chaos plan: praxd exited %d (expected 1)" c
-  | _ -> Alcotest.fail "bad chaos plan: praxd died abnormally"
+     faults — from the flag and from the environment alike *)
+  List.iter
+    (fun (what, args, env) ->
+      let socket = fresh_socket () in
+      let null = devnull () in
+      let pid =
+        Unix.create_process_env praxd
+          (Array.of_list ([ praxd; "serve"; "--socket"; socket; "-q" ] @ args))
+          (env_with env) null null null
+      in
+      Unix.close null;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 1 -> ()
+      | _, Unix.WEXITED c ->
+          Alcotest.failf "bad chaos plan (%s): praxd exited %d (expected 1)"
+            what c
+      | _ -> Alcotest.failf "bad chaos plan (%s): praxd died abnormally" what)
+    [
+      ("--chaos", [ "--chaos"; "meteor@1" ], []);
+      ( Inject.inject_daemon_var,
+        [],
+        [ (Inject.inject_daemon_var, "meteor@1") ] );
+    ]
 
 let () =
   Prax_analyses.Analyses.ensure ();

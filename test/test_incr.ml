@@ -448,6 +448,117 @@ let test_no_cache_is_scratch () =
         (Option.get (Registry.find_fp "mergesort")).Registry.source );
     ]
 
+(* A def run plans, loads and persists through the same per-SCC planner
+   as the tabled drivers, so it shows up in the incremental layer
+   breakdown: a cold run plans, probes and saves, a warm run plans and
+   loads. *)
+let test_def_timers () =
+  let a = analysis "groundness" in
+  let config = [ ("mode", "def") ] in
+  let activations name =
+    match
+      List.find_opt
+        (fun (t : Metrics.timing) -> t.Metrics.timer_name = name)
+        (Metrics.snapshot ()).Metrics.timers
+    with
+    | Some t -> t.Metrics.activations
+    | None -> 0
+  in
+  let cache = Analysis.memory_cache () in
+  List.iter
+    (fun (run, timers) ->
+      Metrics.reset ();
+      ignore (Analysis.run_incr a ~config ~cache (logic_src "qsort"));
+      List.iter
+        (fun t ->
+          check_b (Printf.sprintf "%s def run advances %s" run t) true
+            (activations t > 0))
+        timers)
+    [
+      ("cold", [ "incr.plan"; "incr.load"; "incr.persist" ]);
+      ("warm", [ "incr.plan"; "incr.load" ]);
+    ]
+
+(* Def values travel in the term fragment codec.  A fragment that still
+   decodes as a term fragment but holds a value of the wrong arity or a
+   mask that is not an integer is a miss: the SCC is recomputed (and
+   its fragment rewritten), and the report equals scratch. *)
+let test_def_fragment_corruption () =
+  let a = analysis "groundness" in
+  let config = [ ("mode", "def") ] in
+  let src = logic_src "qsort" in
+  let scratch = Analysis.run a ~config src in
+  let counter = Metrics.counter_value in
+  List.iter
+    (fun (label, tamper) ->
+      let cache, saved = recording_cache () in
+      ignore (Analysis.run_incr a ~config ~cache src);
+      let fragments = !saved in
+      check_b (label ^ ": the cold run saves fragments") true
+        (fragments <> []);
+      let tampered =
+        List.filter_map
+          (fun (key, payload) ->
+            match Incr.fragment_of_string payload with
+            | None -> Alcotest.failf "def fragment %s does not decode" key
+            | Some records -> (
+                match tamper records with
+                | None -> None
+                | Some bad ->
+                    cache.Analysis.cache_save key
+                      (Incr.fragment_to_string bad);
+                    Some key))
+          fragments
+      in
+      check_b (label ^ ": some fragment was tampered with") true
+        (tampered <> []);
+      Metrics.reset ();
+      let after = Analysis.run_incr a ~config ~cache src in
+      check_i
+        (label ^ ": every tampered fragment is a miss")
+        (List.length tampered)
+        (counter "incr.invalidated");
+      check_s (label ^ ": the run still equals scratch") (fingerprint scratch)
+        (fingerprint after);
+      Metrics.reset ();
+      ignore (Analysis.run_incr a ~config ~cache src);
+      check_i (label ^ ": the recomputed fragments were rewritten") 0
+        (counter "incr.invalidated"))
+    [
+      ( "wrong-arity value",
+        function
+        | (r : Engine.exported) :: rest ->
+            let arity = snd (Option.get (Term.functor_of r.Engine.ex_call)) in
+            Some
+              ({ r with
+                 Engine.ex_answers =
+                   [ Term.mk "f" (Array.make (arity + 1) Term.nil) ] }
+              :: rest)
+        | [] -> None );
+      ( "non-integer mask",
+        fun records ->
+          match
+            List.partition
+              (fun (r : Engine.exported) ->
+                Term.args_of r.Engine.ex_call <> [||])
+              records
+          with
+          | r :: rest, nullary ->
+              let arity = Array.length (Term.args_of r.Engine.ex_call) in
+              Some
+                ({ r with
+                   Engine.ex_answers =
+                     [
+                       Term.mk "f"
+                         (Array.init arity (fun i ->
+                              if i = 0 then Term.of_list [ Term.atom "x" ]
+                              else Term.nil));
+                     ] }
+                :: rest
+                @ nullary)
+          | [], _ -> None );
+    ]
+
 let test_table_classes () =
   let tc name config =
     match Analysis.table_class (analysis name) ~config () with
@@ -667,6 +778,10 @@ let () =
           Alcotest.test_case "table classes" `Quick test_table_classes;
           Alcotest.test_case "no cache is the scratch run" `Quick
             test_no_cache_is_scratch;
+          Alcotest.test_case "def runs move the incr timers" `Quick
+            test_def_timers;
+          Alcotest.test_case "def fragment corruption -> miss" `Quick
+            test_def_fragment_corruption;
         ] );
       ( "mutate",
         [
