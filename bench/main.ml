@@ -829,10 +829,12 @@ let ext_types () =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_bechamel ?(quota = 0.5) ?(kde = Some 1000) tests =
+let run_bechamel tests =
   let open Bechamel in
   let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde () in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true
       ~predictors:[| Measure.run |]
@@ -1089,60 +1091,6 @@ let benchjson () =
   Out_channel.with_open_text bench_json_file (fun oc ->
       output_string oc (Metrics.json_to_string doc ^ "\n"));
   Printf.printf "wrote %s (%d rows)\n" bench_json_file (List.length rows)
-
-(* ------------------------------------------------------------------ *)
-(* Smoke: the CI gate over the term representation                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Quick (<~5s) representation-invariant checks plus a short-quota run
-   of the micro-benchmarks, exiting nonzero on any violation so a
-   representation regression fails the CI workflow loudly. *)
-let smoke () =
-  section
-    "Smoke: term-representation invariants + short-quota micro-benchmarks \
-     (CI gate; nonzero exit on failure)";
-  let failed = ref false in
-  let check name ok =
-    Printf.printf "  %-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then failed := true
-  in
-  let a = Logic.Term.mk "pt" [| Logic.Term.int 1; Logic.Term.atom "smoke" |] in
-  let b = Logic.Term.mk "pt" [| Logic.Term.int 1; Logic.Term.atom "smoke" |] in
-  check "structurally equal structs are physically equal" (a == b);
-  check "atoms are interned"
-    (Logic.Term.atom "smoke" == Logic.Term.atom "smoke");
-  check "O(1) size from the meta word" (Logic.Term.size a = 3);
-  check "O(1) ground flag" (Logic.Term.is_ground a);
-  check "O(1) ground flag (negative)"
-    (not (Logic.Term.is_ground (Logic.Term.mk "f" [| Logic.Term.var 0 |])));
-  check "variant check via canonical forms"
-    (Logic.Canon.variant
-       (Logic.Parser.parse_term "f(X, g(X, Y))")
-       (Logic.Parser.parse_term "f(A, g(A, B))"));
-  check "all five analyses registered"
-    (List.sort compare (Analysis.names ())
-    = [ "dataflow"; "depthk"; "gaia"; "groundness"; "strictness" ]);
-  check "registry claims .pl/.eq/.cfg"
-    (List.for_all
-       (fun ext -> Analysis.claiming_extension ext <> None)
-       [ ".pl"; ".eq"; ".cfg" ]);
-  Metrics.reset ();
-  ignore (Logic.Term.atom "smoke_fresh_symbol_probe");
-  let rep = Groundness.analyze (src "qsort") in
-  check "groundness(qsort) completes"
-    (match rep.Prax_ground.Analyze.status with
-    | Guard.Complete -> true
-    | Guard.Partial _ -> false);
-  check "table space accounted" (rep.Prax_ground.Analyze.table_bytes > 0);
-  check "hash-cons counters live"
-    (Metrics.counter_value "hashcons.hits"
-     + Metrics.counter_value "hashcons.misses"
-     > 0);
-  check "symbol-intern counter live"
-    (Metrics.counter_value "intern.symbols" > 0);
-  Metrics.reset ();
-  run_bechamel ~quota:0.05 ~kde:None (micro_tests ());
-  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Batch: supervised worker overhead and store warm-start             *)
@@ -1581,7 +1529,6 @@ let sections =
     ("incremental", incremental);
     ("benchjson", benchjson);
     ("micro", micro);
-    ("smoke", smoke);
     ("batch", batch);
   ]
 

@@ -171,9 +171,11 @@ let serve_cmd =
             "Edit-aware workers (docs/INCREMENTAL.md): each analysis \
              consults the per-SCC fragment cache and splices unchanged \
              cones' tables back instead of recomputing them.  Reports are \
-             byte-identical to full runs.  Needs $(b,--store), where \
-             fragments survive the per-job worker fork and accumulate \
-             across requests; without it workers run from scratch.")
+             byte-identical to full runs.  Needs $(b,--store): fragments \
+             live there, shared by all $(b,--jobs) workers and kept \
+             across requests, worker crashes and recycles (a cache in \
+             one worker's memory would end with that worker); without \
+             it workers run from scratch.")
   in
   let cache_entries =
     Arg.(

@@ -44,13 +44,13 @@ let phase_timers ?doc prefix =
 
 (* --- engine counts ------------------------------------------------------- *)
 
-type engine_counts = {
-  calls : int;
-  table_entries : int;
-  answers : int;
-  duplicates : int;
-  resumptions : int;
-  forced : int;
+type engine_counts = Prax_tabling.Engine.stats = {
+  mutable calls : int;
+  mutable table_entries : int;
+  mutable answers : int;
+  mutable duplicates : int;
+  mutable resumptions : int;
+  mutable forced : int;
 }
 
 let engine_counts_to_json (e : engine_counts) : Metrics.json =

@@ -88,17 +88,17 @@ val phase_timers : ?doc:string -> string -> Metrics.timer * Metrics.timer * Metr
 
 (** {1 Engine counts}
 
-    A representation-neutral copy of the tabled engine's statistics, so
-    generic reports do not depend on the engine module (analyses that
-    bypass the tabled engine, e.g. GAIA, carry none). *)
+    The tabled engine's statistics record, re-exported so generic
+    reports can name its fields (analyses that bypass the tabled
+    engine, e.g. GAIA, carry none). *)
 
-type engine_counts = {
-  calls : int;
-  table_entries : int;
-  answers : int;
-  duplicates : int;
-  resumptions : int;
-  forced : int;
+type engine_counts = Prax_tabling.Engine.stats = {
+  mutable calls : int;
+  mutable table_entries : int;
+  mutable answers : int;
+  mutable duplicates : int;
+  mutable resumptions : int;
+  mutable forced : int;
 }
 
 (** {1 Configurations}

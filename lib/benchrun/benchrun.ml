@@ -359,7 +359,7 @@ let manifest_of_json j =
 (* ------------------------------------------------------------------ *)
 
 type run = {
-  dir : string;
+  path : string;
   id : string;
   manifest : manifest option;
   rows : row list;
@@ -408,33 +408,6 @@ let rows_doc ~manifest rows =
       ("benchmarks", Arr (List.map row_to_json rows));
     ]
 
-let summary_doc ~manifest rows =
-  let statuses pred = List.length (List.filter pred rows) in
-  let by_analysis =
-    List.fold_left
-      (fun acc r ->
-        let t = try List.assoc r.r_analysis acc with Not_found -> 0. in
-        (r.r_analysis, t +. r.r_total.median)
-        :: List.remove_assoc r.r_analysis acc)
-      [] rows
-  in
-  Obj
-    [
-      ("schema", Str (schema_name ^ ".summary"));
-      ("schema_version", Int schema_version);
-      ("run_id", Str manifest.m_run_id);
-      ("rows", Int (List.length rows));
-      ("complete", Int (statuses (fun r -> r.r_status = "complete")));
-      ("partial", Int (statuses (fun r -> r.r_status <> "complete")));
-      ( "median_total_seconds",
-        Float (List.fold_left (fun a r -> a +. r.r_total.median) 0. rows) );
-      ( "per_analysis_total_seconds",
-        Obj
-          (List.map
-             (fun (a, t) -> (a, Float t))
-             (List.sort compare by_analysis)) );
-    ]
-
 let write_run ~dir ~manifest ~rows ~logs =
   mkdir_p dir;
   write_atomic
@@ -443,9 +416,6 @@ let write_run ~dir ~manifest ~rows ~logs =
   write_atomic
     (Filename.concat dir "rows.json")
     (json_to_string (rows_doc ~manifest rows) ^ "\n");
-  write_atomic
-    (Filename.concat dir "summary.json")
-    (json_to_string (summary_doc ~manifest rows) ^ "\n");
   if logs <> [] then begin
     let logdir = Filename.concat dir "logs" in
     mkdir_p logdir;
@@ -463,54 +433,50 @@ let read_json path =
         with Json_error msg -> Error (path ^ ": " ^ msg))
     | exception Sys_error msg -> Error msg
 
-let load_run dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then
-    Error (dir ^ ": not a run directory")
-  else
-    match read_json (Filename.concat dir "rows.json") with
-    | Error msg -> Error msg
-    | Ok doc -> (
-        match member "benchmarks" doc with
-        | Some (Arr entries) ->
-            let rows = List.filter_map row_of_json entries in
-            if rows = [] then
-              Error (dir ^ "/rows.json: no parseable benchmark rows")
-            else
-              (* a bad manifest degrades: rows still compare *)
-              let manifest =
-                match read_json (Filename.concat dir "manifest.json") with
+(* A run is a directory ([rows.json] plus an optional manifest) or a
+   bare prax.bench file such as BENCH_engine.json: the rows document
+   alone, which degrades the way a run with a missing manifest does.
+   Keys other than [benchmarks] (the file's [incremental] array) are
+   not rows and are ignored. *)
+let load_run path =
+  let is_dir = Sys.file_exists path && Sys.is_directory path in
+  let rows_file = if is_dir then Filename.concat path "rows.json" else path in
+  match read_json rows_file with
+  | Error msg -> Error msg
+  | Ok doc -> (
+      match member "benchmarks" doc with
+      | Some (Arr entries) ->
+          let rows = List.filter_map row_of_json entries in
+          if rows = [] then
+            Error (rows_file ^ ": no parseable benchmark rows")
+          else
+            (* a bad manifest degrades: rows still compare *)
+            let manifest =
+              if not is_dir then None
+              else
+                match read_json (Filename.concat path "manifest.json") with
                 | Ok j -> manifest_of_json j
                 | Error _ -> None
-              in
-              let id =
-                match manifest with
-                | Some m -> m.m_run_id
-                | None -> (
-                    match get_str doc "run_id" with
-                    | Some id -> id
-                    | None -> Filename.basename dir)
-              in
-              Ok { dir; id; manifest; rows }
-        | _ -> Error (dir ^ "/rows.json: missing \"benchmarks\" array"))
+            in
+            let id =
+              match manifest with
+              | Some m -> m.m_run_id
+              | None -> (
+                  match get_str doc "run_id" with
+                  | Some id -> id
+                  | None -> Filename.basename path)
+            in
+            Ok { path; id; manifest; rows }
+      | _ -> Error (rows_file ^ ": missing \"benchmarks\" array"))
 
 let find_run ~runs_dir spec =
-  if Sys.file_exists spec && Sys.is_directory spec then load_run spec
+  if Sys.file_exists spec then load_run spec
   else
     let candidate = Filename.concat runs_dir spec in
     if Sys.file_exists candidate then load_run candidate
     else
       Error
         (Printf.sprintf "no run %s (looked at %s and %s)" spec spec candidate)
-
-let list_runs ~runs_dir =
-  match Sys.readdir runs_dir with
-  | entries ->
-      Array.to_list entries
-      |> List.filter (fun e ->
-             Sys.file_exists
-               (Filename.concat (Filename.concat runs_dir e) "rows.json"))
-      |> List.sort compare
-  | exception Sys_error _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

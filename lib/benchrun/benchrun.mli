@@ -8,10 +8,12 @@
     - {b run store}: [bench run] executes the (analysis x corpus)
       matrix [repeats] times and writes [bench_data/runs/<id>/] — a
       manifest (git rev, host, schema versions, harness config), the
-      prax.bench v2 rows extended with per-repeat samples, per-benchmark
-      logs, and summary stats.  All files are written atomically
+      prax.bench v2 rows extended with per-repeat samples, and
+      per-benchmark logs.  All files are written atomically
       (temp + fsync + rename, the [prax.store] conventions), so a
-      killed run never leaves a torn directory that parses.
+      killed run never leaves a torn directory that parses.  A bare
+      prax.bench file (the committed [BENCH_engine.json]) loads as a
+      run too, so it is the committed baseline the gate reads.
     - {b A/B comparison}: {!compare_runs} loads two runs and emits one
       {!delta} per (analysis x benchmark x metric) — phase times, total,
       table bytes, counters — with {b noise-aware} verdicts: a change is
@@ -132,11 +134,12 @@ val fresh_id : unit -> string
 (** {1 The run store} *)
 
 type run = {
-  dir : string;  (** the run directory *)
+  path : string;  (** the run directory, or the prax.bench file *)
   id : string;
   manifest : manifest option;
-      (** [None] when manifest.json is missing or corrupt — the run
-          still loads and compares (degraded, docs/BENCHMARKING.md) *)
+      (** [None] when manifest.json is missing or corrupt, or the run
+          is a prax.bench file — the run still loads and compares
+          (degraded, docs/BENCHMARKING.md) *)
   rows : row list;
 }
 
@@ -146,23 +149,22 @@ val write_run :
   rows:row list ->
   logs:(string * string) list ->
   unit
-(** Create [dir] and write [manifest.json], [rows.json],
-    [summary.json], and [logs/<file>.log] for each [(file, text)] in
-    [logs].  Every file is written atomically.
+(** Create [dir] and write [manifest.json], [rows.json], and
+    [logs/<file>.log] for each [(file, text)] in [logs].  Every file
+    is written atomically.
     @raise Sys_error when [dir] exists and is not a directory. *)
 
 val load_run : string -> (run, string) result
-(** Load a run directory.  [Error] when the directory or [rows.json]
-    is missing or unparseable; a bad manifest degrades to
-    [manifest = None]. *)
+(** Load a run directory or a prax.bench file.  A directory's rows come
+    from its [rows.json]; a file is the rows document itself (its
+    [benchmarks] array; other keys, such as [BENCH_engine.json]'s
+    [incremental] array, are ignored).  [Error] when the rows document
+    is missing, unparseable, or holds no decodable row.  A bad
+    manifest degrades to [manifest = None]; a file run has none. *)
 
 val find_run : runs_dir:string -> string -> (run, string) result
-(** Resolve a run id or a directory path: a [spec] that is an existing
-    directory is loaded as-is, otherwise [runs_dir/spec] is tried. *)
-
-val list_runs : runs_dir:string -> string list
-(** Run ids present under [runs_dir] (subdirectories containing a
-    [rows.json]), sorted. *)
+(** Resolve a run id, a directory path, or a file path: a [spec] that
+    exists is loaded as-is, otherwise [runs_dir/spec] is tried. *)
 
 (** {1 Comparison: deltas, thresholds, verdicts} *)
 

@@ -6,16 +6,6 @@
 module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
 
-let counts (st : Prax_tabling.Engine.stats) : Analysis.engine_counts =
-  {
-    Analysis.calls = st.Prax_tabling.Engine.calls;
-    table_entries = st.Prax_tabling.Engine.table_entries;
-    answers = st.Prax_tabling.Engine.answers;
-    duplicates = st.Prax_tabling.Engine.duplicates;
-    resumptions = st.Prax_tabling.Engine.resumptions;
-    forced = st.Prax_tabling.Engine.forced;
-  }
-
 let row_json (n, defs) : Metrics.json =
   Metrics.Obj
     [
@@ -39,7 +29,7 @@ let run ?cache:_ ~config ~guard src : Analysis.report =
     table_bytes = rep.Analyze.table_bytes;
     clause_count = rep.Analyze.node_count;
     source_lines = None;
-    engine = Some (counts rep.Analyze.engine_stats);
+    engine = Some rep.Analyze.engine_stats;
     payload_text = Analyze.report_to_string rep;
     payload_json = Metrics.Arr (List.map row_json rep.Analyze.rows);
   }

@@ -15,8 +15,6 @@ open Prax_logic
 
 let gamma = Term.atom "$gamma"
 
-let is_gamma = function Term.Atom "$gamma" -> true | _ -> false
-
 (** Ground in the abstract sense: no variables (γ counts as ground).
     γ is a 0-ary symbol, hence ground in the syntactic sense too, so this
     coincides with {!Term.is_ground} — an O(1) flag read. *)

@@ -5,7 +5,6 @@
 open Prax_logic
 
 val gamma : Term.t
-val is_gamma : Term.t -> bool
 
 val a_ground : Term.t -> bool
 (** Abstractly ground: no variables (γ counts as ground). *)

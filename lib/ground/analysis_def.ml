@@ -8,16 +8,6 @@ module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
 module Incr = Prax_incr.Incr
 
-let counts (st : Prax_tabling.Engine.stats) : Analysis.engine_counts =
-  {
-    Analysis.calls = st.Prax_tabling.Engine.calls;
-    table_entries = st.Prax_tabling.Engine.table_entries;
-    answers = st.Prax_tabling.Engine.answers;
-    duplicates = st.Prax_tabling.Engine.duplicates;
-    resumptions = st.Prax_tabling.Engine.resumptions;
-    forced = st.Prax_tabling.Engine.forced;
-  }
-
 let result_json (r : Analyze.pred_result) : Metrics.json =
   let name, arity = r.Analyze.pred in
   let args = List.init arity (fun i -> Printf.sprintf "A%d" (i + 1)) in
@@ -51,7 +41,7 @@ let wrap ~config (rep : Analyze.report) : Analysis.report =
     table_bytes = rep.Analyze.table_bytes;
     clause_count = rep.Analyze.clause_count;
     source_lines = None;
-    engine = Some (counts rep.Analyze.engine_stats);
+    engine = Some rep.Analyze.engine_stats;
     payload_text = Analyze.report_to_string rep;
     payload_json = Metrics.Arr (List.map result_json rep.Analyze.results);
   }

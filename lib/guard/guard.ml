@@ -193,13 +193,6 @@ let of_spec s =
     create ?timeout:s.timeout ?max_steps:s.max_steps
       ?max_table_bytes:s.max_table_bytes ()
 
-let spec_to_string s =
-  let b f = function None -> "off" | Some v -> f v in
-  Printf.sprintf "timeout=%s steps=%s bytes=%s"
-    (b (Printf.sprintf "%gs") s.timeout)
-    (b string_of_int s.max_steps)
-    (b string_of_int s.max_table_bytes)
-
 let budget_json_fields g =
   let open Metrics in
   if not g.active then []

@@ -140,10 +140,6 @@ val of_spec : spec -> t
 (** A fresh guard honoring [spec]; {!unlimited} when nothing is set
     (the deadline clock starts now). *)
 
-val spec_to_string : spec -> string
-(** Human rendering, e.g. ["timeout=2s steps=10000 bytes=off"]; used in
-    batch reports and as a store-key configuration discriminator. *)
-
 val budget_json_fields : t -> (string * Prax_metrics.Metrics.json) list
 (** [("budget", {...})] fields for a prax.stats document (empty list for
     {!unlimited}); see docs/METRICS.md. *)

@@ -351,13 +351,3 @@ let activate_with ~unify (c : cclause) (s : Subst.t) (goal : Term.t) :
       (s', body))
     (unify s head goal)
 
-(** Rough size accounting, in machine words, of all stored clauses. *)
-let stored_words db =
-  Hashtbl.fold
-    (fun _ e acc ->
-      Vec.fold
-        (fun acc c ->
-          acc + Term.size c.head
-          + List.fold_left (fun a g -> a + Term.size g) 0 c.body + 4)
-        acc e.clauses)
-    db.preds 0

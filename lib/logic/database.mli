@@ -42,5 +42,3 @@ val activate_with :
   (Subst.t * Term.t list) option
 (** Like {!activate} with a caller-supplied unification (e.g. depth-k
     abstract unification). *)
-
-val stored_words : t -> int

@@ -258,10 +258,6 @@ let fresh_id () =
   incr counter;
   !counter
 
-(** Reset the global variable supply.  Only for tests that need
-    reproducible variable numbering. *)
-let reset_gensym () = counter := 0
-
 let true_ = atom "true"
 let fail_ = atom "fail"
 let nil = atom "[]"
@@ -277,8 +273,6 @@ let functor_of = function
   | Var _ | Int _ -> None
 
 let args_of = function Struct (_, args, _) -> args | _ -> [||]
-
-let is_callable = function Atom _ | Struct _ -> true | Var _ | Int _ -> false
 
 (** Fold over all variable ids occurring in [t]; ground subterms carry
     none and are skipped in O(1). *)

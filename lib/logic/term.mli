@@ -43,10 +43,6 @@ val fresh_var : unit -> t
 
 val fresh_id : unit -> int
 
-val reset_gensym : unit -> unit
-(** Reset the global supply.  Only for tests needing reproducible
-    numbering. *)
-
 (** {2 Construction} *)
 
 val var : int -> t
@@ -86,8 +82,6 @@ val functor_of : t -> (string * int) option
 val args_of : t -> t array
 (** Arguments of a [Struct]; [[||]] otherwise.  The live array — do not
     mutate. *)
-
-val is_callable : t -> bool
 
 val is_ground : t -> bool
 (** O(1): leaves answer directly, [Struct] reads its meta word. *)

@@ -78,10 +78,6 @@ type timer = {
       (** innermost timer running when this one first started *)
 }
 
-let enabled_flag = ref true
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-
 let counters_tbl : (string, cell) Hashtbl.t = Hashtbl.create 64
 let gauges_tbl : (string, cell) Hashtbl.t = Hashtbl.create 16
 let timers_tbl : (string, timer) Hashtbl.t = Hashtbl.create 32
@@ -117,41 +113,38 @@ let timer ?(doc = "") name : timer =
         t_parent = None;
       })
 
-let incr c = if !enabled_flag then c.c_value <- c.c_value + 1
-let add c n = if !enabled_flag then c.c_value <- c.c_value + n
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let value c = c.c_value
-let set g v = if !enabled_flag then g.c_value <- v
+let set g v = g.c_value <- v
 
 let now_ns () = Monotonic_clock.now ()
 
 let time t f =
-  if not !enabled_flag then f ()
-  else begin
+  if t.t_depth = 0 then begin
+    (match !running with
+    | outer :: _ when t.t_parent = None && outer != t ->
+        t.t_parent <- Some outer.t_name
+    | _ -> ());
+    t.t_start <- now_ns ()
+  end;
+  t.t_depth <- t.t_depth + 1;
+  running := t :: !running;
+  let leave () =
+    (match !running with _ :: rest -> running := rest | [] -> ());
+    t.t_depth <- t.t_depth - 1;
     if t.t_depth = 0 then begin
-      (match !running with
-      | outer :: _ when t.t_parent = None && outer != t ->
-          t.t_parent <- Some outer.t_name
-      | _ -> ());
-      t.t_start <- now_ns ()
-    end;
-    t.t_depth <- t.t_depth + 1;
-    running := t :: !running;
-    let leave () =
-      (match !running with _ :: rest -> running := rest | [] -> ());
-      t.t_depth <- t.t_depth - 1;
-      if t.t_depth = 0 then begin
-        t.t_ns <- Int64.add t.t_ns (Int64.sub (now_ns ()) t.t_start);
-        t.t_count <- t.t_count + 1
-      end
-    in
-    match f () with
-    | x ->
-        leave ();
-        x
-    | exception e ->
-        leave ();
-        raise e
-  end
+      t.t_ns <- Int64.add t.t_ns (Int64.sub (now_ns ()) t.t_start);
+      t.t_count <- t.t_count + 1
+    end
+  in
+  match f () with
+  | x ->
+      leave ();
+      x
+  | exception e ->
+      leave ();
+      raise e
 
 let seconds t = Int64.to_float t.t_ns /. 1e9
 
@@ -197,25 +190,23 @@ let sorted_samples tbl =
   |> List.sort (fun a b -> String.compare a.name b.name)
 
 let snapshot () : snapshot =
-  if not !enabled_flag then { counters = []; gauges = []; timers = [] }
-  else
-    {
-      counters = sorted_samples counters_tbl;
-      gauges = sorted_samples gauges_tbl;
-      timers =
-        Hashtbl.fold
-          (fun _ t acc ->
-            {
-              timer_name = t.t_name;
-              timer_seconds = seconds t;
-              activations = t.t_count;
-              parent = t.t_parent;
-              timer_doc = t.t_doc;
-            }
-            :: acc)
-          timers_tbl []
-        |> List.sort (fun a b -> String.compare a.timer_name b.timer_name);
-    }
+  {
+    counters = sorted_samples counters_tbl;
+    gauges = sorted_samples gauges_tbl;
+    timers =
+      Hashtbl.fold
+        (fun _ t acc ->
+          {
+            timer_name = t.t_name;
+            timer_seconds = seconds t;
+            activations = t.t_count;
+            parent = t.t_parent;
+            timer_doc = t.t_doc;
+          }
+          :: acc)
+        timers_tbl []
+      |> List.sort (fun a b -> String.compare a.timer_name b.timer_name);
+  }
 
 (* --- JSON --------------------------------------------------------------- *)
 

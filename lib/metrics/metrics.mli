@@ -14,16 +14,14 @@
 
     {2 Cost model}
 
-    A counter bump is a load of the global enable flag plus one unboxed
-    integer store into the cell — safe to leave in the innermost engine
+    A counter bump is one unboxed integer store into the cell — safe to leave in the innermost engine
     loops.  Every value is process-global: parallelism in this system is
     forked worker processes, each with its own copy of the registry, so
     nothing here is shared between threads of execution.  Timers
     read the monotonic clock (via [bechamel.monotonic_clock]'s
     [clock_gettime] stub) only at the outermost entry and exit of a
     phase; nested re-entries of the same timer are depth-counted and do
-    not touch the clock.  With {!set_enabled}[ false] every operation is
-    a single conditional and {!snapshot} returns the empty record. *)
+    not touch the clock. *)
 
 val schema_name : string
 (** The schema identifier emitted in every {!stats_doc}: ["prax.stats"]. *)
@@ -46,16 +44,6 @@ val min_supported_schema_version : int
 val schema_version_supported : int -> bool
 (** [schema_version_supported v]: does a document claiming version [v]
     parse under this library's schema expectations? *)
-
-(** {1 Runtime switch} *)
-
-val enabled : unit -> bool
-(** Is metric recording currently on?  (Default: on.) *)
-
-val set_enabled : bool -> unit
-(** Turn recording on or off at runtime.  While off, counter bumps,
-    gauge sets, and timer activations are dropped, and {!snapshot}
-    returns an empty snapshot. *)
 
 (** {1 Counters}
 

@@ -188,6 +188,3 @@ let of_tuples arity (tuples : bool option list list) =
     tuples;
   f
 
-let to_tuples f : bool list list =
-  rows f
-  |> List.map (fun r -> List.init f.arity (fun i -> r land (1 lsl i) <> 0))

@@ -61,5 +61,3 @@ val of_tuples : int -> bool option list list -> t
 (** Rows from answer tuples; [None] positions take both values
     (positions expand independently — for variable-sharing answers use
     the analyzers' own expansion). *)
-
-val to_tuples : t -> bool list list

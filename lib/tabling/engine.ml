@@ -940,11 +940,6 @@ let dump_tables e : string =
   in
   match lines with [] -> "" | _ -> String.concat "\n" lines ^ "\n"
 
-(** MD5 hex of {!dump_tables} — a compact fingerprint of the complete
-    analysis outcome, recorded in stored snapshots so a warm-started
-    batch can assert bit-identity with recomputation. *)
-let table_digest e : string = Digest.to_hex (Digest.string (dump_tables e))
-
 (* Per-entry extraction for the incremental store (docs/INCREMENTAL.md):
    the canonical call, its answers, and the call variants its producer
    consumed from ([deps] — the demand edges a future splice must replay

@@ -240,10 +240,6 @@ val dump_tables : t -> string
     round-trip verification — parsing a line back re-interns the same
     canonical terms. *)
 
-val table_digest : t -> string
-(** MD5 hex of {!dump_tables}: a compact outcome fingerprint for
-    stored snapshots and warm-start equality checks. *)
-
 val tables_consistent : ?after_abort:bool -> t -> bool
 (** Table invariants, for tests and debugging: every entry's answer
     vector and dedup set agree; with [~after_abort:true] additionally

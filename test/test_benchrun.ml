@@ -1,9 +1,10 @@
 (* Tests for the bench-run store and A/B comparator
    (docs/BENCHMARKING.md): order statistics, the noise-gate threshold
    logic (relative tolerance AND absolute floor AND pooled IQR),
-   run-directory round-trips, degradation on corrupt or missing
-   manifests, and the `bench gate` exit codes through the built
-   harness. *)
+   run-directory round-trips, prax.bench files loading as runs,
+   degradation on corrupt or missing manifests, the `bench gate` exit
+   codes through the built harness, and the representation counters a
+   measured groundness run must feed. *)
 
 module Benchrun = Prax_benchrun.Benchrun
 
@@ -50,7 +51,7 @@ let row ?(analysis = "groundness") ?(name = "qsort") ?(status = "complete")
 
 let mkrun ?(id = "r") rows =
   {
-    Benchrun.dir = "";
+    Benchrun.path = "";
     id;
     manifest = None;
     rows;
@@ -278,7 +279,7 @@ let test_roundtrip () =
           (* the per-benchmark log landed *)
           Alcotest.(check bool) "log written" true
             (Sys.file_exists
-               (Filename.concat run.Benchrun.dir "logs/groundness-qsort.log")))
+               (Filename.concat run.Benchrun.path "logs/groundness-qsort.log")))
 
 (* --- degradation ----------------------------------------------------------- *)
 
@@ -308,20 +309,116 @@ let test_manifest_degradation () =
           Alcotest.(check bool) "missing manifest degrades" true
             (run.Benchrun.manifest = None)
       | Error msg -> Alcotest.failf "missing manifest should degrade: %s" msg);
-      (* corrupt rows: there is nothing sound to compare — an error *)
-      overwrite (Filename.concat rdir "rows.json") "xx";
-      (match Benchrun.load_run rdir with
-      | Ok _ -> Alcotest.fail "corrupt rows.json must not load"
-      | Error _ -> ());
+      (* corrupt rows: there is nothing sound to compare — an error,
+         whether loaded through the directory or as a prax.bench file *)
+      let rows_file = Filename.concat rdir "rows.json" in
+      let must_fail what path =
+        match Benchrun.load_run path with
+        | Ok _ -> Alcotest.failf "%s must not load" what
+        | Error _ -> ()
+      in
+      overwrite rows_file "xx";
+      must_fail "corrupt rows.json" rdir;
+      must_fail "a corrupt prax.bench file" rows_file;
+      overwrite rows_file {|{"schema":"prax.bench","incremental":[]}|};
+      must_fail "a prax.bench file without rows" rows_file;
+      overwrite rows_file {|{"schema":"prax.bench","benchmarks":[{}]}|};
+      must_fail "a prax.bench file with no decodable row" rows_file;
       (* missing rows: likewise *)
-      Sys.remove (Filename.concat rdir "rows.json");
-      (match Benchrun.load_run rdir with
-      | Ok _ -> Alcotest.fail "missing rows.json must not load"
-      | Error _ -> ());
+      Sys.remove rows_file;
+      must_fail "missing rows.json" rdir;
+      must_fail "a missing prax.bench file" rows_file;
       (* and an unknown id through find_run *)
       match Benchrun.find_run ~runs_dir:dir "no-such-run" with
       | Ok _ -> Alcotest.fail "unknown run id must not load"
       | Error _ -> ())
+
+(* --- a prax.bench file is a run --------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let bench_engine_json =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "BENCH_engine.json"
+
+(* The rows document on its own — as a run directory's rows.json, or
+   with the extra [incremental] array BENCH_engine.json carries —
+   loads with the same rows as the run directory it came from, and
+   without a manifest. *)
+let test_file_run () =
+  with_tmpdir (fun dir ->
+      let rows =
+        [
+          row ~total:[ 0.0011; 0.0010; 0.0012 ] ~bytes:[ 4664. ] ();
+          row ~analysis:"strictness" ~name:"mergesort"
+            ~total:[ 0.01; 0.011; 0.009 ] ~bytes:[ 136672. ] ();
+        ]
+      in
+      write ~dir ~id:"rt" rows;
+      let from_dir =
+        match Benchrun.load_run (Filename.concat dir "rt") with
+        | Ok run -> run
+        | Error msg -> Alcotest.failf "run directory: %s" msg
+      in
+      let text = read_file (Filename.concat dir "rt/rows.json") in
+      overwrite (Filename.concat dir "rows.json") text;
+      let with_incr =
+        match Benchrun.Metrics.json_of_string text with
+        | Benchrun.Metrics.Obj fields ->
+            Benchrun.Metrics.Obj
+              (fields
+              @ [
+                  ( "incremental",
+                    Benchrun.Metrics.Arr
+                      [
+                        Benchrun.Metrics.Obj
+                          [ ("name", Benchrun.Metrics.Str "qsort") ];
+                      ] );
+                ])
+        | _ -> Alcotest.fail "rows.json is not an object"
+      in
+      overwrite
+        (Filename.concat dir "v3.json")
+        (Benchrun.Metrics.json_to_string with_incr);
+      let check_file what = function
+        | Error msg -> Alcotest.failf "%s: %s" what msg
+        | Ok run ->
+            Alcotest.(check bool) (what ^ ": same rows") true
+              (run.Benchrun.rows = from_dir.Benchrun.rows);
+            Alcotest.(check bool) (what ^ ": no manifest") true
+              (run.Benchrun.manifest = None);
+            Alcotest.(check string) (what ^ ": id from run_id") "rt"
+              run.Benchrun.id;
+            Alcotest.(check int) (what ^ ": self-ab regressions") 0
+              (Benchrun.compare_runs from_dir run).Benchrun.regressions
+      in
+      check_file "load_run rows.json"
+        (Benchrun.load_run (Filename.concat dir "rows.json"));
+      check_file "find_run under runs_dir"
+        (Benchrun.find_run ~runs_dir:dir "rows.json");
+      check_file "find_run v3 path"
+        (Benchrun.find_run ~runs_dir:"no-such-dir"
+           (Filename.concat dir "v3.json")));
+  (* the committed snapshot is a run: every row, no manifest, and the
+     file name as its id *)
+  match Benchrun.load_run bench_engine_json with
+  | Error msg -> Alcotest.failf "BENCH_engine.json: %s" msg
+  | Ok run ->
+      let entries =
+        match
+          Benchrun.Metrics.member "benchmarks"
+            (Benchrun.Metrics.json_of_string (read_file bench_engine_json))
+        with
+        | Some (Benchrun.Metrics.Arr l) -> List.length l
+        | _ -> Alcotest.fail "BENCH_engine.json: no benchmarks array"
+      in
+      Alcotest.(check int) "BENCH_engine.json rows" entries
+        (List.length run.Benchrun.rows);
+      Alcotest.(check bool) "BENCH_engine.json has no manifest" true
+        (run.Benchrun.manifest = None);
+      Alcotest.(check string) "BENCH_engine.json id" "BENCH_engine.json"
+        run.Benchrun.id
 
 (* --- bench gate exit codes through the built harness ----------------------- *)
 
@@ -353,9 +450,13 @@ let test_gate_exit_codes () =
       write ~dir ~id:"base" base_rows;
       write ~dir ~id:"same" base_rows;
       write ~dir ~id:"slow" slow_rows;
-      let gate extra =
+      (* a committed prax.bench file whose table bytes are 10% lower *)
+      write ~dir ~id:"lean" [ row ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4198. ] () ];
+      let committed = Filename.concat dir "committed.json" in
+      overwrite committed (read_file (Filename.concat dir "lean/rows.json"));
+      let gate ?(baseline = "base") extra =
         run_code
-          ([ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; "base" ]
+          ([ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; baseline ]
           @ extra)
       in
       Alcotest.(check int) "identical runs pass (exit 0)" 0
@@ -369,7 +470,33 @@ let test_gate_exit_codes () =
            [ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; "nope";
              "--candidate"; "same" ]);
       Alcotest.(check int) "ab reports without gating (exit 0)" 0
-        (run_code [ bench_exe; "ab"; "--runs-dir"; dir; "base"; "slow" ]))
+        (run_code [ bench_exe; "ab"; "--runs-dir"; dir; "base"; "slow" ]);
+      Alcotest.(check int) "a prax.bench file baseline passes (exit 0)" 0
+        (gate ~baseline:committed [ "--candidate"; "lean"; "--metrics"; "bytes" ]);
+      Alcotest.(check int) "bytes above the committed file trip (exit 2)" 2
+        (gate ~baseline:committed [ "--candidate"; "same"; "--metrics"; "bytes" ]))
+
+(* --- representation counters of a measured run ------------------------------ *)
+
+(* A groundness run feeds the hash-consing and symbol-intern counters
+   that bench rows report, and accounts its table space.  This is the
+   process's first analysis, so qsort's symbols intern fresh. *)
+let test_groundness_counters () =
+  let module M = Benchrun.Metrics in
+  M.reset ();
+  let src =
+    (Option.get (Prax_benchdata.Registry.find_logic "qsort"))
+      .Prax_benchdata.Registry.source
+  in
+  let rep = Prax_ground.Analyze.analyze src in
+  Alcotest.(check bool) "groundness(qsort) completes" true
+    (rep.Prax_ground.Analyze.status = Prax_guard.Guard.Complete);
+  Alcotest.(check bool) "table space accounted" true
+    (rep.Prax_ground.Analyze.table_bytes > 0);
+  Alcotest.(check bool) "hash-cons counters live" true
+    (M.counter_value "hashcons.hits" + M.counter_value "hashcons.misses" > 0);
+  Alcotest.(check bool) "symbol-intern counter live" true
+    (M.counter_value "intern.symbols" > 0)
 
 (* --- the committed BENCH_engine.json ---------------------------------------- *)
 
@@ -383,11 +510,7 @@ let test_bench_engine_rows () =
   let module R = Prax_benchdata.Registry in
   let doc =
     Benchrun.Metrics.json_of_string
-      (In_channel.with_open_text
-         (Filename.concat
-            (Filename.dirname (Filename.dirname Sys.executable_name))
-            "BENCH_engine.json")
-         In_channel.input_all)
+      (read_file bench_engine_json)
   in
   let entries =
     match Benchrun.Metrics.member "benchmarks" doc with
@@ -447,9 +570,15 @@ let () =
             test_roundtrip;
           Alcotest.test_case "manifest degradation" `Quick
             test_manifest_degradation;
+          Alcotest.test_case "a prax.bench file is a run" `Quick test_file_run;
         ] );
       ( "gate",
         [ Alcotest.test_case "exit codes" `Quick test_gate_exit_codes ] );
+      ( "counters",
+        [
+          Alcotest.test_case "groundness run feeds them" `Quick
+            test_groundness_counters;
+        ] );
       ( "snapshot",
         [
           Alcotest.test_case "BENCH_engine.json rows decode" `Quick

@@ -1,6 +1,5 @@
 (* The observability layer: counter invariants on a real analysis run,
-   timer nesting/reentrancy/exception safety, the runtime off switch,
-   and the serialized schema (JSON round-trip, CSV shape). *)
+   timer nesting/reentrancy/exception safety, and the serialized schema (JSON round-trip, CSV shape). *)
 
 module M = Prax_metrics.Metrics
 
@@ -97,28 +96,6 @@ let test_timer_exception_safety () =
   Alcotest.(check int) "timer usable after the raise" 2
     (timing_of "test.raising").M.activations
 
-(* --- runtime switch ------------------------------------------------------ *)
-
-let test_disabled () =
-  let c = M.counter "test.switch" in
-  let t = M.timer "test.switch_timer" in
-  M.reset ();
-  M.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> M.set_enabled true)
-    (fun () ->
-      M.incr c;
-      M.add c 10;
-      Alcotest.(check int) "bumps dropped while off" 0 (M.value c);
-      let r = M.time t (fun () -> 42) in
-      Alcotest.(check int) "time is transparent while off" 42 r;
-      Alcotest.(check (float 0.)) "no time billed while off" 0. (M.seconds t);
-      let snap = M.snapshot () in
-      Alcotest.(check bool) "snapshot empty while off" true
-        (snap.M.counters = [] && snap.M.gauges = [] && snap.M.timers = []));
-  M.incr c;
-  Alcotest.(check int) "recording resumes when re-enabled" 1 (M.value c)
-
 (* --- serialization ------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -201,7 +178,6 @@ let () =
           Alcotest.test_case "exception safety" `Quick
             test_timer_exception_safety;
         ] );
-      ("switch", [ Alcotest.test_case "disabled" `Quick test_disabled ]);
       ( "serialization",
         [
           Alcotest.test_case "stats_doc round-trip" `Quick test_json_roundtrip;
