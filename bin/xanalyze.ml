@@ -52,6 +52,17 @@ let read_input = function
         Printf.eprintf "xanalyze: %s\n" msg;
         exit exit_input)
 
+(* The --store directory; one that cannot be opened or created (a
+   missing parent, a file in the way) is an input error. *)
+let open_store dir =
+  try Store.open_dir dir with
+  | Sys_error msg ->
+      Printf.eprintf "xanalyze: %s\n" msg;
+      exit exit_input
+  | Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "xanalyze: %s: %s\n" dir (Unix.error_message e);
+      exit exit_input
+
 let source_kinds =
   [ Analysis.Logic_program; Analysis.Fp_program; Analysis.Cfg_program ]
 
@@ -223,7 +234,7 @@ let run_single ~name ~config ~input ~bench ~timings ~stats ~timeout ~max_steps
         let cache =
           if incremental then
             Option.bind store (fun dir ->
-                Incr.Incr.store_cache (Store.open_dir dir) a ~config)
+                Incr.Incr.store_cache (open_store dir) a ~config)
           else None
         in
         Analysis.run a ~config ~guard ?cache src)
@@ -630,7 +641,7 @@ let batch_cmd =
           end)
         specs
     in
-    let store = Option.map Store.open_dir store_dir in
+    let store = Option.map open_store store_dir in
     let key_of job =
       let bj = Hashtbl.find table job in
       Analyses.store_key bj.bj_analysis ~config:bj.bj_config bj.bj_src

@@ -682,18 +682,23 @@ let pct_string p =
   if Float.is_integer p && Float.abs p = Float.infinity then "(new)"
   else Printf.sprintf "%+.1f%%" (100. *. p)
 
+(* An ungated delta (counters, or a metric class the gate leaves out)
+   explains the gated ones but never moves the verdict: marked so. *)
 let render_delta d =
-  Printf.sprintf "  %-11s %-10s/%-10s %-14s %12.6g -> %-12.6g %9s  (noise bound %g)"
+  Printf.sprintf "  %-11s %-10s/%-10s %-14s %12.6g -> %-12.6g %9s  (noise bound %g)%s"
     (verdict_to_string d.d_verdict)
     d.d_analysis d.d_name d.d_metric d.d_base d.d_cand (pct_string d.d_pct)
     d.d_pooled_iqr
+    (if d.d_gated then "" else " (ungated)")
 
 let render_ab ab =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "A/B: baseline %s vs candidate %s\n" ab.base_id ab.cand_id);
+  (* gated deltas first, then the ungated ones *)
   let flagged =
     List.filter (fun d -> d.d_verdict <> Unchanged) ab.deltas
+    |> List.stable_sort (fun a b -> Bool.compare b.d_gated a.d_gated)
   in
   if flagged = [] then
     Buffer.add_string buf "  no deltas beyond noise tolerance\n"

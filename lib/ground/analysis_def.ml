@@ -3,24 +3,17 @@
     docs/ANALYSES.md).  Registered by [Prax_analyses.Analyses]. *)
 
 open Prax_logic
-open Prax_prop
 module Analysis = Prax_analysis.Analysis
 module Metrics = Prax_metrics.Metrics
 module Incr = Prax_incr.Incr
 
 let result_json (r : Analyze.pred_result) : Metrics.json =
   let name, arity = r.Analyze.pred in
-  let args = List.init arity (fun i -> Printf.sprintf "A%d" (i + 1)) in
   Metrics.Obj
     [
       ("name", Metrics.Str name);
       ("arity", Metrics.Int arity);
-      ( "success",
-        Metrics.Str
-          (if r.Analyze.never_succeeds then "unreachable"
-           else
-             Qm.to_string ~names:(fun i -> List.nth args i) r.Analyze.success)
-      );
+      ("success", Metrics.Str r.Analyze.formula);
       ( "definite",
         Metrics.Str
           (String.concat ""

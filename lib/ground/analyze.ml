@@ -32,6 +32,9 @@ type pred_result = {
   definite : bool array;  (** argument ground in every answer *)
   never_succeeds : bool;
   call_patterns : string list;  (** input modes, e.g. ["gf"; "gg"] *)
+  formula : string;
+      (** [success] rendered over [A1..An] ("unreachable" when it never
+          succeeds), computed once in the collect phase *)
 }
 
 (* The shared Table-style phase record, re-exported so existing callers
@@ -100,9 +103,11 @@ let mode_char = function
 let pattern_of_call (call : Term.t) : string =
   Term.args_of call |> Array.to_seq |> Seq.map mode_char |> String.of_seq
 
-(* Preprocessing: transform + load into the clause store. *)
+(* Preprocessing: transform, solve the [=] goals statically, load into
+   the clause store.  Returns the clauses actually loaded. *)
 let prepare ~mode ~guard clauses =
   let abstract, preds, max_iff = Transform.program clauses in
+  let abstract = List.map Transform.fold_clause abstract in
   let db = Database.create ~mode () in
   Database.load_clauses db abstract;
   let e = Engine.create ~guard db in
@@ -114,6 +119,11 @@ let prepare ~mode ~guard clauses =
 let open_goal (name, arity) =
   Term.mk (Transform.prefix ^ name)
     (Array.init arity (fun _ -> Term.fresh_var ()))
+
+(* The rendered success formula of a result, shared with Def. *)
+let formula_of ~never_succeeds success =
+  if never_succeeds then "unreachable"
+  else Qm.to_string ~names:(fun i -> Printf.sprintf "A%d" (i + 1)) success
 
 (* Collection: combine answers per predicate. *)
 let collect_results e status preds =
@@ -138,7 +148,7 @@ let collect_results e status preds =
         |> List.sort_uniq compare
       in
       { pred = (name, arity); success; definite; never_succeeds = never;
-        call_patterns })
+        call_patterns; formula = formula_of ~never_succeeds:never success })
     preds
 
 (** Run the analysis on already-parsed clauses (so callers can time
@@ -189,19 +199,14 @@ let compile_time ?(mode = Database.Compiled) (src : string) : float =
 
 let result_to_string (r : pred_result) : string =
   let name, arity = r.pred in
-  let args = List.init arity (fun i -> Printf.sprintf "A%d" (i + 1)) in
-  let formula =
-    if r.never_succeeds then "unreachable"
-    else Qm.to_string ~names:(fun i -> List.nth args i) r.success
-  in
   let definite =
     if r.never_succeeds then "-"
     else
       String.concat ""
         (List.init arity (fun i -> if r.definite.(i) then "g" else "?"))
   in
-  Printf.sprintf "%s/%d: success=%s definite=%s calls={%s}" name arity formula
-    definite
+  Printf.sprintf "%s/%d: success=%s definite=%s calls={%s}" name arity
+    r.formula definite
     (String.concat "," r.call_patterns)
 
 let report_to_string (rep : report) : string =

@@ -6,8 +6,9 @@
     the xi are"), stored per head variable as a set of minimal
     antecedent bitmasks.
 
-    The driver is a bottom-up Kleene fixpoint over the same abstract
-    program {!Transform.program} emits for the tabled path: each clause
+    The driver is a bottom-up Kleene fixpoint over the unfolded abstract
+    program {!Transform.program} emits (the tabled path loads it with
+    its [=] goals solved, {!Transform.fold_clause}): each clause
     body is flattened into disjunction-free paths, each path's literals
     ([=]/[iff]/abstract calls) become implications over clause-local
     variables, local variables are eliminated by Davis–Putnam
@@ -548,12 +549,14 @@ let collect_results store preds =
           (Hashtbl.find_opt store (Transform.prefix ^ name, arity))
       in
       let success = bf_of_value arity v in
+      let never_succeeds = Bf.is_empty success in
       {
         Analyze.pred = (name, arity);
         success;
         definite = Bf.definite success;
-        never_succeeds = Bf.is_empty success;
+        never_succeeds;
         call_patterns = [];  (* bottom-up: goal-independent *)
+        formula = Analyze.formula_of ~never_succeeds success;
       })
     preds
 

@@ -19,7 +19,17 @@
       argument; [var]/[nonvar] and negation bind nothing;
     - control ([!], [true], I/O) binds nothing;
     - [;], [->] are translated compositionally ([->] without commitment —
-      a sound over-approximation). *)
+      a sound over-approximation).
+
+    {!program} emits every head and call argument as a run-time goal
+    ([α = TX], [TX = true], [iff(α, …)]).  That unfolded form is what
+    Def, GAIA and bottom-up read.  The tabled path loads each clause
+    through {!fold_clause} instead: the [=] goals are solved at
+    transform time, so call arguments lose their fresh aliases and the
+    equalities before the first run-time goal move into the head
+    ([gp_gravity(true).]).
+    That is the "coding for the evaluation mechanism" left to the
+    implementor; the tabled engine derives the same tables from both. *)
 
 open Prax_logic
 
@@ -181,3 +191,42 @@ let program (clauses : Parser.clause list) :
     Hashtbl.fold (fun p () acc -> p :: acc) defined [] |> List.sort compare
   in
   (abstracted, preds, ctx.max_iff_arity)
+
+(* --- static unification (tabled path) ----------------------------------- *)
+
+(** One abstract clause as the tabled engine loads it: its [=] goals
+    solved at transform time.  The body is walked left to right under a
+    static substitution [s] (applied to the head and to later goals)
+    with [seen] the variables of the goals kept so far.  A goal [a = b],
+    read under [s], is dropped when both sides are identical, or when
+    one side is a variable [x] that no kept goal mentions and that is
+    either bound before any goal runs or absent from the head — then
+    [x] is bound in [s].  Every other goal is kept.
+
+    Exact on the tabled engine: a dropped goal binds only a variable no
+    earlier kept goal can see, and a binding reaches the head only when
+    no goal runs before it, so the clause makes the same tabled calls
+    and offers the same answers in the same order.  GAIA cannot read
+    the result: it needs variable-argument heads. *)
+let fold_clause (c : Parser.clause) : Parser.clause =
+  let s = ref Subst.empty in
+  let seen = Hashtbl.create 16 in
+  let kept = ref [] in
+  let bindable x t =
+    (not (Hashtbl.mem seen x))
+    && (not (Term.occurs x t))
+    && (!kept = [] || not (Term.occurs x (Subst.resolve !s c.Parser.head)))
+  in
+  List.iter
+    (fun g ->
+      match Subst.resolve !s g with
+      | Term.Struct ("=", [| a; b |], _) when Term.equal a b -> ()
+      | Term.Struct ("=", [| Term.Var x; t |], _) when bindable x t ->
+          s := Subst.bind !s x t
+      | Term.Struct ("=", [| t; Term.Var x |], _) when bindable x t ->
+          s := Subst.bind !s x t
+      | g ->
+          List.iter (fun v -> Hashtbl.replace seen v ()) (Term.vars g);
+          kept := g :: !kept)
+    c.Parser.body;
+  { Parser.head = Subst.resolve !s c.Parser.head; body = List.rev !kept }

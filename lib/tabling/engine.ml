@@ -436,8 +436,9 @@ let rec solve e (s : Subst.t) (goal : Term.t) (sc : Subst.t -> unit) : unit =
       sc s
   | Term.Struct ("=", [| a; b |], _) ->
       if e.hooks.unify == Unify.unify then (
-        (* Concrete =/2: the transformed analysis programs emit long runs
-           of [V = true] / [V = W] bindings, so inline unification's
+        (* Concrete =/2: the groundness program keeps the [V = true] /
+           [V = W] goals its transform cannot solve statically (checks
+           after a call, disjunction branches), so inline unification's
            variable cases and fall back to the full routine only for
            structure-against-structure. *)
         match (Subst.walk s a, Subst.walk s b) with

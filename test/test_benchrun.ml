@@ -206,6 +206,36 @@ let test_counters_informational () =
   Alcotest.(check bool) "but not gated" false d.Benchrun.d_gated;
   Alcotest.(check int) "gate stays green" 0 ab.Benchrun.regressions
 
+(* the rendered A/B lists gated deltas first and marks the ungated ones,
+   so a passing gate does not read as a list of regressions *)
+let test_render_marks_ungated () =
+  let base =
+    mkrun [ row ~counters:[ ("unify.attempts", 1000.) ] ~total:[ 1. ]
+        ~bytes:[ 4664. ] () ]
+  in
+  let cand =
+    mkrun [ row ~counters:[ ("unify.attempts", 2000.) ] ~total:[ 1. ]
+        ~bytes:[ 5600. ] () ]
+  in
+  let ab = Benchrun.compare_runs base cand in
+  let lines =
+    String.split_on_char '\n' (Benchrun.render_ab ab)
+    |> List.filter (fun l -> String.starts_with ~prefix:"  regression" l)
+  in
+  let ends_ungated l = String.ends_with ~suffix:" (ungated)" l in
+  Alcotest.(check (list bool)) "gated line, then the marked counter line"
+    [ false; true ] (List.map ends_ungated lines);
+  let mentions l needle =
+    let n = String.length needle in
+    Seq.exists
+      (fun i -> String.sub l i n = needle)
+      (Seq.init (String.length l - n + 1) Fun.id)
+  in
+  Alcotest.(check (list bool)) "table_bytes gated, unify.attempts not"
+    [ true; true ]
+    [ mentions (List.nth lines 0) "table_bytes";
+      mentions (List.nth lines 1) "unify.attempts" ]
+
 (* shard pooling: samples concatenate, degraded status survives,
    scalars come from the last shard *)
 let test_pool_rows () =
@@ -562,6 +592,8 @@ let () =
           Alcotest.test_case "missing row gates" `Quick test_missing_row;
           Alcotest.test_case "counters informational" `Quick
             test_counters_informational;
+          Alcotest.test_case "render marks ungated deltas" `Quick
+            test_render_marks_ungated;
           Alcotest.test_case "shard pooling" `Quick test_pool_rows;
         ] );
       ( "store",

@@ -543,6 +543,24 @@ let test_praxtop_sigint_aborts_query () =
     (contains out "no.");
   Alcotest.(check bool) "halt still farewells" true (contains out "bye.")
 
+(* a --store directory that cannot be created (its parent is missing) is
+   an input error naming the path, not an uncaught exception *)
+let test_store_missing_parent () =
+  with_temp_dir "prax-cli-store" (fun dir ->
+      let store = Filename.concat (Filename.concat dir "missing") "store" in
+      List.iter
+        (fun (what, argv) ->
+          let r = run (argv @ [ "--store"; store ]) in
+          check_code what 1 r;
+          Alcotest.(check bool) (what ^ ": path on stderr") true
+            (contains r.err store))
+        [
+          ( "analyze --incremental --store",
+            [ xanalyze; "analyze"; "groundness"; "qsort"; "--bench";
+              "--incremental" ] );
+          ("batch --store", [ xanalyze; "batch"; "--corpus"; "qsort" ]);
+        ])
+
 let () =
   (* a child closing its end early must not kill the harness *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -557,6 +575,8 @@ let () =
             test_exit_crashed;
           Alcotest.test_case "1 = batch input rejected, not retried" `Quick
             test_batch_invalid_input;
+          Alcotest.test_case "1 = --store parent missing" `Quick
+            test_store_missing_parent;
         ] );
       ( "registry",
         [

@@ -154,6 +154,84 @@ let test_supplement_preserves_model () =
         preds)
     programs
 
+(* Static unification preserves the tables: the engine Analyze.prepare
+   loads ([=] goals solved at transform time) and one loaded with
+   Transform.program's raw output derive byte-identical call/answer
+   tables and equal engine counters, complete or cut by a table-space
+   budget (deterministic, unlike a step budget: the folded program runs
+   fewer goals). *)
+let evaluate ~clauses ~preds e =
+  let status, _ =
+    Prax_incr.Incr.run_tabled ~engine:e ~clauses
+      ~goals:(List.map Prax_ground.Analyze.open_goal preds)
+      ()
+  in
+  let module E = Prax_tabling.Engine in
+  let st = E.stats e in
+  ( Prax_guard.Guard.status_to_string status,
+    E.dump_tables e,
+    Printf.sprintf
+      "calls=%d entries=%d answers=%d duplicates=%d resumptions=%d forced=%d"
+      st.E.calls st.E.table_entries st.E.answers st.E.duplicates
+      st.E.resumptions st.E.forced,
+    E.table_space_bytes e )
+
+let raw_engine ~mode ~guard clauses =
+  let abstract, preds, maxiff = Prax_ground.Transform.program clauses in
+  let db = Database.create ~mode () in
+  Database.load_clauses db abstract;
+  let e = Prax_tabling.Engine.create ~guard db in
+  Iff.register e ~max_arity:maxiff;
+  evaluate ~clauses:abstract ~preds e
+
+let folded_engine ~mode ~guard clauses =
+  let abstract, preds, e = Prax_ground.Analyze.prepare ~mode ~guard clauses in
+  evaluate ~clauses:abstract ~preds e
+
+let check_fold_preserves_tables name src =
+  let clauses = Parser.parse_clauses src in
+  List.iter
+    (fun (mode_name, mode) ->
+      let _, _, _, full_bytes =
+        raw_engine ~mode ~guard:Prax_guard.Guard.unlimited clauses
+      in
+      List.iter
+        (fun (budget_name, max_table_bytes) ->
+          let guard () = Prax_guard.Guard.create ~max_table_bytes () in
+          let st_r, dump_r, stats_r, bytes_r =
+            raw_engine ~mode ~guard:(guard ()) clauses
+          in
+          let st_f, dump_f, stats_f, bytes_f =
+            folded_engine ~mode ~guard:(guard ()) clauses
+          in
+          let msg what =
+            Printf.sprintf "%s %s %s: %s" name mode_name budget_name what
+          in
+          Alcotest.(check string) (msg "status") st_r st_f;
+          Alcotest.(check string) (msg "dump_tables") dump_r dump_f;
+          Alcotest.(check string) (msg "engine stats") stats_r stats_f;
+          Alcotest.(check int) (msg "table bytes") bytes_r bytes_f)
+        [ ("full", 4 * full_bytes + 4096); ("half", full_bytes / 2) ])
+    [ ("dynamic", Database.Dynamic); ("compiled", Database.Compiled) ]
+
+let test_fold_preserves_tables () =
+  List.iter (fun (name, src) -> check_fold_preserves_tables name src) programs;
+  List.iter
+    (fun (b : Prax_benchdata.Registry.logic_bench) ->
+      let name = b.Prax_benchdata.Registry.name in
+      let src = b.Prax_benchdata.Registry.source in
+      check_fold_preserves_tables name src;
+      List.iter
+        (fun seed ->
+          match Prax_incr.Mutate.mutate_pl ~seed src with
+          | Some src' ->
+              check_fold_preserves_tables
+                (Printf.sprintf "%s~%d" name seed)
+                src'
+          | None -> ())
+        [ 1; 2; 3 ])
+    Prax_benchdata.Registry.logic_benchmarks
+
 (* the full corpus through tabled vs gaia-bdd (the Table 2 pairing) *)
 let test_corpus_tabled_vs_gaia () =
   List.iter
@@ -177,6 +255,8 @@ let () =
         [
           Alcotest.test_case "supplementary fold preserves model" `Quick
             test_supplement_preserves_model;
+          Alcotest.test_case "static unification preserves tables" `Quick
+            test_fold_preserves_tables;
         ] );
       ( "corpus",
         [

@@ -307,6 +307,49 @@ let test_def_partial_is_top () =
         (Bf.equal r.Analyze.success (Bf.top arity)))
     def.Analyze.results
 
+(* --- static unification of the tabled path ----------------------------- *)
+
+(* [Transform.fold_clause] on one hand-written abstract clause, printed
+   with variables renamed A, B, … in order of first occurrence. *)
+let folded src =
+  let c = List.hd (Parser.parse_clauses src) in
+  let c = Transform.fold_clause c in
+  let names = Hashtbl.create 8 in
+  let rename =
+    Term.map_vars (fun v ->
+        match Hashtbl.find_opt names v with
+        | Some t -> t
+        | None ->
+            let t = Term.var (Hashtbl.length names) in
+            Hashtbl.add names v t;
+            t)
+  in
+  let head = rename c.Parser.head in
+  Pretty.clause_to_string
+    { Parser.head; body = List.map rename c.Parser.body }
+
+let test_fold_keeps_late_check () =
+  (* the head must not see a binding made after a runtime goal *)
+  Alcotest.(check string) "check stays after q" "p(A) :- q(B), A = true."
+    (folded "p(X) :- q(Y), X = true.")
+
+let test_fold_head_aliases () =
+  Alcotest.(check string) "head bindings before any goal"
+    "p(A,true,A) :- q(A)."
+    (folded "p(A1, A2, A3) :- A1 = X, A2 = true, A3 = X, q(X).")
+
+let test_fold_alias_chain () =
+  Alcotest.(check string) "fresh aliases vanish" "p(A) :- q(A), r(A,true)."
+    (folded "p(X) :- q(X), B1 = C, C = X, B2 = true, r(B1, B2).")
+
+let test_fold_disjunction_intact () =
+  let src = "p(X) :- q(X), (B = X, r(B) ; X = true)." in
+  let c = List.hd (Parser.parse_clauses src) in
+  let c' = Transform.fold_clause c in
+  Alcotest.(check bool) "clause unchanged" true
+    (Term.equal c'.Parser.head c.Parser.head
+    && List.equal Term.equal c'.Parser.body c.Parser.body)
+
 let () =
   Alcotest.run "prax_ground"
     [
@@ -335,6 +378,17 @@ let () =
         ] );
       ( "input modes",
         [ Alcotest.test_case "call patterns" `Quick test_call_patterns ] );
+      ( "static unification",
+        [
+          Alcotest.test_case "check after a call stays" `Quick
+            test_fold_keeps_late_check;
+          Alcotest.test_case "head aliases fold into the head" `Quick
+            test_fold_head_aliases;
+          Alcotest.test_case "alias chain folds into call args" `Quick
+            test_fold_alias_chain;
+          Alcotest.test_case "disjunction left intact" `Quick
+            test_fold_disjunction_intact;
+        ] );
       ( "driver",
         [
           Alcotest.test_case "phases" `Quick test_phases_positive;
