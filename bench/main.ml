@@ -155,6 +155,9 @@ let tracked_counters =
     "intern.symbols";
     "trie.nodes";
     "trie.prefix_hits";
+    "alloc.preprocess_words";
+    "alloc.evaluate_words";
+    "alloc.collect_words";
   ]
 
 (* what a spliced re-run records instead: the planner's SCC counts and

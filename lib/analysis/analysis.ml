@@ -22,18 +22,47 @@ type phases = { preproc : float; analysis : float; collection : float }
 let total p = p.preproc +. p.analysis +. p.collection
 let add_preproc p dt = { p with preproc = p.preproc +. dt }
 
+(* Words allocated per phase: the [Gc.minor_words] delta, which on a
+   shared host is steadier than wall time (it does not move with load)
+   and names the garbage a speed-up must remove. *)
+let alloc_counter phase =
+  Metrics.counter ~units:"words"
+    ~doc:(Printf.sprintf "words allocated on the minor heap during %s" phase)
+    ("alloc." ^ phase ^ "_words")
+
+let m_pre_words = alloc_counter "preprocess"
+let m_eval_words = alloc_counter "evaluate"
+let m_col_words = alloc_counter "collect"
+
+let add_words c w0 w1 = Metrics.add c (int_of_float (w1 -. w0))
+
 let phased ~timers:(t_pre, t_eval, t_col) ~pre ~eval ~collect () =
+  let w0 = Gc.minor_words () in
   let t0 = now () in
   let a = Metrics.time t_pre pre in
   let t1 = now () in
+  let w1 = Gc.minor_words () in
   let b = Metrics.time t_eval (fun () -> eval a) in
   let t2 = now () in
+  let w2 = Gc.minor_words () in
   let c = Metrics.time t_col (fun () -> collect a b) in
   let t3 = now () in
+  let w3 = Gc.minor_words () in
+  add_words m_pre_words w0 w1;
+  add_words m_eval_words w1 w2;
+  add_words m_col_words w2 w3;
   ( { preproc = t1 -. t0; analysis = t2 -. t1; collection = t3 -. t2 },
     a,
     b,
     c )
+
+let parsed t_pre f =
+  let w0 = Gc.minor_words () in
+  let t0 = now () in
+  let x = Metrics.time t_pre f in
+  let dt = now () -. t0 in
+  add_words m_pre_words w0 (Gc.minor_words ());
+  (x, dt)
 
 let phase_timers ?doc prefix =
   let mk phase =

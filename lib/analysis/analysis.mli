@@ -79,7 +79,16 @@ val phased :
 (** [phased ~timers:(pre_t, eval_t, collect_t) ~pre ~eval ~collect ()]
     runs the three phases in order, billing each to its [Metrics] timer
     {e and} to the returned per-run {!phases} (same monotonic clock, so
-    the two accountings agree). *)
+    the two accountings agree), and adds the words each phase allocated
+    on the minor heap ([Gc.minor_words]) to the counters
+    [alloc.preprocess_words] / [alloc.evaluate_words] /
+    [alloc.collect_words]. *)
+
+val parsed : Metrics.timer -> (unit -> 'a) -> 'a * float
+(** [parsed pre_t f] runs a driver's parse step — the part of its
+    preprocessing that happens before {!phased} — under [pre_t],
+    returning the result and the elapsed seconds for {!add_preproc};
+    its words count as preprocessing ([alloc.preprocess_words]). *)
 
 val phase_timers : ?doc:string -> string -> Metrics.timer * Metrics.timer * Metrics.timer
 (** [phase_timers prefix] registers (or retrieves) the conventional

@@ -183,9 +183,7 @@ let analyze ?(guard = Guard.unlimited) (p : Cfg.program) : report =
 (** Full pipeline from [.cfg] source text; parse time is billed to
     preprocessing like the other drivers. *)
 let analyze_source ?guard (src : string) : report =
-  let t0 = Analysis.now () in
-  let p = Metrics.time t_encode (fun () -> Cfg.parse src) in
-  let t_parse = Analysis.now () -. t0 in
+  let p, t_parse = Analysis.parsed t_encode (fun () -> Cfg.parse src) in
   let r = analyze ?guard p in
   { r with phases = Analysis.add_preproc r.phases t_parse }
 

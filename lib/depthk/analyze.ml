@@ -58,9 +58,6 @@ type report = {
           over-approximation *)
 }
 
-(* monotonic, same clock as the Metrics timers (docs/ANALYSES.md) *)
-let now = Analysis.now
-
 (* --- abstract builtins ----------------------------------------------------- *)
 
 let ground_args_builtin idxs : Engine.builtin =
@@ -108,11 +105,44 @@ let register_builtins (e : Engine.t) =
 
 let a_ground_arg (t : Term.t) = Domain.a_ground t
 
+(* Collection: each predicate's answers and definitely ground arguments. *)
+let collect_results e status preds =
+  List.map
+    (fun (name, arity) ->
+      let answers = Engine.answers_for e (name, arity) in
+      if Guard.is_partial status && Engine.calls_for e (name, arity) = []
+      then
+        (* the budget tripped before this predicate's open call even
+           created a table entry: its empty answer table means
+           "unexplored", not "fails" — degrade to the no-claim result *)
+        {
+          pred = (name, arity);
+          answers = [];
+          definite = Array.make arity false;
+          never_succeeds = false;
+        }
+      else begin
+        let definite = Array.make arity true in
+        List.iter
+          (fun ans ->
+            Array.iteri
+              (fun i a -> if not (a_ground_arg a) then definite.(i) <- false)
+              (Term.args_of ans))
+          answers;
+        {
+          pred = (name, arity);
+          answers;
+          definite;
+          never_succeeds = answers = [];
+        }
+      end)
+    preds
+
 let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited) ~k
     (clauses : Parser.clause list) : report =
-  let t0 = now () in
-  let e, preds =
-    Metrics.time t_preprocess (fun () ->
+  let phases, (e, _), status, results =
+    Analysis.phased ~timers:(t_preprocess, t_evaluate, t_collect)
+      ~pre:(fun () ->
         let db = Database.create ~mode () in
         Database.load_clauses db clauses;
         let e = Engine.create ~hooks:(Domain.hooks ~k) ~guard db in
@@ -122,10 +152,7 @@ let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited) ~k
           |> List.sort_uniq compare
         in
         (e, preds))
-  in
-  let t1 = now () in
-  let status =
-    Metrics.time t_evaluate (fun () ->
+      ~eval:(fun (e, preds) ->
         List.fold_left
           (fun acc (name, arity) ->
             let goal =
@@ -133,45 +160,12 @@ let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited) ~k
             in
             Guard.combine acc (Engine.run_status e goal (fun _ -> ())))
           Guard.Complete preds)
+      ~collect:(fun (e, preds) status -> collect_results e status preds)
+      ()
   in
-  let t2 = now () in
-  let results =
-    Metrics.time t_collect @@ fun () ->
-    List.map
-      (fun (name, arity) ->
-        let answers = Engine.answers_for e (name, arity) in
-        if Guard.is_partial status && Engine.calls_for e (name, arity) = []
-        then
-          (* the budget tripped before this predicate's open call even
-             created a table entry: its empty answer table means
-             "unexplored", not "fails" — degrade to the no-claim result *)
-          {
-            pred = (name, arity);
-            answers = [];
-            definite = Array.make arity false;
-            never_succeeds = false;
-          }
-        else begin
-          let definite = Array.make arity true in
-          List.iter
-            (fun ans ->
-              Array.iteri
-                (fun i a -> if not (a_ground_arg a) then definite.(i) <- false)
-                (Term.args_of ans))
-            answers;
-          {
-            pred = (name, arity);
-            answers;
-            definite;
-            never_succeeds = answers = [];
-          }
-        end)
-      preds
-  in
-  let t3 = now () in
   {
     results;
-    phases = { preproc = t1 -. t0; analysis = t2 -. t1; collection = t3 -. t2 };
+    phases;
     table_bytes = Engine.table_space_bytes e;
     engine_stats = Engine.stats e;
     k;
@@ -181,9 +175,9 @@ let analyze_clauses ?(mode = Database.Dynamic) ?(guard = Guard.unlimited) ~k
 
 let analyze ?(mode = Database.Dynamic) ?guard ?(k = 1) (src : string) : report
     =
-  let t0 = now () in
-  let clauses = Metrics.time t_preprocess (fun () -> Parser.parse_clauses src) in
-  let t_parse = now () -. t0 in
+  let clauses, t_parse =
+    Analysis.parsed t_preprocess (fun () -> Parser.parse_clauses src)
+  in
   let r = analyze_clauses ~mode ?guard ~k clauses in
   { r with phases = Analysis.add_preproc r.phases t_parse }
 

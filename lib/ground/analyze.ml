@@ -181,9 +181,9 @@ let analyze_clauses ?cache ?(mode = Database.Dynamic) ?(guard = Guard.unlimited)
 (** Full pipeline from source text; parse time is part of preprocessing,
     as in the paper. *)
 let analyze ?cache ?(mode = Database.Dynamic) ?guard (src : string) : report =
-  let t0 = now () in
-  let clauses = Metrics.time t_preprocess (fun () -> Parser.parse_clauses src) in
-  let t_parse = now () -. t0 in
+  let clauses, t_parse =
+    Analysis.parsed t_preprocess (fun () -> Parser.parse_clauses src)
+  in
   let r = analyze_clauses ?cache ~mode ?guard clauses in
   { r with phases = Analysis.add_preproc r.phases t_parse }
 

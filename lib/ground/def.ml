@@ -604,10 +604,8 @@ let analyze_clauses ?cache ?(guard = Guard.unlimited)
   make_report abstract store status rs phases results
 
 let analyze ?cache ?guard (src : string) : Analyze.report =
-  let t0 = Analysis.now () in
-  let clauses =
-    Metrics.time Analyze.t_preprocess (fun () -> Parser.parse_clauses src)
+  let clauses, t_parse =
+    Analysis.parsed Analyze.t_preprocess (fun () -> Parser.parse_clauses src)
   in
-  let t_parse = Analysis.now () -. t0 in
   let r = analyze_clauses ?cache ?guard clauses in
   { r with Analyze.phases = Analysis.add_preproc r.Analyze.phases t_parse }

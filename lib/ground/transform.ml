@@ -25,9 +25,10 @@
     ([α = TX], [TX = true], [iff(α, …)]).  That unfolded form is what
     Def, GAIA and bottom-up read.  The tabled path loads each clause
     through {!fold_clause} instead: the [=] goals are solved at
-    transform time, so call arguments lose their fresh aliases and the
+    transform time, so call arguments lose their fresh aliases, the
     equalities before the first run-time goal move into the head
-    ([gp_gravity(true).]).
+    ([gp_gravity(true).]), and inside a disjunction each branch solves
+    the aliases only it can see.
     That is the "coding for the evaluation mechanism" left to the
     implementor; the tabled engine derives the same tables from both. *)
 
@@ -194,6 +195,85 @@ let program (clauses : Parser.clause list) :
 
 (* --- static unification (tabled path) ----------------------------------- *)
 
+(* Variables of a list of terms, as a set. *)
+let var_set (ts : Term.t list) : (int, unit) Hashtbl.t =
+  let set = Hashtbl.create 16 in
+  List.iter
+    (fun t -> Term.fold_vars (fun () v -> Hashtbl.replace set v ()) () t)
+    ts;
+  set
+
+(* The left-to-right walk shared by a clause body and a disjunction
+   branch.  [goals] are read under a static substitution [s], and [seen]
+   holds the variables of the goals kept so far.  A goal [a = b] is
+   dropped when both sides are identical, or when one side is a
+   variable [x] that no kept goal mentions, that does not occur in the
+   other side, and that [may_bind s ~kept x] allows — then [x] is bound
+   in [s], which applies to the later goals.  A disjunction is kept with
+   each branch folded ({!fold_disjunction}); its outside is [outside s]
+   plus the kept goals and the later ones.  Every other goal is kept.
+   Returns the final [s] and the kept goals. *)
+let rec fold_goals ~may_bind ~outside goals =
+  let s = ref Subst.empty in
+  let seen = Hashtbl.create 16 in
+  let bindable kept x t =
+    (not (Hashtbl.mem seen x))
+    && (not (Term.occurs x t))
+    && may_bind !s ~kept x
+  in
+  let rec go kept = function
+    | [] -> List.rev kept
+    | g :: later -> (
+        match Subst.resolve !s g with
+        | Term.Struct ("=", [| a; b |], _) when Term.equal a b -> go kept later
+        | Term.Struct ("=", [| Term.Var x; t |], _) when bindable kept x t ->
+            s := Subst.bind !s x t;
+            go kept later
+        | Term.Struct ("=", [| t; Term.Var x |], _) when bindable kept x t ->
+            s := Subst.bind !s x t;
+            go kept later
+        | g ->
+            let g =
+              match g with
+              | Term.Struct (";", _, _) ->
+                  let rest = var_set (List.map (Subst.resolve !s) later) in
+                  let out = outside !s in
+                  fold_disjunction
+                    (fun v -> out v || Hashtbl.mem seen v || Hashtbl.mem rest v)
+                    g
+              | g -> g
+            in
+            Term.fold_vars (fun () v -> Hashtbl.replace seen v ()) () g;
+            go (g :: kept) later)
+  in
+  let kept = go [] goals in
+  (!s, kept)
+
+(* Fold both branches of [a ; b].  [outside v] says whether [v] is
+   visible outside the disjunction; each branch also counts its sibling
+   as outside, and binds only its local variables, under a substitution
+   of its own that applies to the rest of that branch.  Such a variable
+   is unbound whenever its goal runs and no other goal can see it, so
+   the branch makes the same calls and gives every visible variable the
+   same bindings.  An if-then-else branch ([c -> t]) is one opaque goal
+   and is kept whole. *)
+and fold_disjunction outside (g : Term.t) : Term.t =
+  match g with
+  | Term.Struct (";", [| a; b |], _) ->
+      let branch sibling t =
+        let visible = var_set [ sibling ] in
+        let outside v = outside v || Hashtbl.mem visible v in
+        let _, kept =
+          fold_goals
+            ~may_bind:(fun _ ~kept:_ x -> not (outside x))
+            ~outside:(fun _ -> outside)
+            (Term.conjuncts t)
+        in
+        Term.conj kept
+      in
+      Term.mk ";" [| branch b a; branch a b |]
+  | g -> g
+
 (** One abstract clause as the tabled engine loads it: its [=] goals
     solved at transform time.  The body is walked left to right under a
     static substitution [s] (applied to the head and to later goals)
@@ -201,32 +281,26 @@ let program (clauses : Parser.clause list) :
     read under [s], is dropped when both sides are identical, or when
     one side is a variable [x] that no kept goal mentions and that is
     either bound before any goal runs or absent from the head — then
-    [x] is bound in [s].  Every other goal is kept.
+    [x] is bound in [s].  A disjunction is kept, and each of its
+    branches is folded under a substitution of its own that binds only
+    variables local to that branch: not in the head, not in a goal
+    outside the disjunction, not in the sibling branch.  Every other
+    goal is kept.
 
     Exact on the tabled engine: a dropped goal binds only a variable no
-    earlier kept goal can see, and a binding reaches the head only when
-    no goal runs before it, so the clause makes the same tabled calls
-    and offers the same answers in the same order.  GAIA cannot read
-    the result: it needs variable-argument heads. *)
+    earlier kept goal can see, a binding reaches the head only when no
+    goal runs before it, and a branch binds only variables nothing
+    outside the branch can see, so the clause makes the same tabled
+    calls and offers the same answers in the same order.  GAIA cannot
+    read the result: it needs variable-argument heads. *)
 let fold_clause (c : Parser.clause) : Parser.clause =
-  let s = ref Subst.empty in
-  let seen = Hashtbl.create 16 in
-  let kept = ref [] in
-  let bindable x t =
-    (not (Hashtbl.mem seen x))
-    && (not (Term.occurs x t))
-    && (!kept = [] || not (Term.occurs x (Subst.resolve !s c.Parser.head)))
+  let head s = Subst.resolve s c.Parser.head in
+  let s, body =
+    fold_goals
+      ~may_bind:(fun s ~kept x -> kept = [] || not (Term.occurs x (head s)))
+      ~outside:(fun s ->
+        let vs = var_set [ head s ] in
+        Hashtbl.mem vs)
+      c.Parser.body
   in
-  List.iter
-    (fun g ->
-      match Subst.resolve !s g with
-      | Term.Struct ("=", [| a; b |], _) when Term.equal a b -> ()
-      | Term.Struct ("=", [| Term.Var x; t |], _) when bindable x t ->
-          s := Subst.bind !s x t
-      | Term.Struct ("=", [| t; Term.Var x |], _) when bindable x t ->
-          s := Subst.bind !s x t
-      | g ->
-          List.iter (fun v -> Hashtbl.replace seen v ()) (Term.vars g);
-          kept := g :: !kept)
-    c.Parser.body;
-  { Parser.head = Subst.resolve !s c.Parser.head; body = List.rev !kept }
+  { Parser.head = head s; body }

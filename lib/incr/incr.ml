@@ -450,7 +450,10 @@ let splice (c : cache) ~(engine : Engine.t) ~(clauses : Parser.clause list)
         for s = 0 to n - 1 do
           let fresh = List.rev buckets.(s) in
           match loaded.(s) with
-          | None -> if fresh <> [] then save p s fresh
+          | None ->
+              (* an SCC no goal called still gets its (empty) fragment,
+                 or it would miss on every later run *)
+              save p s fresh
           | Some old ->
               (* merge: keep every cached record (a spliced entry's
                  export has no demand edges, so it must not overwrite

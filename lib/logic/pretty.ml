@@ -90,11 +90,15 @@ and pp_list ops fmt t =
 
 let term_to_string ?ops t = Format.asprintf "%a" (pp ?ops) t
 
-let clause_to_string ?ops (c : Parser.clause) =
+(* Body goals are arguments of the [,] chain, so each prints at
+   priority 999: a [;] or [->] goal gets its parentheses and the clause
+   reads back as itself. *)
+let clause_to_string ?(ops = Ops.create ()) (c : Parser.clause) =
   match c.Parser.body with
-  | [] -> term_to_string ?ops c.Parser.head ^ "."
+  | [] -> term_to_string ~ops c.Parser.head ^ "."
   | body ->
-      term_to_string ?ops c.Parser.head
+      term_to_string ~ops c.Parser.head
       ^ " :- "
-      ^ String.concat ", " (List.map (term_to_string ?ops) body)
+      ^ String.concat ", "
+          (List.map (fun g -> Format.asprintf "%a" (pp_prec ops 999) g) body)
       ^ "."

@@ -30,14 +30,6 @@ let rec cardinal = function
 (* All variable ids are non-negative, so the plain lowest-set-bit
    arithmetic below never has to worry about the sign bit. *)
 
-let find_opt k m =
-  let rec go = function
-    | Empty -> None
-    | Leaf (j, v) -> if j = k then Some v else None
-    | Branch (_, bit, l, r) -> go (if k land bit = 0 then l else r)
-  in
-  go m
-
 (* lowest bit where [p0] and [p1] disagree *)
 let branching_bit p0 p1 =
   let d = p0 lxor p1 in
@@ -62,12 +54,18 @@ let rec add k v = function
 
 (** Dereference the top of [t]: follow variable bindings until reaching a
     non-variable or an unbound variable.  Does not descend into
-    structures. *)
+    structures.  The lookup returns the bound term itself, never an
+    option: a dereference sits on every hot path of both engines, and
+    boxing each hit in a [Some] cost a minor allocation per step. *)
 let rec walk (s : t) (t : Term.t) : Term.t =
-  match t with
-  | Term.Var i -> (
-      match find_opt i s with Some t' -> walk s t' | None -> t)
-  | _ -> t
+  match t with Term.Var i -> walk_var s s i t | _ -> t
+
+(* descend [m] along the bits of [i]; [t] is [Var i] itself *)
+and walk_var s m i t =
+  match m with
+  | Empty -> t
+  | Leaf (j, v) -> if j = i then walk s v else t
+  | Branch (_, bit, l, r) -> walk_var s (if i land bit = 0 then l else r) i t
 
 (** Bind variable [i] to [t].  The caller must ensure [i] is unbound. *)
 let bind (s : t) i (t : Term.t) : t = add i t s

@@ -36,14 +36,17 @@ type label =
   | Latom of string
   | Lfun of string * int
 
-(* [payload] marks a terminal: the node reached after consuming a whole
+(* [value] marks a terminal: the node reached after consuming a whole
    key's label sequence.  The key itself is kept alongside the value so
-   iteration can hand both back without re-deriving terms from paths. *)
+   iteration can hand both back without re-deriving terms from paths
+   ([key] means nothing while [value] is [None]).  The value is stored
+   as its option so a lookup can return it without boxing. *)
 type 'a node = {
   mutable labels : label array;
   mutable kids : 'a node array;
   mutable nkids : int;
-  mutable payload : (Term.t * 'a) option;
+  mutable key : Term.t;
+  mutable value : 'a option;
 }
 
 type 'a t = {
@@ -52,7 +55,8 @@ type 'a t = {
   mutable nodes : int;  (** live nodes, root excluded *)
 }
 
-let new_node () = { labels = [||]; kids = [||]; nkids = 0; payload = None }
+let new_node () =
+  { labels = [||]; kids = [||]; nkids = 0; key = Term.true_; value = None }
 let create () = { root = new_node (); count = 0; nodes = 0 }
 let cardinal t = t.count
 let live_nodes t = t.nodes
@@ -150,13 +154,11 @@ let rec walk_find node (x : Term.t) =
       | _ -> Some child)
 
 let find_opt t key =
-  match walk_find t.root key with
-  | Some { payload = Some (_, v); _ } -> Some v
-  | _ -> None
+  match walk_find t.root key with Some node -> node.value | None -> None
 
 let mem t key =
   match walk_find t.root key with
-  | Some { payload = Some _; _ } -> true
+  | Some { value = Some _; _ } -> true
   | _ -> false
 
 type 'a outcome = Existing of 'a | Added of 'a * int
@@ -164,13 +166,81 @@ type 'a outcome = Existing of 'a | Added of 'a * int
 let find_or_add t key mk =
   let fresh = ref 0 in
   let node = walk_insert t fresh t.root key in
-  match node.payload with
-  | Some (_, v) -> Existing v
+  match node.value with
+  | Some v -> Existing v
   | None ->
       let v = mk () in
-      node.payload <- Some (key, v);
+      node.key <- key;
+      node.value <- Some v;
       t.count <- t.count + 1;
       Added (v, !fresh)
+
+(* --- variant lookup of a live term ----------------------------------------
+
+   [find_under t s x] answers [find_opt t (Canon.canonical s x)] in one
+   preorder pass over the live term: each node is dereferenced through
+   [s] as it is visited and each unbound variable is renumbered in
+   first-occurrence order, exactly as [Canon.canonical] numbers it, so
+   no canonical term is built.  A table hit (most call lookups and most
+   offered answers) therefore allocates nothing: the walk returns trie
+   nodes, never options; a missing edge escapes by a constant
+   exception; the renumbering table is one module-level buffer (the
+   library runs on a single domain); and the stored value is returned
+   as the option the node already holds. *)
+
+exception Absent
+
+let ren = ref (Array.make 16 0)
+let nren = ref 0
+
+let rec ren_find arr k id j =
+  if j >= k then -1
+  else if Array.unsafe_get arr j = id then j
+  else ren_find arr k id (j + 1)
+
+(* the canonical number of live variable [id] *)
+let renumber id =
+  let k = !nren in
+  let j = ren_find !ren k id 0 in
+  if j >= 0 then j
+  else begin
+    if k >= Array.length !ren then begin
+      let bigger = Array.make (2 * k) 0 in
+      Array.blit !ren 0 bigger 0 k;
+      ren := bigger
+    end;
+    !ren.(k) <- id;
+    nren := k + 1;
+    k
+  end
+
+let rec var_child node j i =
+  if i >= node.nkids then raise_notrace Absent
+  else
+    match node.labels.(i) with
+    | Lvar j' when j' = j -> node.kids.(i)
+    | _ -> var_child node j (i + 1)
+
+let rec term_child node x i =
+  if i >= node.nkids then raise_notrace Absent
+  else if label_matches node.labels.(i) x then node.kids.(i)
+  else term_child node x (i + 1)
+
+let rec walk_under s node (x : Term.t) =
+  match Subst.walk s x with
+  | Term.Var id -> var_child node (renumber id) 0
+  | Term.Struct (_, args, _) as x -> walk_args s (term_child node x 0) args 0
+  | x -> term_child node x 0
+
+and walk_args s node args i =
+  if i >= Array.length args then node
+  else walk_args s (walk_under s node args.(i)) args (i + 1)
+
+let find_under t s x =
+  nren := 0;
+  match walk_under s t.root x with
+  | node -> node.value
+  | exception Absent -> None
 
 (* Read-only walk recording the node path, root first. *)
 let rec walk_path path node (x : Term.t) =
@@ -202,12 +272,13 @@ let remove_child node child =
 
 let remove t key =
   match walk_path [ t.root ] t.root key with
-  | Some (({ payload = Some _; _ } as terminal) :: _ as path) ->
-      terminal.payload <- None;
+  | Some (({ value = Some _; _ } as terminal) :: _ as path) ->
+      terminal.key <- Term.true_;
+      terminal.value <- None;
       t.count <- t.count - 1;
       (* prune the now-empty tail of the path, deepest node first *)
       let rec prune freed = function
-        | ({ payload = None; nkids = 0; _ } as node) :: (parent :: _ as rest)
+        | ({ value = None; nkids = 0; _ } as node) :: (parent :: _ as rest)
           ->
             remove_child parent node;
             prune (freed + 1) rest
@@ -219,7 +290,7 @@ let remove t key =
   | _ -> None
 
 let rec iter_node f node =
-  (match node.payload with Some (k, v) -> f k v | None -> ());
+  (match node.value with Some v -> f node.key v | None -> ());
   for i = 0 to node.nkids - 1 do
     iter_node f node.kids.(i)
   done

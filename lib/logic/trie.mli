@@ -30,6 +30,15 @@ val live_nodes : 'a t -> int
 val find_opt : 'a t -> Term.t -> 'a option
 val mem : 'a t -> Term.t -> bool
 
+val find_under : 'a t -> Subst.t -> Term.t -> 'a option
+(** [find_under t s x] is [find_opt t (Canon.canonical s x)], computed
+    in one walk over the live term without building the canonical key:
+    variables are dereferenced through [s] and renumbered in
+    first-occurrence order as they are met.  A hit allocates nothing
+    (the option returned is the one the trie stores), so table hits and
+    duplicate answers cost no garbage.  Not re-entrant: the renumbering
+    buffer is module-level. *)
+
 type 'a outcome =
   | Existing of 'a  (** the key was already present; its value *)
   | Added of 'a * int

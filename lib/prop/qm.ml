@@ -13,25 +13,6 @@ type cube = lit array
 let cube_of_row arity r : cube =
   Array.init arity (fun i -> if r land (1 lsl i) <> 0 then True else False)
 
-(* Two cubes merge when they differ in exactly one concrete position. *)
-let merge (a : cube) (b : cube) : cube option =
-  let n = Array.length a in
-  let diff = ref (-1) in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if a.(i) <> b.(i) then
-      match (a.(i), b.(i)) with
-      | True, False | False, True ->
-          if !diff >= 0 then ok := false else diff := i
-      | _ -> ok := false
-  done;
-  if !ok && !diff >= 0 then begin
-    let c = Array.copy a in
-    c.(!diff) <- Dontcare;
-    Some c
-  end
-  else None
-
 let covers (c : cube) r =
   let n = Array.length c in
   let rec go i =
@@ -45,28 +26,59 @@ let covers (c : cube) r =
   in
   go 0
 
+(* A cube as two bit masks: positions that are [Dontcare], and
+   positions that are [True].  Two cubes merge exactly when their
+   don't-care masks agree and their true masks differ in one bit, so
+   the pair loop rejects almost every pair with two integer tests. *)
+let masks (c : cube) =
+  let dc = ref 0 and tr = ref 0 in
+  Array.iteri
+    (fun i l ->
+      match l with
+      | Dontcare -> dc := !dc lor (1 lsl i)
+      | True -> tr := !tr lor (1 lsl i)
+      | False -> ())
+    c;
+  (!dc, !tr)
+
+let single_bit d = d <> 0 && d land (d - 1) = 0
+
+(* The position of the one set bit of [d]. *)
+let bit_index d =
+  let rec go i = if d = 1 lsl i then i else go (i + 1) in
+  go 0
+
 let prime_implicants (f : Bf.t) : cube list =
   let rec iterate (cubes : cube list) (primes : cube list) =
     if cubes = [] then primes
     else begin
-      let used = Hashtbl.create 16 in
+      let cs = Array.of_list cubes in
+      let n = Array.length cs in
+      let dc = Array.make n 0 and tr = Array.make n 0 in
+      Array.iteri
+        (fun i c ->
+          let d, t = masks c in
+          dc.(i) <- d;
+          tr.(i) <- t)
+        cs;
+      let used = Array.make n false in
       let next = Hashtbl.create 16 in
-      List.iteri
-        (fun i a ->
-          List.iteri
-            (fun j b ->
-              if i < j then
-                match merge a b with
-                | Some c ->
-                    Hashtbl.replace used (Array.to_list a) ();
-                    Hashtbl.replace used (Array.to_list b) ();
-                    Hashtbl.replace next (Array.to_list c) ()
-                | None -> ())
-            cubes)
-        cubes;
+      (* the (i, j) order of the full pairwise scan, so [next] is filled
+         in the same order and the cover below picks the same primes *)
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let d = tr.(i) lxor tr.(j) in
+          if dc.(i) = dc.(j) && single_bit d then begin
+            let c = Array.copy cs.(i) in
+            c.(bit_index d) <- Dontcare;
+            used.(i) <- true;
+            used.(j) <- true;
+            Hashtbl.replace next (Array.to_list c) ()
+          end
+        done
+      done;
       let primes' =
-        List.filter (fun c -> not (Hashtbl.mem used (Array.to_list c))) cubes
-        @ primes
+        List.filteri (fun i _ -> not used.(i)) cubes @ primes
       in
       let next_cubes =
         Hashtbl.fold (fun c () acc -> Array.of_list c :: acc) next []
@@ -76,39 +88,45 @@ let prime_implicants (f : Bf.t) : cube list =
   in
   iterate (List.map (cube_of_row (Bf.arity f)) (Bf.rows f)) []
 
-(** Greedy minimal-ish cover of [f]'s rows by its prime implicants. *)
+(** Greedy minimal-ish cover of [f]'s rows by its prime implicants: the
+    prime covering the most uncovered rows, the first in [primes] order
+    on a tie, until every row is covered. *)
 let minimize (f : Bf.t) : cube list =
-  let rs = Bf.rows f in
-  if rs = [] then []
-  else
-    let primes = prime_implicants f in
-    let uncovered = Hashtbl.create 16 in
-    List.iter (fun r -> Hashtbl.replace uncovered r ()) rs;
+  let rs = Array.of_list (Bf.rows f) in
+  if Array.length rs = 0 then []
+  else begin
+    let primes = List.map (fun c -> (c, masks c)) (prime_implicants f) in
+    let covered = Array.make (Array.length rs) false in
+    let left = ref (Array.length rs) in
+    (* a row is an assignment: bit i set when position i is true *)
+    let covers_row (dc, tr) k = (not covered.(k)) && rs.(k) land lnot dc = tr in
     let chosen = ref [] in
-    while Hashtbl.length uncovered > 0 do
-      (* pick the prime covering the most uncovered rows *)
+    while !left > 0 do
       let best = ref None and best_count = ref 0 in
       List.iter
-        (fun c ->
-          let n =
-            Hashtbl.fold
-              (fun r () acc -> if covers c r then acc + 1 else acc)
-              uncovered 0
-          in
-          if n > !best_count then begin
-            best := Some c;
-            best_count := n
+        (fun (c, m) ->
+          let n = ref 0 in
+          for k = 0 to Array.length rs - 1 do
+            if covers_row m k then incr n
+          done;
+          if !n > !best_count then begin
+            best := Some (c, m);
+            best_count := !n
           end)
         primes;
       match !best with
-      | None -> Hashtbl.reset uncovered (* cannot happen: primes cover f *)
-      | Some c ->
+      | None -> left := 0 (* cannot happen: primes cover f *)
+      | Some (c, m) ->
           chosen := c :: !chosen;
-          Hashtbl.iter
-            (fun r () -> if covers c r then Hashtbl.remove uncovered r)
-            (Hashtbl.copy uncovered)
+          for k = 0 to Array.length rs - 1 do
+            if covers_row m k then begin
+              covered.(k) <- true;
+              decr left
+            end
+          done
     done;
     List.rev !chosen
+  end
 
 (** Render as a sum of products over the given position names. *)
 let to_string ~names (f : Bf.t) : string =

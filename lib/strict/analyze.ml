@@ -185,9 +185,9 @@ let analyze_program ?cache ?(mode = Database.Dynamic) ~supplementary
 (** Full pipeline from source text. *)
 let analyze ?cache ?(mode = Database.Dynamic) ~supplementary ?guard
     (src : string) : report =
-  let t0 = now () in
-  let prog = Metrics.time t_preprocess (fun () -> Check.parse_and_check src) in
-  let t_parse = now () -. t0 in
+  let prog, t_parse =
+    Analysis.parsed t_preprocess (fun () -> Check.parse_and_check src)
+  in
   let r =
     analyze_program ?cache ~mode ~supplementary ?guard
       ~source_lines:(Check.line_count src) prog

@@ -19,6 +19,15 @@
     the call forest, and terminates whenever calls and answers range over
     a finite domain — the completeness guarantee the paper relies on.
 
+    Most lookups hit: a consumer finds its call variant already in the
+    table and a producer re-derives an answer it already has.  With the
+    plain variant tables of {!concrete_hooks}, both checks walk the live
+    term under the current substitution ({!Trie.find_under}, in one
+    pass, as XSB's tries do) and build the canonical term only on a
+    miss, so a hit allocates nothing; an answer returns to a consumer
+    through a one-sided match ({!Unify.unify_answer}) that copies only
+    what a goal variable is bound to.
+
     The engine is parametric in three hooks so that the depth-k analysis
     of Section 5 is this same engine with abstract unification and
     depth-k call/answer abstraction plugged in (the paper does the
@@ -136,11 +145,16 @@ type hooks = {
           relation of the program is monotone in that order. *)
 }
 
+(* The identity abstraction, named so the engine can recognise it by
+   pointer ([Fun.id] is a primitive: each use site gets its own
+   closure, so comparing against it never succeeds). *)
+let identity (t : Term.t) = t
+
 let concrete_hooks =
   {
     unify = Unify.unify;
-    abstract_call = Fun.id;
-    abstract_answer = Fun.id;
+    abstract_call = identity;
+    abstract_answer = identity;
     widen = None;
     answer_leq = None;
   }
@@ -207,6 +221,14 @@ type t = {
       (** top-level goals, newest first, kept under answer subsumption
           for {!settle} *)
   mutable walk : walk option;  (** set while {!settle} walks the tables *)
+  variant_calls : bool;
+      (** the call key is the plain canonical form (no abstraction, no
+          open calls), so a lookup can walk the live goal
+          ({!Trie.find_under}) and build the key only on a miss *)
+  variant_answers : bool;
+      (** likewise for answers: no abstraction, widening or
+          subsumption, so a duplicate is found without building it *)
+  concrete : bool;  (** [hooks.unify] is syntactic unification *)
 }
 
 (* The demand walk of [settle]: entries reached but not yet walked, and
@@ -276,6 +298,12 @@ let create ?(hooks = concrete_hooks) ?(tabled = fun _ -> true)
     spliced = 0;
     roots = [];
     walk = None;
+    variant_calls = hooks.abstract_call == identity && not open_calls;
+    variant_answers =
+      hooks.abstract_answer == identity
+      && Option.is_none hooks.widen
+      && Option.is_none hooks.answer_leq;
+    concrete = hooks.unify == Unify.unify;
   }
 
 let set_guard e g = e.guard <- g
@@ -400,6 +428,34 @@ let find_entry e key =
   end;
   (entry, is_new)
 
+let note_duplicate e =
+  e.stats.duplicates <- e.stats.duplicates + 1;
+  Metrics.incr m_answers_deduped
+
+(* Record canonical answer [ans] of [entry] unless it is a duplicate (or,
+   under answer subsumption, redundant), and broadcast it. *)
+let offer_answer e entry ans =
+  if not (admit e entry ans) then note_duplicate e
+  else
+    match Trie.find_or_add entry.answer_set ans (fun () -> ()) with
+    | Trie.Existing () -> note_duplicate e
+    | Trie.Added ((), fresh_nodes) ->
+        Vec.push entry.answers ans;
+        e.stats.answers <- e.stats.answers + 1;
+        Metrics.incr m_answers_inserted;
+        let words = fresh_nodes + answer_overhead in
+        entry.answer_space <- entry.answer_space + words;
+        grow_space e words;
+        (* Eager broadcast — but only to the consumers present when the
+           answer arrived: a consumer that registers during this loop has
+           already snapshotted this answer into its replay (it is in
+           [entry.answers]), so delivering it here too would duplicate
+           derivations, which diverges through recursive cycles. *)
+        let ncons = Vec.length entry.consumers in
+        for i = 0 to ncons - 1 do
+          (Vec.get entry.consumers i) ans
+        done
+
 (* --- core resolution --------------------------------------------------- *)
 
 exception Walk_miss
@@ -410,6 +466,32 @@ let call_key e s goal =
   let canonical = Canon.canonical s goal in
   e.hooks.abstract_call
     (if e.open_calls then open_call_of canonical else canonical)
+
+(* The existing entry of [goal]'s call variant under [s], if any.  With
+   a plain variant key the trie walks the live goal, so a hit builds no
+   canonical term. *)
+let existing_entry e s goal =
+  if e.variant_calls then Trie.find_under e.tables s goal
+  else Trie.find_opt e.tables (call_key e s goal)
+
+(* Find or create the entry of [goal] under [s]: the key is built only
+   when the lookup misses, and the miss goes through [find_entry], so
+   trie growth, space accounting and the splice resolver see exactly
+   the inserts they always saw. *)
+let lookup_call e s goal =
+  match if e.variant_calls then Trie.find_under e.tables s goal else None with
+  | Some entry ->
+      Metrics.incr m_call_hits;
+      (entry, false)
+  | None -> find_entry e (call_key e s goal)
+
+(* Unify [goal] under [s] with a renamed-apart table answer.  Under
+   syntactic unification the answer is matched one-sidedly and copied
+   only where a goal variable takes it; an abstract unification gets
+   the renamed copy. *)
+let return_answer e s goal ans =
+  if e.concrete then Unify.unify_answer s goal ans
+  else e.hooks.unify s goal (Canon.instantiate ans)
 
 let rec solve e (s : Subst.t) (goal : Term.t) (sc : Subst.t -> unit) : unit =
   Guard.check e.guard;
@@ -435,10 +517,11 @@ let rec solve e (s : Subst.t) (goal : Term.t) (sc : Subst.t -> unit) : unit =
       (* negation binds nothing on success: over-approximate by success *)
       sc s
   | Term.Struct ("=", [| a; b |], _) ->
-      if e.hooks.unify == Unify.unify then (
+      if e.concrete then (
         (* Concrete =/2: the groundness program keeps the [V = true] /
            [V = W] goals its transform cannot solve statically (checks
-           after a call, disjunction branches), so inline unification's
+           after a call, aliases visible outside a disjunction branch),
+           so inline unification's
            variable cases and fall back to the full routine only for
            structure-against-structure. *)
         match (Subst.walk s a, Subst.walk s b) with
@@ -464,11 +547,10 @@ and solve_goals e s goals sc =
 
 (* Non-tabled program-clause resolution (plain SLD step). *)
 and solve_program e s g sc =
-  let concrete = e.hooks.unify == Unify.unify in
   List.iter
     (fun c ->
       let activation =
-        if concrete then Database.activate c s g
+        if e.concrete then Database.activate c s g
         else Database.activate_with ~unify:e.hooks.unify c s g
       in
       match activation with
@@ -484,7 +566,7 @@ and solve_tabled e s goal sc =
 and solve_tabled_live e s goal sc =
   e.stats.calls <- e.stats.calls + 1;
   Metrics.incr m_call_lookups;
-  let entry, is_new = find_entry e (call_key e s goal) in
+  let entry, is_new = lookup_call e s goal in
   (* Attribute the registration to the producer on whose behalf we
      consume: new answers in [entry] can extend that producer's answer
      set even after its own clause resolution finished, so abort
@@ -506,8 +588,7 @@ and solve_tabled_live e s goal sc =
     Guard.check e.guard;
     e.stats.resumptions <- e.stats.resumptions + 1;
     Metrics.incr m_resumptions;
-    let inst = Canon.instantiate ans in
-    match e.hooks.unify s goal inst with
+    match return_answer e s goal ans with
     | None -> ()
     | Some s' -> (
         (* A resumption continues [owner]'s clause body, so while [sc]
@@ -547,7 +628,7 @@ and solve_tabled_live e s goal sc =
    received); it is marked reached, recorded as a demand edge of the
    entry being walked, and its stored answers are delivered directly. *)
 and walk_tabled e w s goal sc =
-  match Trie.find_opt e.tables (call_key e s goal) with
+  match existing_entry e s goal with
   | None -> raise Walk_miss
   | Some q ->
       if not q.mark then begin
@@ -558,18 +639,17 @@ and walk_tabled e w s goal sc =
       if n = 0 || Vec.get w.edges (n - 1) != q then Vec.push w.edges q;
       Vec.iter
         (fun ans ->
-          match e.hooks.unify s goal (Canon.instantiate ans) with
+          match return_answer e s goal ans with
           | Some s' -> sc s'
           | None -> ())
         q.answers
 
 (* Resolve [call] against the program clauses, each body solved into [k]. *)
 and resolve_clauses e call k =
-  let concrete = e.hooks.unify == Unify.unify in
   List.iter
     (fun c ->
       let activation =
-        if concrete then Database.activate c Subst.empty call
+        if e.concrete then Database.activate c Subst.empty call
         else Database.activate_with ~unify:e.hooks.unify c Subst.empty call
       in
       match activation with
@@ -585,38 +665,22 @@ and producer e entry =
        answer-offer event or a recursive producer could run unbounded *)
     Guard.check e.guard;
     Metrics.incr m_answers_offered;
-    let ans = e.hooks.abstract_answer (Canon.canonical s' call) in
-    let ans =
-      match e.hooks.widen with
-      | None -> ans
-      | Some w ->
-          Metrics.incr m_widenings;
-          Canon.of_term (w ~previous:(Vec.to_list entry.answers) ans)
-    in
-    let duplicate () =
-      e.stats.duplicates <- e.stats.duplicates + 1;
-      Metrics.incr m_answers_deduped
-    in
-    if not (admit e entry ans) then duplicate ()
+    (* a plain variant table finds a duplicate by walking the live
+       answer: only a new answer is built *)
+    if
+      e.variant_answers
+      && Option.is_some (Trie.find_under entry.answer_set s' call)
+    then note_duplicate e
     else
-      match Trie.find_or_add entry.answer_set ans (fun () -> ()) with
-      | Trie.Existing () -> duplicate ()
-      | Trie.Added ((), fresh_nodes) ->
-          Vec.push entry.answers ans;
-          e.stats.answers <- e.stats.answers + 1;
-          Metrics.incr m_answers_inserted;
-          let words = fresh_nodes + answer_overhead in
-          entry.answer_space <- entry.answer_space + words;
-          grow_space e words;
-          (* Eager broadcast — but only to the consumers present when the
-             answer arrived: a consumer that registers during this loop has
-             already snapshotted this answer into its replay (it is in
-             [entry.answers]), so delivering it here too would duplicate
-             derivations, which diverges through recursive cycles. *)
-          let ncons = Vec.length entry.consumers in
-          for i = 0 to ncons - 1 do
-            (Vec.get entry.consumers i) ans
-          done
+      let ans = e.hooks.abstract_answer (Canon.canonical s' call) in
+      let ans =
+        match e.hooks.widen with
+        | None -> ans
+        | Some w ->
+            Metrics.incr m_widenings;
+            Canon.of_term (w ~previous:(Vec.to_list entry.answers) ans)
+      in
+      offer_answer e entry ans
   in
   e.producing <- entry :: e.producing;
   resolve_clauses e call on_success;

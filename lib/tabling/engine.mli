@@ -42,7 +42,12 @@ type hooks = {
 }
 
 val concrete_hooks : hooks
-(** Syntactic unification, no abstraction, no widening. *)
+(** Syntactic unification, no abstraction, no widening.  The engine
+    recognises these hooks by pointer: with its identity abstractions
+    (kept by [{ concrete_hooks with ... }]) call lookups and duplicate
+    answers walk the live term and build no canonical key on a hit,
+    while an equivalent [Fun.id] gives the same tables by the slower
+    path. *)
 
 (** Per-engine operation counts, reset by {!reset_tables}.
 

@@ -343,6 +343,40 @@ let test_batch_store_every_analysis () =
         warm;
       Metrics.reset ())
 
+(* --- words per phase ------------------------------------------------------ *)
+
+(* Every analysis run adds what each of its phases allocated to the
+   alloc.* counters: every evaluation builds terms, so that counter
+   moves, and two runs of the same source in one process move each
+   counter by about the same amount (allocation does not swing with
+   host load the way wall time does). *)
+let test_phase_words () =
+  List.iter
+    (fun (a : Analysis.t) ->
+      let run () =
+        Metrics.reset ();
+        ignore (Analysis.run a ~guard:(guard ()) (sample_source a));
+        List.map Metrics.counter_value
+          [ "alloc.preprocess_words"; "alloc.evaluate_words";
+            "alloc.collect_words" ]
+      in
+      let first = run () in
+      let second = run () in
+      List.iter2
+        (fun (phase, w1) w2 ->
+          if phase = "evaluate" then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s evaluate allocates" a.Analysis.name)
+              true (w1 > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s words repeat within 2x (%d, %d)"
+               a.Analysis.name phase w1 w2)
+            true
+            (w2 <= (2 * w1) + 256 && w1 <= (2 * w2) + 256))
+        (List.combine [ "preprocess"; "evaluate"; "collect" ] first)
+        second)
+    (Analysis.all ())
+
 let () =
   Alcotest.run "analysis"
     [
@@ -370,6 +404,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_cfg_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_cfg_parse_errors;
         ] );
+      ( "phases",
+        [ Alcotest.test_case "words per phase" `Quick test_phase_words ] );
       ( "batch-store",
         [
           Alcotest.test_case "every analysis batches and warm-starts" `Quick

@@ -214,8 +214,26 @@ let check_fold_preserves_tables name src =
         [ ("full", 4 * full_bytes + 4096); ("half", full_bytes / 2) ])
     [ ("dynamic", Database.Dynamic); ("compiled", Database.Compiled) ]
 
+(* Nested disjunctions whose branches alias call arguments, share
+   variables with their siblings and with later goals: the branch-local
+   fold must keep every variable another branch or goal can see. *)
+let nested_disjunctions =
+  {|
+e(a). e(b). e(f(a)).
+p(X, Y) :- ( Z = X, e(Z), Y = Z ; W = f(X), e(W) ; ( V = Y, e(V) ; X = Y ) ).
+q(X, Y) :- e(X), ( A = X, p(A, B), Y = B ; A = Y, p(X, A) ), e(Y).
+r(X) :- ( p(X, Y) ; q(X, Y) ), ( Y = a ; e(Y), ( Z = Y, q(Z, X) ; true ) ).
+s(L) :- ( L = [] ; L = [H|T], ( G = H, e(G) ; r(H) ), s(T) ).
+t(X) :- ( Z = X ; e(X) ), e(Z).
+|}
+
+(* The corpus programs with the most disjunctions in their abstract
+   program (4 to 7 each) also run under more edits. *)
+let disjunction_heavy = [ "disj"; "kalah"; "press1"; "press2"; "read" ]
+
 let test_fold_preserves_tables () =
   List.iter (fun (name, src) -> check_fold_preserves_tables name src) programs;
+  check_fold_preserves_tables "nested disjunctions" nested_disjunctions;
   List.iter
     (fun (b : Prax_benchdata.Registry.logic_bench) ->
       let name = b.Prax_benchdata.Registry.name in
@@ -229,7 +247,8 @@ let test_fold_preserves_tables () =
                 (Printf.sprintf "%s~%d" name seed)
                 src'
           | None -> ())
-        [ 1; 2; 3 ])
+        (if List.mem name disjunction_heavy then List.init 8 (fun i -> i + 1)
+         else [ 1; 2; 3 ]))
     Prax_benchdata.Registry.logic_benchmarks
 
 (* the full corpus through tabled vs gaia-bdd (the Table 2 pairing) *)

@@ -342,13 +342,75 @@ let test_fold_alias_chain () =
   Alcotest.(check string) "fresh aliases vanish" "p(A) :- q(A), r(A,true)."
     (folded "p(X) :- q(X), B1 = C, C = X, B2 = true, r(B1, B2).")
 
-let test_fold_disjunction_intact () =
-  let src = "p(X) :- q(X), (B = X, r(B) ; X = true)." in
-  let c = List.hd (Parser.parse_clauses src) in
-  let c' = Transform.fold_clause c in
-  Alcotest.(check bool) "clause unchanged" true
-    (Term.equal c'.Parser.head c.Parser.head
-    && List.equal Term.equal c'.Parser.body c.Parser.body)
+(* Inside a disjunction each branch folds under a substitution of its
+   own, binding only variables nothing outside the branch can see. *)
+let test_fold_branch_local () =
+  Alcotest.(check string) "local alias folds, head check stays"
+    "p(A) :- q(A), (r(A) ; A = true)."
+    (folded "p(X) :- q(X), (B = X, r(B) ; X = true).");
+  Alcotest.(check string) "identical sides drop inside a branch"
+    "p(A) :- q(A), (r(A) ; s(A))."
+    (folded "p(X) :- q(X), (true = true, r(X) ; B = true, s(X)).")
+
+let test_fold_branch_visible () =
+  List.iter
+    (fun (what, expected, src) ->
+      Alcotest.(check string) what expected (folded src))
+    [
+      ( "variable in the head",
+        "p(A,B) :- q(A), (B = A, r(B) ; s(A)).",
+        "p(X, B) :- q(X), (B = X, r(B) ; s(X))." );
+      ( "variable in a goal before the disjunction",
+        "p(A) :- q(A,B), (B = A, r(B) ; s(A)).",
+        "p(X) :- q(X, B), (B = X, r(B) ; s(X))." );
+      ( "variable after the disjunction",
+        "p(A) :- q(A), (B = A, r(B) ; s(A)), t(B).",
+        "p(X) :- q(X), (B = X, r(B) ; s(X)), t(B)." );
+      ( "variable in the sibling branch",
+        "p(A) :- q(A), (B = A, r(B) ; s(B)).",
+        "p(X) :- q(X), (B = X, r(B) ; s(B))." );
+      ( "variable in an earlier goal of its branch",
+        "p(A) :- q(A), (r(B), B = A ; s(A)).",
+        "p(X) :- q(X), (r(B), B = X ; s(X))." );
+    ]
+
+let test_fold_nested_disjunction () =
+  Alcotest.(check string) "each level binds its own locals"
+    "p(A) :- q(A), ((r(A) ; s(A)) ; A = true)."
+    (folded "p(X) :- q(X), (C = X, (B = C, r(B) ; s(C)) ; X = true).");
+  Alcotest.(check string) "an inner branch sees its outer branch's goals"
+    "p(A) :- q(A), ((B = A, r(B) ; s(A)), t(B) ; u(A))."
+    (folded "p(X) :- q(X), ((B = X, r(B) ; s(X)), t(B) ; u(X)).")
+
+(* The clause printer parenthesizes [;] goals, so every abstract clause
+   of the corpus, unfolded and folded, reads back as itself. *)
+let test_print_parse_abstract () =
+  let as_term (c : Parser.clause) =
+    Canon.of_term (Term.mk ":-" [| c.Parser.head; Term.conj c.Parser.body |])
+  in
+  let round_trip what c =
+    let printed = Pretty.clause_to_string c in
+    match Parser.parse_clauses printed with
+    | [ c' ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" what printed)
+          true
+          (Term.equal (as_term c) (as_term c'))
+    | _ -> Alcotest.failf "%s: %s does not read back as one clause" what printed
+  in
+  round_trip "example"
+    (List.hd (Parser.parse_clauses "p(X) :- q(X), (X = a ; r(X))."));
+  List.iter
+    (fun (b : Prax_benchdata.Registry.logic_bench) ->
+      let abstract, _, _ =
+        Transform.program (Parser.parse_clauses b.Prax_benchdata.Registry.source)
+      in
+      List.iter
+        (fun c ->
+          round_trip b.Prax_benchdata.Registry.name c;
+          round_trip b.Prax_benchdata.Registry.name (Transform.fold_clause c))
+        abstract)
+    Prax_benchdata.Registry.logic_benchmarks
 
 let () =
   Alcotest.run "prax_ground"
@@ -386,8 +448,14 @@ let () =
             test_fold_head_aliases;
           Alcotest.test_case "alias chain folds into call args" `Quick
             test_fold_alias_chain;
-          Alcotest.test_case "disjunction left intact" `Quick
-            test_fold_disjunction_intact;
+          Alcotest.test_case "local alias folds in its branch" `Quick
+            test_fold_branch_local;
+          Alcotest.test_case "variable seen outside its branch is kept"
+            `Quick test_fold_branch_visible;
+          Alcotest.test_case "nested disjunction folds per branch" `Quick
+            test_fold_nested_disjunction;
+          Alcotest.test_case "abstract clauses print and read back" `Quick
+            test_print_parse_abstract;
         ] );
       ( "driver",
         [

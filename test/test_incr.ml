@@ -448,6 +448,15 @@ let test_no_cache_is_scratch () =
         (Option.get (Registry.find_fp "mergesort")).Registry.source );
     ]
 
+let timer_activations name =
+  match
+    List.find_opt
+      (fun (t : Metrics.timing) -> t.Metrics.timer_name = name)
+      (Metrics.snapshot ()).Metrics.timers
+  with
+  | Some t -> t.Metrics.activations
+  | None -> 0
+
 (* A def run plans, loads and persists through the same per-SCC planner
    as the tabled drivers, so it shows up in the incremental layer
    breakdown: a cold run plans, probes and saves, a warm run plans and
@@ -455,15 +464,6 @@ let test_no_cache_is_scratch () =
 let test_def_timers () =
   let a = analysis "groundness" in
   let config = [ ("mode", "def") ] in
-  let activations name =
-    match
-      List.find_opt
-        (fun (t : Metrics.timing) -> t.Metrics.timer_name = name)
-        (Metrics.snapshot ()).Metrics.timers
-    with
-    | Some t -> t.Metrics.activations
-    | None -> 0
-  in
   let cache = Analysis.memory_cache () in
   List.iter
     (fun (run, timers) ->
@@ -472,7 +472,7 @@ let test_def_timers () =
       List.iter
         (fun t ->
           check_b (Printf.sprintf "%s def run advances %s" run t) true
-            (activations t > 0))
+            (timer_activations t > 0))
         timers)
     [
       ("cold", [ "incr.plan"; "incr.load"; "incr.persist" ]);
@@ -557,6 +557,48 @@ let test_def_fragment_corruption () =
                 :: rest
                 @ nullary)
           | [], _ -> None );
+    ]
+
+(* An unchanged re-run splices every SCC and writes nothing, in every
+   table class, on every corpus program: an SCC whose predicates no
+   goal calls has an empty fragment, and an empty fragment is a hit. *)
+let test_unchanged_rerun () =
+  let logic =
+    List.map
+      (fun (b : Registry.logic_bench) -> (b.Registry.name, b.Registry.source))
+      Registry.logic_benchmarks
+  in
+  let fp =
+    List.map
+      (fun (b : Registry.fp_bench) -> (b.Registry.name, b.Registry.source))
+      Registry.fp_benchmarks
+  in
+  List.iter
+    (fun (name, config, corpus) ->
+      let a = analysis name in
+      List.iter
+        (fun (bench, src) ->
+          let label =
+            Printf.sprintf "%s %s %s" name (Analysis.config_to_string config)
+              bench
+          in
+          let max_steps, max_table_bytes = roomy in
+          let guard () = Guard.create ~max_steps ~max_table_bytes () in
+          let cache = Analysis.memory_cache () in
+          ignore (Analysis.run_incr a ~config ~guard:(guard ()) ~cache src);
+          Metrics.reset ();
+          ignore (Analysis.run_incr a ~config ~guard:(guard ()) ~cache src);
+          check_i (label ^ ": re-run invalidates nothing") 0
+            (Metrics.counter_value "incr.invalidated");
+          check_i (label ^ ": re-run persists nothing") 0
+            (timer_activations "incr.persist"))
+        corpus)
+    [
+      ("groundness", [ ("mode", "dynamic") ], logic);
+      ("groundness", [ ("mode", "compiled") ], logic);
+      ("groundness", [ ("mode", "def") ], logic);
+      ("strictness", [], fp);
+      ("strictness", [ ("supplementary", "true") ], fp);
     ]
 
 let test_table_classes () =
@@ -776,6 +818,8 @@ let () =
           Alcotest.test_case "strictness nosupp" `Quick
             test_oracle_strictness_nosupp;
           Alcotest.test_case "table classes" `Quick test_table_classes;
+          Alcotest.test_case "unchanged re-run splices every SCC" `Slow
+            test_unchanged_rerun;
           Alcotest.test_case "no cache is the scratch run" `Quick
             test_no_cache_is_scratch;
           Alcotest.test_case "def runs move the incr timers" `Quick

@@ -142,6 +142,158 @@ let variant_semantics =
           || QCheck2.Test.fail_reportf "duplicate %s not deduped" (show k2)
       | _ -> false)
 
+(* --- lookups of live terms under a substitution -------------------------- *)
+
+(* [hide coins t]: a live query for [t] — its variables renamed to live
+   ones and some subterms moved behind substitution bindings, as
+   the engine sees a goal part-way through a clause body.  Each coin
+   picks what happens at one node: keep it; replace it by a fresh
+   variable bound to it (directly, or through a chain of two or three
+   variables); or, at a variable, alias it to a later live variable,
+   which merges two of the key's variables. *)
+let hide coins t =
+  let coins = ref coins in
+  let coin () =
+    match !coins with
+    | c :: rest ->
+        coins := rest;
+        c
+    | [] -> 0
+  in
+  let s = ref Subst.empty in
+  (* globally fresh ids, so no renaming elsewhere can collide with them;
+     [live] is increasing, and aliasing only ever points to a later
+     live variable, so the bindings stay acyclic *)
+  let fresh = Term.fresh_id in
+  let live = Array.init 10 (fun _ -> fresh ()) in
+  let unbound v = Subst.walk !s (Term.var v) == Term.var v in
+  let behind t =
+    (* a chain of 1-3 variables ending at [t] *)
+    let rec chain k t =
+      let v = fresh () in
+      s := Subst.bind !s v t;
+      if k <= 1 then Term.var v else chain (k - 1) (Term.var v)
+    in
+    chain (1 + (coin () mod 3)) t
+  in
+  let rec go t =
+    let t =
+      match t with
+      | Term.Var i ->
+          let v = live.(i) in
+          if coin () mod 5 = 0 && unbound v then begin
+            let w = live.(i + 1 + (coin () mod 3)) in
+            if unbound w then s := Subst.bind !s v (Term.var w)
+          end;
+          Term.var v
+      | Term.Struct (_, args, _) -> Term.rebuild t (Array.map go args)
+      | t -> t
+    in
+    if coin () mod 3 = 0 then behind t else t
+  in
+  let q = go t in
+  (!s, q)
+
+let gen_query keys =
+  let open QCheck2.Gen in
+  pair
+    (oneof (gen_term :: List.map return keys))
+    (list_size (int_range 0 40) small_nat)
+
+(* [find_under] finds exactly what a lookup of the canonical
+   form finds.  Keys share prefixes heavily (a tiny alphabet), include
+   ground subterms and repeated variables, and most queries are hidden
+   variants of a stored key, so hits, near misses (a key differing only
+   in how its variables are shared) and misses are all common. *)
+let find_under_agreement =
+  prop "find_under = find_opt of the canonical form" 2500
+    QCheck2.Gen.(
+      list_size (int_range 1 8) gen_term >>= fun keys ->
+      pair (return keys) (list_size (int_range 1 6) (gen_query keys)))
+    (fun (keys, queries) ->
+      let trie = Trie.create () in
+      List.iteri
+        (fun i k -> ignore (Trie.find_or_add trie (Canon.of_term k) (fun () -> i)))
+        keys;
+      List.for_all
+        (fun (t, coins) ->
+          let s, q = hide coins t in
+          let key = Canon.canonical s q in
+          let expect = Trie.find_opt trie key in
+          Trie.find_under trie s q = expect
+          || QCheck2.Test.fail_reportf "find_under disagrees on %s" (show key))
+        queries)
+
+(* The consumer's one-sided answer return yields the same instance of
+   the goal as unifying with a renamed copy of the answer. *)
+let answer_return_agreement =
+  prop "unify_answer = unify with the renamed answer" 2500
+    QCheck2.Gen.(triple gen_term gen_term (list_size (int_range 0 40) small_nat))
+    (fun (g, a, coins) ->
+      let s, goal = hide coins g in
+      let ans = Canon.of_term a in
+      let show_under s' = show (Canon.canonical s' goal) in
+      let renamed = Term.rename ans in
+      (* without the occur-check a unifier can be cyclic, and a cyclic
+         instance has no finite canonical form to compare *)
+      if
+        Option.is_none (Unify.unify_oc s goal renamed)
+        && Option.is_some (Unify.unify s goal renamed)
+      then QCheck2.assume_fail ()
+      else
+      match (Unify.unify_answer s goal ans, Unify.unify s goal renamed) with
+      | None, None -> true
+      | Some s1, Some s2 ->
+          Term.equal (Canon.canonical s1 goal) (Canon.canonical s2 goal)
+          || QCheck2.Test.fail_reportf "instances differ: %s vs %s"
+               (show_under s1) (show_under s2)
+      | Some _, None | None, Some _ ->
+          QCheck2.Test.fail_reportf "unifiability differs on %s = %s"
+            (show (Canon.canonical s goal)) (show ans))
+
+(* A table hit costs no garbage: after a warm-up (the renumbering
+   buffer grows once) a hit of [find_under] — a call-table lookup or a
+   duplicate answer — allocates 0 minor words. *)
+let hits_allocate_nothing () =
+  let trie = Trie.create () in
+  List.iter
+    (fun src -> ignore (Trie.find_or_add trie (Canon.of_term (parse src)) (fun () -> ())))
+    [ "p(A,B,f(A),true)"; "p(A,A,g(B),false)"; "q(A,f(a,B),C)" ];
+  (* p(X,Y,Z,true) with Z -> W -> f(X), and q(U,V,C) with V -> f(a,T):
+     live variants of the first and the last key *)
+  let x = Term.fresh_var () and y = Term.fresh_var () in
+  let z = Term.fresh_id () and w = Term.fresh_id () in
+  let s =
+    Subst.bind
+      (Subst.bind Subst.empty z (Term.var w))
+      w
+      (Term.mk "f" [| x |])
+  in
+  let q = Term.mk "p" [| x; y; Term.var z; Term.true_ |] in
+  let v = Term.fresh_id () in
+  let s' =
+    Subst.bind Subst.empty v (Term.mk "f" [| Term.atom "a"; Term.fresh_var () |])
+  in
+  let q' = Term.mk "q" [| Term.fresh_var (); Term.var v; Term.fresh_var () |] in
+  let words n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let hit = ref true in
+  let call_hit () = hit := !hit && Trie.find_under trie s q <> None in
+  let dup_hit () =
+    hit := !hit && Option.is_some (Trie.find_under trie s' q')
+  in
+  Alcotest.(check int) "call-table hit, words per 1000 lookups" 0
+    (words 1000 call_hit);
+  Alcotest.(check int) "duplicate answer, words per 1000 checks" 0
+    (words 1000 dup_hit);
+  Alcotest.(check bool) "both were hits" true !hit
+
 (* live_nodes equals the sum of fresh-node counts, and clear resets. *)
 let node_accounting () =
   let trie = Trie.create () in
@@ -298,7 +450,12 @@ let () =
         [
           agreement;
           variant_semantics;
+          find_under_agreement;
+          answer_return_agreement;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "table hits allocate nothing" `Quick
+            hits_allocate_nothing ] );
       ( "structure",
         [
           Alcotest.test_case "node accounting" `Quick node_accounting;
