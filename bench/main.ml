@@ -147,7 +147,9 @@ let tracked_counters =
     "engine.answers_inserted";
     "engine.answers_deduped";
     "engine.answers_retracted";
+    "engine.consumer_suspensions";
     "engine.consumer_resumptions";
+    "engine.scc_completions";
     "unify.attempts";
     "unify.failures";
     "hashcons.hits";
@@ -1280,14 +1282,16 @@ let parse_opts ~what ~defaults_repeats args =
         let ms = comma_list v in
         List.iter
           (fun m ->
-            if m <> "time" && m <> "bytes" then
-              usage_fail "%s: --metrics accepts time,bytes (got %S)" what m)
+            if not (List.mem m [ "time"; "bytes"; "counts" ]) then
+              usage_fail "%s: --metrics accepts time,bytes,counts (got %S)"
+                what m)
           ms;
         o.th <-
           {
             o.th with
             Benchrun.gate_time = List.mem "time" ms;
             gate_bytes = List.mem "bytes" ms;
+            gate_counts = List.mem "counts" ms;
           };
         go rest
     | flag :: _ when String.length flag > 2 && String.sub flag 0 2 = "--" ->

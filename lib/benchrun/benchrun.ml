@@ -489,6 +489,7 @@ type thresholds = {
   abs_bytes : float;
   gate_time : bool;
   gate_bytes : bool;
+  gate_counts : bool;
 }
 
 let default_thresholds =
@@ -499,9 +500,15 @@ let default_thresholds =
     abs_bytes = 256.;
     gate_time = true;
     gate_bytes = true;
+    gate_counts = false;
   }
 
 type verdict = Regression | Improvement | Unchanged
+
+(* The row counters the counts class gates: the engine's event counts
+   and the trie's node count, fixed for a given rev and input. *)
+let is_count name =
+  name = "trie.nodes" || String.starts_with ~prefix:"engine." name
 
 type delta = {
   d_analysis : string;
@@ -536,6 +543,11 @@ let judge ~rel ~abs_floor ~pooled base cand =
   else if -.diff > bound then Improvement
   else Unchanged
 
+let pct_change base cand =
+  if Float.abs base > 0. then (cand -. base) /. Float.abs base
+  else if cand = base then 0.
+  else Float.infinity
+
 let metric_delta ~analysis ~name ~metric ~rel ~abs_floor ~gated base cand =
   let pooled = Float.max (iqr base) (iqr cand) in
   {
@@ -544,11 +556,7 @@ let metric_delta ~analysis ~name ~metric ~rel ~abs_floor ~gated base cand =
     d_metric = metric;
     d_base = base.median;
     d_cand = cand.median;
-    d_pct =
-      (if Float.abs base.median > 0. then
-         (cand.median -. base.median) /. Float.abs base.median
-       else if cand.median = base.median then 0.
-       else Float.infinity);
+    d_pct = pct_change base.median cand.median;
     d_pooled_iqr = pooled;
     d_verdict = judge ~rel ~abs_floor ~pooled base.median cand.median;
     d_gated = gated;
@@ -592,33 +600,58 @@ let row_deltas th (b : row) (c : row) =
         };
       ]
   in
-  (* counters are informational: deterministic work measures, useful to
-     explain a time delta, never gated on their own *)
+  (* A deterministic count under the counts class: any change, either
+     way, is a gated regression, since the tables a rev derives do not
+     depend on the machine. *)
+  let exact metric vb vc =
+    {
+      d_analysis = analysis;
+      d_name = name;
+      d_metric = metric;
+      d_base = vb;
+      d_cand = vc;
+      d_pct = pct_change vb vc;
+      d_pooled_iqr = 0.;
+      d_verdict = (if vb = vc then Unchanged else Regression);
+      d_gated = true;
+    }
+  in
+  let engine =
+    if not th.gate_counts then []
+    else
+      List.filter_map
+        (fun (k, vb) ->
+          Option.map
+            (fun vc -> exact k (float_of_int vb) (float_of_int vc))
+            (List.assoc_opt k c.r_engine))
+        b.r_engine
+  in
+  (* other counters are informational: work measures, useful to explain
+     a time delta, never gated on their own *)
   let counters =
     List.filter_map
       (fun (cn, vb) ->
         Option.map
           (fun vc ->
-            let pooled = 0. in
-            {
-              d_analysis = analysis;
-              d_name = name;
-              d_metric = cn;
-              d_base = vb;
-              d_cand = vc;
-              d_pct =
-                (if Float.abs vb > 0. then (vc -. vb) /. Float.abs vb
-                 else if vc = vb then 0.
-                 else Float.infinity);
-              d_pooled_iqr = pooled;
-              d_verdict = judge ~rel:0.10 ~abs_floor:16. ~pooled vb vc;
-              d_gated = false;
-            })
+            if th.gate_counts && is_count cn then exact cn vb vc
+            else
+              let pooled = 0. in
+              {
+                d_analysis = analysis;
+                d_name = name;
+                d_metric = cn;
+                d_base = vb;
+                d_cand = vc;
+                d_pct = pct_change vb vc;
+                d_pooled_iqr = pooled;
+                d_verdict = judge ~rel:0.10 ~abs_floor:16. ~pooled vb vc;
+                d_gated = false;
+              })
           (List.assoc_opt cn c.r_counters))
       b.r_counters
   in
   (time "total_seconds" b.r_total c.r_total :: phases)
-  @ [ bytes ] @ status @ counters
+  @ [ bytes ] @ status @ engine @ counters
 
 let compare_runs ?(thresholds = default_thresholds) base cand =
   let cand_tbl = Hashtbl.create 64 in

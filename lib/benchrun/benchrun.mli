@@ -175,6 +175,10 @@ type thresholds = {
   abs_bytes : float;  (** absolute floor on table-byte deltas (256) *)
   gate_time : bool;  (** gate on time metrics (default true) *)
   gate_bytes : bool;  (** gate on table bytes (default true) *)
+  gate_counts : bool;
+      (** gate on exact equality of the deterministic counts (default
+          false): the engine columns ([table_entries], [answers],
+          [resumptions]), [trie.nodes] and every [engine.*] counter *)
 }
 
 val default_thresholds : thresholds
@@ -210,7 +214,8 @@ val compare_runs : ?thresholds:thresholds -> run -> run -> ab
 (** Match rows by {!row_key} and apply the noise gate per metric.  A
     change is flagged only when it exceeds the relative tolerance
     {e and} the absolute floor {e and} the pooled IQR; counter deltas
-    are always informational ([d_gated = false]); a status downgrade
+    are informational ([d_gated = false]) unless [gate_counts] holds,
+    when a changed count is a gated regression; a status downgrade
     (complete -> partial) is a gated regression. *)
 
 val render_ab : ab -> string

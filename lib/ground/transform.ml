@@ -250,19 +250,18 @@ let rec fold_goals ~may_bind ~outside goals =
   (!s, kept)
 
 (* Fold both branches of [a ; b].  [outside v] says whether [v] is
-   visible outside the disjunction; each branch also counts its sibling
-   as outside, and binds only its local variables, under a substitution
-   of its own that applies to the rest of that branch.  Such a variable
-   is unbound whenever its goal runs and no other goal can see it, so
-   the branch makes the same calls and gives every visible variable the
-   same bindings.  An if-then-else branch ([c -> t]) is one opaque goal
-   and is kept whole. *)
+   visible outside the disjunction; each branch binds only the other
+   variables, under a substitution of its own that applies to the rest
+   of that branch.  Such a variable is unbound whenever its goal runs
+   (both branches start from the bindings the disjunction is entered
+   with, so the sibling branch does not count as outside) and no other
+   goal can see it, so the branch makes the same calls and gives every
+   visible variable the same bindings.  An if-then-else branch
+   ([c -> t]) is one opaque goal and is kept whole. *)
 and fold_disjunction outside (g : Term.t) : Term.t =
   match g with
   | Term.Struct (";", [| a; b |], _) ->
-      let branch sibling t =
-        let visible = var_set [ sibling ] in
-        let outside v = outside v || Hashtbl.mem visible v in
+      let branch t =
         let _, kept =
           fold_goals
             ~may_bind:(fun _ ~kept:_ x -> not (outside x))
@@ -271,7 +270,7 @@ and fold_disjunction outside (g : Term.t) : Term.t =
         in
         Term.conj kept
       in
-      Term.mk ";" [| branch b a; branch a b |]
+      Term.mk ";" [| branch a; branch b |]
   | g -> g
 
 (** One abstract clause as the tabled engine loads it: its [=] goals
@@ -283,9 +282,9 @@ and fold_disjunction outside (g : Term.t) : Term.t =
     either bound before any goal runs or absent from the head — then
     [x] is bound in [s].  A disjunction is kept, and each of its
     branches is folded under a substitution of its own that binds only
-    variables local to that branch: not in the head, not in a goal
-    outside the disjunction, not in the sibling branch.  Every other
-    goal is kept.
+    variables local to that branch: not in the head and not in a goal
+    outside the disjunction (the sibling branch does not count: it
+    starts from the same bindings).  Every other goal is kept.
 
     Exact on the tabled engine: a dropped goal binds only a variable no
     earlier kept goal can see, a binding reaches the head only when no

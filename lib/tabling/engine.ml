@@ -13,7 +13,13 @@
       eagerly pushed to every registered consumer;
     - later occurrences of the same call variant become *consumers*: they
       replay the answers present at registration time and receive all
-      later answers through the eager broadcast.
+      later answers through the eager broadcast;
+    - when a producer finishes its clauses and consumed no open entry
+      older than itself, it *leads* a complete SCC, as in XSB's
+      SLG-WAM: every entry created since it started can receive no
+      further answer, so those entries are closed and their consumers
+      dropped, and a later call to a closed entry replays its answers
+      without suspending.
 
     For definite programs this computes the minimal model restricted to
     the call forest, and terminates whenever calls and answers range over
@@ -102,10 +108,15 @@ let m_resumptions =
 
 let m_completions =
   Metrics.counter ~units:"producers"
-    ~doc:
-      "producers that exhausted clause resolution (this engine's analogue of \
-       SCC completion)"
+    ~doc:"producers that exhausted clause resolution"
     "engine.producer_completions"
+
+let m_scc_completions =
+  Metrics.counter ~units:"SCCs"
+    ~doc:
+      "leader producers whose SCC completed: the entries created since the \
+       leader started are closed and drop their consumers"
+    "engine.scc_completions"
 
 let m_widenings =
   Metrics.counter ~units:"answers"
@@ -178,6 +189,8 @@ type entry = {
       (** words accounted to this entry's answers, so abort recovery
           can subtract (or keep) them exactly *)
   consumers : (Term.t -> unit) Vec.t;
+      (** the calls suspended on this entry while it is open; dropped
+          when it closes *)
   deps : entry Vec.t;
       (** entries this entry's producer consumes from: through a
           registered consumer, a new answer in a dep can extend this
@@ -185,6 +198,10 @@ type entry = {
           exhausted, so abort recovery must treat this entry as open
           whenever a dep is open *)
   mutable completed : bool;  (** producer exhausted clause resolution *)
+  dfn : int;  (** creation number: the order of the completion stack *)
+  mutable closed : bool;
+      (** its SCC is complete (or it was spliced, or an abort scrubbed
+          it): no answer can reach it any more *)
   mutable mark : bool;
       (** scratch for abort-recovery closure computation and {!settle} *)
 }
@@ -210,6 +227,14 @@ type t = {
   mutable producing : entry list;
       (** stack of producers currently resolving clauses, innermost
           first; used to attribute consumer registrations ([deps]) *)
+  mutable open_entries : entry list;
+      (** the completion stack: entries whose producer started and whose
+          SCC is not complete yet, newest (highest [dfn]) first *)
+  mutable low : int;
+      (** low-link of the innermost running producer: the least [dfn]
+          of the open entries called since it started ([max_int]:
+          none) *)
+  mutable next_dfn : int;  (** the [dfn] of the next entry created *)
   mutable run_depth : int;  (** nesting of public [run_status] calls *)
   mutable resolver : (Term.t -> Term.t list option) option;
       (** splice resolver for incremental re-analysis: consulted when a
@@ -293,6 +318,9 @@ let create ?(hooks = concrete_hooks) ?(tabled = fun _ -> true)
     guard;
     space_words = 0;
     producing = [];
+    open_entries = [];
+    low = max_int;
+    next_dfn = 0;
     run_depth = 0;
     resolver = None;
     spliced = 0;
@@ -378,11 +406,13 @@ let admit e entry ans =
    producer.  Installed answers go through the same dedup trie and
    space accounting as produced ones, so `dump_tables`,
    `table_space_bytes`, and the consistency invariants are
-   indistinguishable from a fresh computation; the entry completes
+   indistinguishable from a fresh computation; the entry is closed
    immediately (a fragment holds a complete answer set by
    construction — only Complete runs persist). *)
 let find_entry e key =
   let mk_entry () =
+    let dfn = e.next_dfn in
+    e.next_dfn <- dfn + 1;
     {
       call = key;
       answers = Vec.create ();
@@ -391,6 +421,8 @@ let find_entry e key =
       consumers = Vec.create ();
       deps = Vec.create ();
       completed = false;
+      dfn;
+      closed = false;
       mark = false;
     }
   in
@@ -424,6 +456,7 @@ let find_entry e key =
                     grow_space e words)
               answers;
             entry.completed <- true;
+            entry.closed <- true;
             e.spliced <- e.spliced + 1)
   end;
   (entry, is_new)
@@ -492,6 +525,29 @@ let lookup_call e s goal =
 let return_answer e s goal ans =
   if e.concrete then Unify.unify_answer s goal ans
   else e.hooks.unify s goal (Canon.instantiate ans)
+
+(* One answer delivered to a tabled call, by replay or broadcast: a
+   resumption either way. *)
+let resume e s goal ans =
+  Guard.check e.guard;
+  e.stats.resumptions <- e.stats.resumptions + 1;
+  Metrics.incr m_resumptions;
+  return_answer e s goal ans
+
+(* [leader]'s SCC is complete: every entry still open above it on the
+   completion stack was created while it ran, and none called an open
+   entry older than [leader], so no answer can reach them any more.
+   Close them and drop their consumers. *)
+let complete_scc e leader =
+  let rec close = function
+    | q :: older when q.dfn >= leader.dfn ->
+        q.closed <- true;
+        Vec.clear q.consumers;
+        close older
+    | older -> older
+  in
+  e.open_entries <- close e.open_entries;
+  Metrics.incr m_scc_completions
 
 let rec solve e (s : Subst.t) (goal : Term.t) (sc : Subst.t -> unit) : unit =
   Guard.check e.guard;
@@ -579,16 +635,34 @@ and solve_tabled_live e s goal sc =
       let n = Vec.length p.deps in
       if n = 0 || Vec.get p.deps (n - 1) != entry then Vec.push p.deps entry
   | None -> ());
+  if entry.closed then begin
+    (* A complete table: its answers are final, so replay them and
+       suspend nothing.  [owner], if any, is the running producer
+       already. *)
+    let answers, n = Vec.frozen_prefix entry.answers in
+    for i = 0 to n - 1 do
+      match resume e s goal answers.(i) with Some s' -> sc s' | None -> ()
+    done
+  end
+  else solve_open e s goal sc entry is_new owner
+
+(* A call to an open entry: suspend a consumer on it, run its producer
+   if the call created it, and replay the answers it already has. *)
+and solve_open e s goal sc entry is_new owner =
+  (* Calling an existing open entry, the innermost running producer
+     cannot lead an SCC that [entry] is older than.  A consumer resumed
+     by a broadcast records its calls here too, in the frame that is
+     running, since its [owner]'s frame may have finished.  (A new
+     entry's producer runs nested in this frame and passes its
+     low-link up when it finishes.) *)
+  if (not is_new) && entry.dfn < e.low then e.low <- entry.dfn;
   (* The consumer: unify a (renamed-apart) canonical answer with our goal
      instance.  With abstraction enabled the call in the table may be more
      general than [goal]; unifying against [key]'s instance keeps the
      variable correspondence right, so unify goal with the answer term
      directly. *)
   let consumer ans =
-    Guard.check e.guard;
-    e.stats.resumptions <- e.stats.resumptions + 1;
-    Metrics.incr m_resumptions;
-    match return_answer e s goal ans with
+    match resume e s goal ans with
     | None -> ()
     | Some s' -> (
         (* A resumption continues [owner]'s clause body, so while [sc]
@@ -618,7 +692,7 @@ and solve_tabled_live e s goal sc =
   let snapshot, n0 = Vec.frozen_prefix entry.answers in
   Metrics.incr m_suspensions;
   Vec.push entry.consumers consumer;
-  if is_new && not entry.completed then producer e entry;
+  if is_new then producer e entry;
   for i = 0 to n0 - 1 do
     consumer snapshot.(i)
   done
@@ -683,20 +757,37 @@ and producer e entry =
       offer_answer e entry ans
   in
   e.producing <- entry :: e.producing;
+  e.open_entries <- entry :: e.open_entries;
+  let enclosing_low = e.low in
+  e.low <- max_int;
   resolve_clauses e call on_success;
-  (* All program clauses for this call variant are exhausted.  With eager
-     broadcast there is no separate completion phase; this is the closest
-     event to an SCC completion. *)
+  (* All program clauses for this call variant are exhausted.  Answers
+     can still reach [entry] through consumers its body suspended on
+     open entries, so it completes only with its SCC: if it called no
+     open entry older than itself it is the SCC's leader and closes it
+     now (its low-link names only entries it closes, so the enclosing
+     frame keeps its own); otherwise its low-link passes to the
+     enclosing frame, whose leader test covers [entry]. *)
   e.producing <- List.tl e.producing;
   entry.completed <- true;
-  Metrics.incr m_completions
+  Metrics.incr m_completions;
+  let low = e.low in
+  if low >= entry.dfn then begin
+    e.low <- enclosing_low;
+    complete_scc e entry
+  end
+  else e.low <- min enclosing_low low
 
 (* --- abort recovery ----------------------------------------------------- *)
 
 (* An entry is *closed* iff its producer exhausted clause resolution and
    every entry it consumes from is closed: only then can no further
    answer reach it.  The greatest such set is computed by demotion from
-   "every completed entry". *)
+   "every completed entry".  It contains every entry whose SCC completed
+   ([entry.closed]), and possibly more: a finished entry of an
+   incomplete SCC whose own demand edges all lead to closed entries.
+   The widening after an abort keys on this set, not on [entry.closed],
+   so a partial run widens exactly the entries it always did. *)
 let closed_set e =
   Trie.iter (fun _ entry -> entry.mark <- entry.completed) e.tables;
   let changed = ref true in
@@ -721,7 +812,15 @@ let scrub_entry entry =
   Vec.clear entry.consumers;
   Vec.clear entry.deps;
   entry.completed <- true;
+  entry.closed <- true;
   entry.mark <- false
+
+(* No producer is running and no SCC is open: the state between runs,
+   restored by every abort and reset path. *)
+let reset_frames e =
+  e.producing <- [];
+  e.open_entries <- [];
+  e.low <- max_int
 
 (* Budget exhaustion: degrade to a sound over-approximation.  Every
    entry that could still have received answers is force-completed by
@@ -752,7 +851,7 @@ let force_complete_tables e =
       end;
       scrub_entry entry)
     e.tables;
-  e.producing <- [];
+  reset_frames e;
   !widened
 
 (* Keep only the marked entries.  The call trie is rebuilt from the
@@ -792,12 +891,14 @@ let retain_marked e =
 let recover_after_error e =
   closed_set e;
   List.iter (fun (_, entry) -> scrub_entry entry) (retain_marked e);
-  e.producing <- []
+  reset_frames e
 
 (* Table invariants, checked by the fault-injection tests: every entry's
-   answer vector and dedup set agree, and after any abort every entry is
-   completed with no registered consumers or dependency edges. *)
+   answer vector and dedup set agree; between runs every SCC is complete,
+   so every entry is closed and holds no consumer; and after any abort
+   every entry is completed with no dependency edges. *)
 let tables_consistent ?(after_abort = false) e : bool =
+  let at_rest = e.run_depth = 0 in
   Trie.fold
     (fun _ entry ok ->
       ok
@@ -805,12 +906,13 @@ let tables_consistent ?(after_abort = false) e : bool =
       && Vec.fold
            (fun acc a -> acc && Trie.mem entry.answer_set a)
            true entry.answers
+      && ((not at_rest)
+         || (entry.closed && Vec.length entry.consumers = 0))
       && ((not after_abort)
-         || entry.completed
-            && Vec.length entry.consumers = 0
-            && Vec.length entry.deps = 0))
+         || (entry.completed && Vec.length entry.deps = 0)))
     e.tables true
-  && (not after_abort || e.producing = [])
+  && ((not at_rest)
+     || (e.producing = [] && e.open_entries = [] && e.low = max_int))
 
 (* --- public API -------------------------------------------------------- *)
 
@@ -865,7 +967,7 @@ let demand_status e (key : Term.t) : Guard.status =
     e.stats.calls <- e.stats.calls + 1;
     Metrics.incr m_call_lookups;
     let entry, is_new = find_entry e key in
-    if is_new && not entry.completed then producer e entry
+    if is_new && not entry.closed then producer e entry
   in
   if e.run_depth > 0 then begin
     demand ();
@@ -1036,7 +1138,7 @@ let stats e = e.stats
 let reset_tables e =
   Trie.clear e.tables;
   e.space_words <- 0;
-  e.producing <- [];
+  reset_frames e;
   e.run_depth <- 0;
   e.spliced <- 0;
   e.roots <- [];

@@ -2,7 +2,11 @@
 
     A continuation-passing formulation of OLDT/SLG for definite
     programs: variant-based call tables, answer tables with duplicate
-    elimination, eager answer propagation to registered consumers.  For
+    elimination, eager answer propagation to registered consumers, and
+    SCC completion: once a producer finishes having called no open
+    entry older than itself, every entry created since it started is
+    closed, and later calls to a closed entry replay its answers
+    without suspending a consumer.  For
     definite programs it computes the minimal model restricted to the
     call forest and terminates whenever calls and answers range over a
     finite domain — the completeness guarantee the paper's analyses rely
@@ -68,15 +72,15 @@ val concrete_hooks : hooks
     - [engine.answers_retracted] — stored answers removed by answer
       subsumption ({!hooks.answer_leq}); inserted − retracted is the
       number of answers held, summed over engines;
-    - [engine.consumer_suspensions] — consumer registrations on a table
-      entry (one per tabled call occurrence);
+    - [engine.consumer_suspensions] — consumer registrations on an
+      open table entry (a call to a closed entry registers none);
     - [engine.consumer_resumptions] — answer deliveries to consumers,
       replay and eager broadcast alike (equals
       {!field-stats.resumptions} summed over engines);
     - [engine.producer_completions] — producers that exhausted clause
-      resolution; with eager answer broadcast there is no separate
-      completion phase, so this is the engine's analogue of an SCC
-      completion;
+      resolution (their entry completes only with its SCC);
+    - [engine.scc_completions] — leader producers whose SCC completed,
+      closing every entry created since they started;
     - [engine.widenings] — applications of the {!hooks.widen} hook;
     - [engine.aborts] — governed runs torn down by budget exhaustion or
       an exception unwinding through the engine;
@@ -247,9 +251,10 @@ val dump_tables : t -> string
 
 val tables_consistent : ?after_abort:bool -> t -> bool
 (** Table invariants, for tests and debugging: every entry's answer
-    vector and dedup set agree; with [~after_abort:true] additionally
-    every entry is completed with no registered consumers or dependency
-    edges left behind. *)
+    vector and dedup set agree; between runs (a [Complete] one included)
+    every entry is closed and holds no consumer, and no SCC is open;
+    with [~after_abort:true] additionally every entry is completed with
+    no dependency edges left behind. *)
 
 val stats : t -> stats
 val reset_tables : t -> unit

@@ -206,6 +206,47 @@ let test_counters_informational () =
   Alcotest.(check bool) "but not gated" false d.Benchrun.d_gated;
   Alcotest.(check int) "gate stays green" 0 ab.Benchrun.regressions
 
+(* the counts class gates exact equality of the deterministic counts,
+   either way, and leaves the other counters informational *)
+let test_counts_exact () =
+  let counts = { Benchrun.default_thresholds with Benchrun.gate_counts = true } in
+  let counters ~answers ~attempts =
+    [ ("engine.answers_inserted", answers); ("unify.attempts", attempts) ]
+  in
+  let base =
+    mkrun [ row ~counters:(counters ~answers:24. ~attempts:1000.) ~total:[ 1. ]
+        ~bytes:[ 4664. ] () ]
+  in
+  let fewer =
+    mkrun [ row ~counters:(counters ~answers:23. ~attempts:2000.) ~total:[ 1. ]
+        ~bytes:[ 4664. ] () ]
+  in
+  let ab = Benchrun.compare_runs ~thresholds:counts base fewer in
+  let d = delta_of ab ~metric:"engine.answers_inserted" in
+  Alcotest.check verdict "one answer fewer is a change" Benchrun.Regression
+    d.Benchrun.d_verdict;
+  Alcotest.(check bool) "gated" true d.Benchrun.d_gated;
+  Alcotest.(check bool) "unify.attempts stays ungated" false
+    (delta_of ab ~metric:"unify.attempts").Benchrun.d_gated;
+  Alcotest.(check int) "one gated regression" 1 ab.Benchrun.regressions;
+  let fewer_resumptions =
+    mkrun
+      [
+        {
+          (row ~counters:(counters ~answers:24. ~attempts:1000.) ~total:[ 1. ]
+             ~bytes:[ 4664. ] ())
+          with
+          Benchrun.r_engine =
+            [ ("table_entries", 35); ("answers", 24); ("resumptions", 52) ];
+        };
+      ]
+  in
+  let ab = Benchrun.compare_runs ~thresholds:counts base fewer_resumptions in
+  Alcotest.check verdict "engine column compared" Benchrun.Regression
+    (delta_of ab ~metric:"resumptions").Benchrun.d_verdict;
+  Alcotest.(check int) "same counts pass" 0
+    (Benchrun.compare_runs ~thresholds:counts base base).Benchrun.regressions
+
 (* the rendered A/B lists gated deltas first and marks the ungated ones,
    so a passing gate does not read as a list of regressions *)
 let test_render_marks_ungated () =
@@ -480,6 +521,12 @@ let test_gate_exit_codes () =
       write ~dir ~id:"base" base_rows;
       write ~dir ~id:"same" base_rows;
       write ~dir ~id:"slow" slow_rows;
+      (* one more answer: same time and bytes, a different count *)
+      write ~dir ~id:"recount"
+        [
+          row ~counters:[ ("engine.answers_inserted", 25.) ]
+            ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4664. ] ();
+        ];
       (* a committed prax.bench file whose table bytes are 10% lower *)
       write ~dir ~id:"lean" [ row ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4198. ] () ];
       let committed = Filename.concat dir "committed.json" in
@@ -495,6 +542,14 @@ let test_gate_exit_codes () =
         (gate [ "--candidate"; "slow" ]);
       Alcotest.(check int) "time gate off ignores the slowdown" 0
         (gate [ "--candidate"; "slow"; "--metrics"; "bytes" ]);
+      Alcotest.(check int) "a changed engine count trips counts (exit 2)" 2
+        (gate [ "--candidate"; "recount"; "--metrics"; "bytes,counts" ]);
+      Alcotest.(check int) "counts off leaves counters informational" 0
+        (gate [ "--candidate"; "recount"; "--metrics"; "bytes" ]);
+      Alcotest.(check int) "equal counts pass the counts class" 0
+        (gate [ "--candidate"; "same"; "--metrics"; "counts" ]);
+      Alcotest.(check int) "an unknown metric class is a usage error" 1
+        (gate [ "--candidate"; "same"; "--metrics"; "bytes,words" ]);
       Alcotest.(check int) "missing baseline is a usage error (exit 1)" 1
         (run_code
            [ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; "nope";
@@ -590,6 +645,8 @@ let () =
           Alcotest.test_case "status downgrade gates" `Quick
             test_status_downgrade;
           Alcotest.test_case "missing row gates" `Quick test_missing_row;
+          Alcotest.test_case "counts class gates exact counts" `Quick
+            test_counts_exact;
           Alcotest.test_case "counters informational" `Quick
             test_counters_informational;
           Alcotest.test_case "render marks ungated deltas" `Quick

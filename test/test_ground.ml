@@ -350,7 +350,15 @@ let test_fold_branch_local () =
     (folded "p(X) :- q(X), (B = X, r(B) ; X = true).");
   Alcotest.(check string) "identical sides drop inside a branch"
     "p(A) :- q(A), (r(A) ; s(A))."
-    (folded "p(X) :- q(X), (true = true, r(X) ; B = true, s(X)).")
+    (folded "p(X) :- q(X), (true = true, r(X) ; B = true, s(X)).");
+  (* both branches start from the same bindings, so a variable only the
+     two branches see folds in each, to a different value if need be *)
+  Alcotest.(check string) "variable both branches bind folds in each"
+    "p(A) :- q(A), (r(A,true) ; r(A,A))."
+    (folded "p(X) :- q(X), (B = true, r(X, B) ; B = X, r(X, B)).");
+  Alcotest.(check string) "variable one branch binds, the other reads"
+    "p(A) :- q(A), (r(A) ; s(B))."
+    (folded "p(X) :- q(X), (B = X, r(B) ; s(B)).")
 
 let test_fold_branch_visible () =
   List.iter
@@ -366,9 +374,6 @@ let test_fold_branch_visible () =
       ( "variable after the disjunction",
         "p(A) :- q(A), (B = A, r(B) ; s(A)), t(B).",
         "p(X) :- q(X), (B = X, r(B) ; s(X)), t(B)." );
-      ( "variable in the sibling branch",
-        "p(A) :- q(A), (B = A, r(B) ; s(B)).",
-        "p(X) :- q(X), (B = X, r(B) ; s(B))." );
       ( "variable in an earlier goal of its branch",
         "p(A) :- q(A), (r(B), B = A ; s(A)).",
         "p(X) :- q(X), (r(B), B = X ; s(X))." );

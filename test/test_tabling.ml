@@ -251,11 +251,224 @@ let prop_reachability =
           in
           got = expected)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_reachability ]
+(* --- SCC completion ------------------------------------------------------ *)
+
+module Guard = Prax_guard.Guard
+module Datalog = Prax_bottomup.Datalog
+
+(* An answer reaches [q] by broadcast after [q]'s producer finished:
+   [q] consumes [p], which is still open and whose later answers flow
+   through [q]'s suspended body into new [q] answers, which in turn
+   extend [p].  [q] completes only with [p], its SCC's leader; closing
+   it when its own clauses run out drops [p]'s consumer on [q], which
+   loses [p(b)], [p(c)] and [q(c)]. *)
+let late_broadcast_src =
+  "p(X) :- q(X).\np(a).\nq(X) :- p(Y), e(Y, X).\ne(a, b). e(b, c)."
+
+let test_late_broadcast () =
+  List.iter
+    (fun mode ->
+      let e = engine_of ~mode late_broadcast_src in
+      Alcotest.(check (list string)) "p answers"
+        [ "p(a)"; "p(b)"; "p(c)" ]
+        (List.sort compare (query_strings e "p(X)"));
+      Alcotest.(check (list string)) "q answers, replayed from its table"
+        [ "q(b)"; "q(c)" ]
+        (List.sort compare (query_strings e "q(X)"));
+      Alcotest.(check bool) "every entry closed, no consumer left" true
+        (Engine.tables_consistent e))
+    [ Database.Dynamic; Database.Compiled ]
+
+(* A call to a complete table replays its answers and suspends nothing:
+   the second query registers no consumer, yet counts its deliveries. *)
+let test_closed_replay () =
+  let e = engine_of left_rec_path in
+  let first = query_strings e "path(a, Y)" in
+  let resumptions = (Engine.stats e).Engine.resumptions in
+  let suspensions () =
+    Prax_metrics.Metrics.counter_value "engine.consumer_suspensions"
+  in
+  let s0 = suspensions () in
+  Alcotest.(check (list string)) "same answers" first
+    (query_strings e "path(a, Y)");
+  Alcotest.(check int) "no suspension on a closed table" s0 (suspensions ());
+  Alcotest.(check int) "every replayed answer is a resumption"
+    (resumptions + List.length first)
+    (Engine.stats e).Engine.resumptions;
+  Alcotest.(check bool) "tables consistent" true (Engine.tables_consistent e)
+
+(* Generated recursive Datalog: [n] intensional predicates of arity 1
+   or 2 over 2-3 constants and one binary base relation.  Every body
+   atom is drawn from all predicates, so recursion is left, right and
+   mutual, and SCCs nest inside SCCs.  Rules are range-restricted, so
+   semi-naive bottom-up evaluation computes the same model. *)
+
+(* [g_pred] is a predicate index ([-1] is the base relation [e/2]); an
+   argument is a variable [0..3] or a constant [-1 - c] *)
+type gen_atom = { g_pred : int; g_args : int list }
+
+type gen_prog = {
+  arities : int array;
+  consts : int;
+  base : (int * int) list;
+  facts : (bool * int * int list) list;
+      (** [true]: listed after the rules, so its answer arrives while
+          the rules' producers are suspended, by broadcast *)
+  rules : (gen_atom * gen_atom list) list;
+}
+
+let gen_prog =
+  let open QCheck2.Gen in
+  let* n = int_range 3 6 in
+  let* consts = int_range 2 3 in
+  let* arities = array_repeat n (int_range 1 2) in
+  let arity p = if p < 0 then 2 else arities.(p) in
+  let const = map (fun c -> -1 - c) (int_range 0 (consts - 1)) in
+  let constant = int_range 0 (consts - 1) in
+  let* base = list_size (int_range 1 5) (pair constant constant) in
+  let* facts =
+    list_size (int_range 1 4)
+      (let* late = bool in
+       let* p = int_range 0 (n - 1) in
+       let+ args = list_repeat (arity p) const in
+       (late, p, args))
+  in
+  let body_atom =
+    let* p = int_range (-1) (n - 1) in
+    let+ args =
+      list_repeat (arity p) (frequency [ (4, int_range 0 3); (1, const) ])
+    in
+    { g_pred = p; g_args = args }
+  in
+  let rule p =
+    let* body = list_size (int_range 1 3) body_atom in
+    let* left = bool in
+    (* left recursion: the head's own predicate first *)
+    let* self_args = list_repeat (arity p) (int_range 0 3) in
+    let body =
+      if left then { g_pred = p; g_args = self_args } :: body else body
+    in
+    let bound =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun a -> List.filter (fun x -> x >= 0) a.g_args)
+           body)
+    in
+    let head_arg =
+      match bound with
+      | [] -> const
+      | vs -> frequency [ (4, oneofl vs); (1, const) ]
+    in
+    let+ head_args = list_repeat (arity p) head_arg in
+    ({ g_pred = p; g_args = head_args }, body)
+  in
+  let* rules =
+    flatten_l (List.init n (fun p -> list_size (int_range 1 3) (rule p)))
+  in
+  return { arities; consts; base; facts; rules = List.concat rules }
+
+let pred_name p = if p < 0 then "e" else Printf.sprintf "p%d" p
+let const_name c = Printf.sprintf "c%d" c
+
+let arg_src x = if x >= 0 then Printf.sprintf "X%d" x else const_name (-1 - x)
+
+let atom_src a =
+  Printf.sprintf "%s(%s)" (pred_name a.g_pred)
+    (String.concat "," (List.map arg_src a.g_args))
+
+let prog_src g =
+  let facts late =
+    List.filter_map
+      (fun (l, p, args) ->
+        if l = late then Some (atom_src { g_pred = p; g_args = args } ^ ".")
+        else None)
+      g.facts
+  in
+  String.concat "\n"
+    (List.map
+       (fun (a, b) ->
+         Printf.sprintf "e(%s,%s)." (const_name a) (const_name b))
+       g.base
+    @ facts false
+    @ List.map
+        (fun (h, body) ->
+          Printf.sprintf "%s :- %s." (atom_src h)
+            (String.concat ", " (List.map atom_src body)))
+        g.rules
+    @ facts true)
+
+(* the same program as Datalog rules; variable [x] of a rule is
+   [Term.var x], fresh per rule since rules are matched, not resolved *)
+let datalog_rules g =
+  let term x =
+    if x >= 0 then Term.var x else Term.atom (const_name (-1 - x))
+  in
+  let atom a =
+    {
+      Datalog.pred = (pred_name a.g_pred, List.length a.g_args);
+      args = Array.of_list (List.map term a.g_args);
+    }
+  in
+  let fact p args =
+    { Datalog.head = atom { g_pred = p; g_args = args }; body = [] }
+  in
+  List.map (fun (a, b) -> fact (-1) [ -1 - a; -1 - b ]) g.base
+  @ List.map (fun (_, p, args) -> fact p args) g.facts
+  @ List.map
+      (fun (h, body) -> { Datalog.head = atom h; body = List.map atom body })
+      g.rules
+
+(* Every predicate queried open, then with each constant as its first
+   argument, in one engine, so later queries hit complete tables. *)
+let scc_queries g =
+  List.concat
+    (List.init (Array.length g.arities) (fun p ->
+         let rest = if g.arities.(p) = 2 then ",Y)" else ")" in
+         Printf.sprintf "%s(X%s" (pred_name p) rest
+         :: List.init g.consts (fun c ->
+                Printf.sprintf "%s(%s%s" (pred_name p) (const_name c) rest)))
+
+let prop_scc_shapes =
+  QCheck2.Test.make ~name:"tabled = semi-naive on generated SCC shapes"
+    ~count:150 ~print:prog_src gen_prog (fun g ->
+      let intensional, db = Datalog.load (datalog_rules g) in
+      ignore (Datalog.seminaive intensional db);
+      let expected q =
+        let goal = parse q in
+        let pred = Option.get (Term.functor_of goal) in
+        Datalog.tuples_of db pred
+        |> List.filter_map (fun tuple ->
+               let fact = Term.mk (fst pred) tuple in
+               match Unify.unify Subst.empty goal fact with
+               | Some _ -> Some (show fact)
+               | None -> None)
+        |> List.sort_uniq compare
+      in
+      List.for_all
+        (fun (mode, mode_name) ->
+          let db = Database.create ~mode () in
+          ignore (Database.load_string db (prog_src g));
+          let guard = Guard.create ~max_steps:200_000 () in
+          let e = Engine.create ~guard db in
+          List.for_all
+            (fun q ->
+              let got, status = Engine.query_status e (parse q) in
+              let got = List.map show got |> List.sort compare in
+              (not (Guard.is_partial status))
+              && (got = expected q
+                 || QCheck2.Test.fail_reportf
+                      "%s (%s): tabled {%s}, semi-naive {%s}" q mode_name
+                      (String.concat " " got)
+                      (String.concat " " (expected q)))
+              && Engine.tables_consistent e)
+            (scc_queries g))
+        [ (Database.Dynamic, "dynamic"); (Database.Compiled, "compiled") ])
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_reachability; prop_scc_shapes ]
 
 (* --- per-predicate table reads ---------------------------------------- *)
 
-module Guard = Prax_guard.Guard
 module Inject = Prax_guard.Inject
 module Registry = Prax_benchdata.Registry
 
@@ -425,6 +638,13 @@ let () =
             test_nontabled_predicates;
           Alcotest.test_case "open-call strategy" `Quick
             test_open_call_strategy;
+        ] );
+      ( "completion",
+        [
+          Alcotest.test_case "answer by broadcast after the producer ends"
+            `Quick test_late_broadcast;
+          Alcotest.test_case "closed table replays without suspending"
+            `Quick test_closed_replay;
         ] );
       ( "pred reads",
         [
