@@ -919,11 +919,46 @@ let micro_tests () =
              answers));
   ]
 
+(* The JSON codec on the serving path's two largest documents: kalah's
+   groundness report, which a worker prints and the daemon checks, and
+   read's analyze request line, which the daemon parses. *)
+let codec_tests () =
+  let open Bechamel in
+  let report =
+    let a = Option.get (Analysis.find "groundness") in
+    Metrics.json_to_string
+      (Analysis.report_to_json ~input:"kalah" (Analysis.run a (src "kalah")))
+  in
+  let request =
+    Daemon.Wire.request_to_string
+      {
+        Daemon.Wire.id = Metrics.Int 1;
+        client = None;
+        op =
+          Daemon.Wire.Analyze
+            { analysis = "groundness"; input = "read"; source = src "read";
+              config = [] };
+      }
+  in
+  List.concat_map
+    (fun (what, text) ->
+      let doc = Metrics.json_of_string text in
+      [
+        Test.make ~name:("json/parse " ^ what)
+          (Staged.stage (fun () -> ignore (Metrics.json_of_string text)));
+        Test.make ~name:("json/print " ^ what)
+          (Staged.stage (fun () -> ignore (Metrics.json_to_string doc)));
+        Test.make ~name:("json/validate " ^ what)
+          (Staged.stage (fun () -> ignore (Metrics.json_valid text)));
+      ])
+    [ ("kalah report", report); ("read request", request) ]
+
 let micro () =
   section
     "Bechamel micro-benchmarks: term-representation hot paths (unify, \
-     canonicalization, answer-table insert/dedup)";
-  run_bechamel (micro_tests ())
+     canonicalization, answer-table insert/dedup) and the JSON codec \
+     (parse, print, validate)";
+  run_bechamel (micro_tests () @ codec_tests ())
 
 
 (* ------------------------------------------------------------------ *)
@@ -959,6 +994,10 @@ let ir_speedup r = work r.ir_scratch /. Float.max (work r.ir_spliced) 1e-9
 let ir_count r name =
   int_of_float (List.assoc name r.ir_spliced.Benchrun.r_counters)
 
+(* Samples per cell wherever a median is recorded: with 5, two slow
+   samples no longer set it. *)
+let median_repeats = 5
+
 let incr_sweep () =
   List.concat_map
     (fun (aname, p, mut) ->
@@ -972,7 +1011,9 @@ let incr_sweep () =
             (fun edited ->
               let scratch = cell a [] { p with p_source = edited } in
               let spliced = { scratch with cache = Some frozen } in
-              match fst (sweep ~repeats:3 [ scratch; spliced ]) with
+              match
+                fst (sweep ~repeats:median_repeats [ scratch; spliced ])
+              with
               | [ s; sp ] -> { ir_edit = n; ir_scratch = s; ir_spliced = sp }
               | _ -> assert false)
             (Incr.Mutate.apply_n ~seed:1 ~n mut p.p_source))
@@ -1042,16 +1083,16 @@ let incremental () =
 
 let bench_json_file = "BENCH_engine.json"
 
-(* The registry matrix as prax.bench rows — the median of 3 repeats per
-   cell, from the same loop and row encoder as [bench run] — plus the
-   incremental matrix.  The perf trajectory across PRs is tracked by
+(* The registry matrix as prax.bench rows — the median of
+   [median_repeats] repeats per cell, from the same loop and row encoder
+   as [bench run] — plus the incremental matrix.  The perf trajectory across PRs is tracked by
    diffing these files; docs/PERFORMANCE.md explains how to read one. *)
 let benchjson () =
   section
     ("Machine-readable engine benchmarks -> " ^ bench_json_file
    ^ " (every registered analysis over its corpus; docs/PERFORMANCE.md \
       explains the fields)");
-  let rows, _ = sweep ~repeats:3 (matrix ()) in
+  let rows, _ = sweep ~repeats:median_repeats (matrix ()) in
   List.iter print_row rows;
   (* the incremental section: scratch-vs-spliced re-analysis per edit
      distance, same deterministic matrix as the [incremental] console

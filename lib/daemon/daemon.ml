@@ -251,11 +251,13 @@ let conn_by_id d cid = List.find_opt (fun c -> c.c_id = cid) d.conns
 
 (* --- the warm result cache ------------------------------------------------ *)
 
-(* Every report in the resident cache was validated and printed
-   canonically when it entered — from a worker frame or from the store —
-   so an answer splices it without parsing it again.  A store payload
-   that does not parse is a miss: the job is recomputed and the good
-   result overwrites it. *)
+(* Every report in the resident cache is canonical JSON, so an answer
+   splices it without parsing it.  A worker's report entered as the
+   bytes the worker printed, checked by {!Wire.worker_response}; a store
+   snapshot was parsed and printed again when it was loaded, since
+   another printer may have written it.  A store payload that does not
+   parse is a miss: the job is recomputed and the good result
+   overwrites it. *)
 
 let cache_key (k : Store.key) =
   String.concat "\x00"
@@ -510,13 +512,6 @@ let finish_report d (r : Serve.report) =
                  ("attempts", Metrics.Int r.Serve.attempts);
                ])
       | Serve.Done { payload; status = worker_status; _ } ->
-          let report = Wire.canonical_report payload in
-          (match (worker_status, report) with
-          | Serve.Complete, Some report ->
-              cache_put d p.jb_cache_key p.jb_store_key report
-          | _ -> ());
-          Metrics.add m_cold_ms
-            (int_of_float ((Unix.gettimeofday () -. p.jb_started) *. 1000.));
           let status, extra =
             match worker_status with
             | Serve.Partial_result reason ->
@@ -535,10 +530,14 @@ let finish_report d (r : Serve.report) =
           let extra =
             extra @ tier_fields @ [ ("attempts", Metrics.Int r.Serve.attempts) ]
           in
-          reply
-            (match report with
-            | Some report -> Wire.response_with_report ~id ~status extra ~report
-            | None -> Wire.response ~id ~status (extra @ Wire.report_field payload))
+          let report, line = Wire.worker_response ~id ~status extra payload in
+          (match (worker_status, report) with
+          | Serve.Complete, Some report ->
+              cache_put d p.jb_cache_key p.jb_store_key report
+          | _ -> ());
+          Metrics.add m_cold_ms
+            (int_of_float ((Unix.gettimeofday () -. p.jb_started) *. 1000.));
+          reply line
       | Serve.Crashed { what; stderr; _ } ->
           reply
             (Wire.response ~id ~status:"crashed"

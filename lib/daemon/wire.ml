@@ -120,11 +120,6 @@ let response ~id ~status extra : string =
     (Metrics.Obj
        (header @ [ ("id", id); ("status", Metrics.Str status) ] @ extra))
 
-let report_field payload =
-  match Metrics.json_of_string payload with
-  | j -> [ ("report", j) ]
-  | exception _ -> [ ("report", Metrics.Str payload) ]
-
 let canonical_report payload =
   match Metrics.json_of_string payload with
   | j -> Some (Metrics.json_to_string j)
@@ -144,6 +139,12 @@ let response_with_report ~id ~status extra ~report : string =
   Bytes.blit_string report 0 b (h + f) r;
   Bytes.set b (h + f + r) '}';
   Bytes.unsafe_to_string b
+
+let worker_response ~id ~status extra payload =
+  if Metrics.json_valid payload then
+    (Some payload, response_with_report ~id ~status extra ~report:payload)
+  else
+    (None, response ~id ~status (extra @ [ ("report", Metrics.Str payload) ]))
 
 let response_status (j : Metrics.json) : (string, string) result =
   match check_header j with

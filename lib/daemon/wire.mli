@@ -87,20 +87,27 @@ val response : id:Metrics.json -> status:string ->
 (** Serialize a response as one line (no trailing newline): the schema
     header, the echoed [id], the [status], then the extra fields. *)
 
-val report_field : string -> (string * Metrics.json) list
-(** The [report] field carrying a [prax.report] payload: the parsed
-    document, or the payload as a string when it is not JSON. *)
-
 val canonical_report : string -> string option
 (** The payload re-printed canonically, or [None] when it is not JSON.
-    The daemon admits a report to its cache only in this form. *)
+    The daemon admits a store snapshot to its cache only in this form:
+    another printer may have written it. *)
 
 val response_with_report : id:Metrics.json -> status:string ->
   (string * Metrics.json) list -> report:string -> string
-(** [response ~id ~status (extra @ report_field payload)] without
-    parsing: the response header, then ["report":] and [report] spliced
-    in as raw bytes.  [report] must be a {!canonical_report}; the line
-    is then byte-identical to the parsing form. *)
+(** [response ~id ~status (extra @ [("report", r)])], where [r] is the
+    parsed [report], without parsing: the response header, then
+    ["report":] and [report] spliced in as raw bytes.  [report] must be
+    canonical JSON; the line is then byte-identical to the parsing
+    form. *)
+
+val worker_response : id:Metrics.json -> status:string ->
+  (string * Metrics.json) list -> string -> string option * string
+(** The answer to a worker's MD5-verified [payload]: the report to
+    cache and the response line.  A worker prints its report with
+    {!Metrics.json_to_string}, which is canonical, so a payload that is
+    one JSON value ({!Metrics.json_valid}) is spliced as it is, never
+    parsed, and is the report to cache.  Any other payload is carried as
+    a JSON string [report] field and not cached. *)
 
 val response_status : Metrics.json -> (string, string) result
 (** Validate a parsed response's schema header and extract its

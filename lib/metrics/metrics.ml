@@ -224,20 +224,31 @@ let float_repr f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
+let hex_chars = "0123456789abcdef"
+
+(* The runs between characters that need escaping are copied whole. *)
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex_chars.[Char.code c lsr 4];
+          Buffer.add_char b hex_chars.[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring b s !run (n - !run);
   Buffer.add_char b '"'
 
 let json_to_string (j : json) : string =
@@ -273,13 +284,145 @@ let json_to_string (j : json) : string =
 
 exception Json_error of string
 
+(* --- lexical scanners --------------------------------------------------- *)
+
+(* Shared by the reader and {!json_valid}, so both accept the same
+   language: a number is read only where [float_lit_ok] or [int_lit_ok]
+   holds.  Each takes the index where its token starts in [s] (of
+   length [n]) and returns the index just past it, or -1 where the
+   token is malformed.  None allocates. *)
+
+let rec skip_ws s n i =
+  if i < n then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> skip_ws s n (i + 1)
+    | _ -> i
+  else i
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* The code point of the four bytes at [i], [i + 3] < [n], read as
+   [int_of_string ("0x" ^ hex)] reads them (a hex digit, then hex digits
+   or '_'); -1 when they are not hex or name a UTF-16 surrogate, which
+   is no scalar value. *)
+let rec u_digits s i k acc =
+  if k = 4 then if acc >= 0xD800 && acc <= 0xDFFF then -1 else acc
+  else
+    match s.[i + k] with
+    | '_' when k > 0 -> u_digits s i (k + 1) acc
+    | c ->
+        let d = hex_digit c in
+        if d < 0 then -1 else u_digits s i (k + 1) ((acc * 16) + d)
+
+let u_escape s i = u_digits s i 0 0
+
+(* past the closing quote of a string whose body starts at [i] *)
+let rec string_end s n i =
+  if i >= n then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> i + 1
+    | '\\' -> (
+        if i + 1 >= n then -1
+        else
+          match String.unsafe_get s (i + 1) with
+          | '"' | '\\' | '/' | 'n' | 'r' | 't' | 'b' | 'f' ->
+              string_end s n (i + 2)
+          | 'u' ->
+              if i + 6 > n || u_escape s (i + 2) < 0 then -1
+              else string_end s n (i + 6)
+          | _ -> -1)
+    | _ -> string_end s n (i + 1)
+
+let rec digits_end s e i =
+  if i < e && match String.unsafe_get s i with '0' .. '9' -> true | _ -> false
+  then digits_end s e (i + 1)
+  else i
+
+let rec num_end s n i =
+  if
+    i < n
+    &&
+    match String.unsafe_get s i with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  then num_end s n (i + 1)
+  else i
+
+let sign_end s e i =
+  if i < e && (s.[i] = '-' || s.[i] = '+') then i + 1 else i
+
+(* whether [s.[i..e-1]] holds '.', 'e' or 'E': then it is read as a
+   float, otherwise as an int *)
+let rec is_float_lit s e i =
+  i < e
+  && match s.[i] with '.' | 'e' | 'E' -> true | _ -> is_float_lit s e (i + 1)
+
+(* what [float_of_string] accepts among number characters (the strtod
+   decimal grammar): sign? (digits (. digits?)? | . digits) exponent? *)
+let float_lit_ok s i e =
+  let m = sign_end s e i in
+  let d = digits_end s e m in
+  let f, frac =
+    if d < e && s.[d] = '.' then
+      let f = digits_end s e (d + 1) in
+      (f, f - d - 1)
+    else (d, 0)
+  in
+  d - m + frac > 0
+  && (f = e
+     || (s.[f] = 'e' || s.[f] = 'E')
+        &&
+        let x = sign_end s e (f + 1) in
+        let k = digits_end s e x in
+        k > x && k = e)
+
+(* the decimal magnitudes of [max_int] and [min_int] *)
+let max_int_digits = string_of_int max_int
+let min_int_digits =
+  let m = string_of_int min_int in
+  String.sub m 1 (String.length m - 1)
+
+let rec zeros_end s e j =
+  if j < e - 1 && s.[j] = '0' then zeros_end s e (j + 1) else j
+
+(* [s.[z..]] <= [lim], both of [lim]'s length, compared from digit [k] *)
+let rec digits_le s z lim k =
+  k = String.length lim
+  || s.[z + k] < lim.[k]
+  || (s.[z + k] = lim.[k] && digits_le s z lim (k + 1))
+
+(* what [int_of_string] accepts among number characters without '.',
+   'e' or 'E': sign? digits, within [min_int, max_int] *)
+let int_lit_ok s i e =
+  let m = sign_end s e i in
+  m < e
+  && digits_end s e m = e
+  &&
+  let lim = if s.[i] = '-' then min_int_digits else max_int_digits in
+  let z = zeros_end s e m in
+  e - z < String.length lim
+  || (e - z = String.length lim && digits_le s z lim 0)
+
+let rec word_at s n i word k =
+  k = String.length word
+  || (i + k < n && s.[i + k] = word.[k] && word_at s n i word (k + 1))
+
+let lit_end s n i word =
+  if word_at s n i word 0 then i + String.length word else -1
+
 (* A minimal strict JSON reader, enough to round-trip {!json_to_string}
-   output in tests and small harnesses.  Not a streaming parser. *)
+   output in tests and small harnesses.  Not a streaming parser.  A
+   string without escapes is one [String.sub]; with escapes, the runs
+   between them are copied whole. *)
 let json_of_string (s : string) : json =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Json_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
   let next () =
     if !pos >= n then fail "unexpected end of input"
     else begin
@@ -288,13 +431,7 @@ let json_of_string (s : string) : json =
       c
     end
   in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      Stdlib.incr pos
-    done
-  in
+  let skip_ws () = pos := skip_ws s n !pos in
   let expect c =
     if next () <> c then fail (Printf.sprintf "expected '%c'" c)
   in
@@ -302,101 +439,180 @@ let json_of_string (s : string) : json =
     String.iter (fun c -> expect c) word;
     v
   in
+  (* the run of [s] from [!pos] up to the next quote or backslash *)
+  let rec run_end i =
+    if i >= n then i
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let hex = String.init 4 (fun _ -> next ()) in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              Buffer.add_utf_8_uchar b (Uchar.of_int code)
-          | _ -> fail "bad escape");
-          go ()
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
+    let start = !pos in
+    let i = run_end start in
+    if i >= n then (pos := n; fail "unexpected end of input")
+    else if s.[i] = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else
+      (* [s.[start..i-1]] is a run, [i] is at a backslash.  An escape
+         never decodes to more bytes than it takes, so a well-formed
+         string fits a buffer of its encoded length. *)
+      let b = Buffer.create (max 16 (string_end s n start - start)) in
+      let rec escaped start i =
+        Buffer.add_substring b s start (i - start);
+        pos := i;
+        match next () with
+        | '"' -> Buffer.contents b
+        | _ (* a backslash *) ->
+            (match next () with
+            | '"' -> Buffer.add_char b '"'
+            | '\\' -> Buffer.add_char b '\\'
+            | '/' -> Buffer.add_char b '/'
+            | 'n' -> Buffer.add_char b '\n'
+            | 'r' -> Buffer.add_char b '\r'
+            | 't' -> Buffer.add_char b '\t'
+            | 'b' -> Buffer.add_char b '\b'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'u' ->
+                if !pos + 4 > n then (pos := n; fail "unexpected end of input");
+                let code = u_escape s !pos in
+                pos := !pos + 4;
+                if code < 0 then fail "bad \\u escape";
+                Buffer.add_utf_8_uchar b (Uchar.of_int code)
+            | _ -> fail "bad escape");
+            escaped !pos (run_end !pos)
+      in
+      escaped start i
   in
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      Stdlib.incr pos
-    done;
-    let lit = String.sub s start (!pos - start) in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then
-      match float_of_string_opt lit with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> fail "bad number"
+    let e = num_end s n start in
+    pos := e;
+    if is_float_lit s e start then
+      if float_lit_ok s start e then
+        Float (float_of_string (String.sub s start (e - start)))
+      else fail "bad number"
+    else if int_lit_ok s start e then begin
+      (* accumulated negatively, so [min_int] does not overflow *)
+      let acc = ref 0 in
+      for k = sign_end s e start to e - 1 do
+        acc := (!acc * 10) - (Char.code s.[k] - 48)
+      done;
+      Int (if s.[start] = '-' then !acc else - !acc)
+    end
+    else fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        Stdlib.incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (Stdlib.incr pos; Obj [])
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> fields ((k, v) :: acc)
-            | '}' -> Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-    | Some '[' ->
-        Stdlib.incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (Stdlib.incr pos; Arr [])
-        else
-          let rec els acc =
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> els (v :: acc)
-            | ']' -> Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          els []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    if !pos >= n then fail "unexpected end of input"
+    else
+      match s.[!pos] with
+      | '"' -> Str (parse_string ())
+      | '{' ->
+          Stdlib.incr pos;
+          skip_ws ();
+          if !pos < n && s.[!pos] = '}' then (Stdlib.incr pos; Obj [])
+          else
+            let rec fields acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match next () with
+              | ',' -> fields ((k, v) :: acc)
+              | '}' -> Obj (List.rev ((k, v) :: acc))
+              | _ -> fail "expected ',' or '}'"
+            in
+            fields []
+      | '[' ->
+          Stdlib.incr pos;
+          skip_ws ();
+          if !pos < n && s.[!pos] = ']' then (Stdlib.incr pos; Arr [])
+          else
+            let rec els acc =
+              let v = parse_value () in
+              skip_ws ();
+              match next () with
+              | ',' -> els (v :: acc)
+              | ']' -> Arr (List.rev (v :: acc))
+              | _ -> fail "expected ',' or ']'"
+            in
+            els []
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | _ -> parse_number ()
   in
   let v = parse_value () in
   skip_ws ();
   if !pos <> n then fail "trailing input";
   v
+
+(* [json_of_string]'s grammar without building anything: each function
+   returns the index past its value, or -1 where the reader raises. *)
+let rec value_end s n i =
+  let i = skip_ws s n i in
+  if i >= n then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> string_end s n (i + 1)
+    | '{' ->
+        let i = skip_ws s n (i + 1) in
+        if i < n && s.[i] = '}' then i + 1 else fields_end s n i
+    | '[' ->
+        let i = skip_ws s n (i + 1) in
+        if i < n && s.[i] = ']' then i + 1 else elems_end s n i
+    | 't' -> lit_end s n i "true"
+    | 'f' -> lit_end s n i "false"
+    | 'n' -> lit_end s n i "null"
+    | _ ->
+        let e = num_end s n i in
+        if (if is_float_lit s e i then float_lit_ok s i e else int_lit_ok s i e)
+        then e
+        else -1
+
+and fields_end s n i =
+  let i = skip_ws s n i in
+  if i >= n || s.[i] <> '"' then -1
+  else
+    let i = string_end s n (i + 1) in
+    if i < 0 then -1
+    else
+      let i = skip_ws s n i in
+      if i >= n || s.[i] <> ':' then -1
+      else
+        let i = value_end s n (i + 1) in
+        if i < 0 then -1
+        else
+          let i = skip_ws s n i in
+          if i >= n then -1
+          else
+            match s.[i] with
+            | ',' -> fields_end s n (i + 1)
+            | '}' -> i + 1
+            | _ -> -1
+
+and elems_end s n i =
+  let i = value_end s n i in
+  if i < 0 then -1
+  else
+    let i = skip_ws s n i in
+    if i >= n then -1
+    else
+      match s.[i] with
+      | ',' -> elems_end s n (i + 1)
+      | ']' -> i + 1
+      | _ -> -1
+
+let json_valid s =
+  let n = String.length s in
+  let i = value_end s n 0 in
+  i >= 0 && skip_ws s n i = n
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

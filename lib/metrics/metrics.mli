@@ -161,7 +161,14 @@ exception Json_error of string
 val json_of_string : string -> json
 (** Strict parser for the subset of JSON this module emits (full value
     grammar, UTF-8 [\u] escapes).  Raises {!Json_error} on malformed
-    input.  Used by the round-trip tests and available to harnesses. *)
+    input, a [\u] escape that names a UTF-16 surrogate included.  Used
+    by the wire protocol, the round-trip tests and harnesses. *)
+
+val json_valid : string -> bool
+(** [json_valid s] holds exactly when [json_of_string s] returns: [s] is
+    one JSON value, with surrounding whitespace only.  Builds nothing;
+    the daemon checks a worker's report with it before splicing the
+    bytes into a response. *)
 
 val member : string -> json -> json option
 (** [member key (Obj fields)] looks up [key]; [None] on other

@@ -287,6 +287,73 @@ let test_wire_grammar () =
   | Ok s -> Alcotest.(check string) "status extracted" "overloaded" s
   | Error e -> Alcotest.failf "response rejected: %s" e
 
+(* The request decoder never raises, whatever the bytes: every prefix of
+   a corpus analyze line, byte flips and stray control bytes under a
+   fixed seed, and 10,000-deep nesting each come back [Ok] or [Error],
+   all within 2 s. *)
+let test_wire_decoder_fuzz () =
+  let t0 = Unix.gettimeofday () in
+  let decode what line =
+    match Wire.parse_request line with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: parse_request raised %s on %S" what
+          (Printexc.to_string e)
+          (if String.length line > 80 then String.sub line 0 80 ^ "..."
+           else line)
+  in
+  let _, input, source =
+    List.find (fun (_, input, _) -> input = "read") Registry.light_corpus
+  in
+  let line =
+    Wire.request_to_string
+      {
+        Wire.id = Metrics.Int 1;
+        client = Some "fuzz";
+        op =
+          Wire.Analyze
+            {
+              analysis = "groundness";
+              input;
+              source;
+              config = [ ("mode", "compiled") ];
+            };
+      }
+  in
+  (match Wire.parse_request line with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the corpus line is rejected: %s" e);
+  for k = 0 to String.length line - 1 do
+    decode "truncation" (String.sub line 0 k)
+  done;
+  let rng = Random.State.make [| 29 |] in
+  let n = String.length line in
+  let stray = {|\"{}[],:0u|} in
+  for _ = 1 to 2000 do
+    let b = Bytes.of_string line in
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      let i = Random.State.int rng n in
+      Bytes.set b i
+        (match Random.State.int rng 3 with
+        | 0 ->
+            Char.chr
+              (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8))
+        | 1 -> Char.chr (Random.State.int rng 0x20)
+        | _ -> stray.[Random.State.int rng (String.length stray)])
+    done;
+    decode "mutation" (Bytes.to_string b)
+  done;
+  let deep = 10_000 in
+  decode "deep arrays" (String.make deep '[' ^ String.make deep ']');
+  decode "deep unclosed arrays" (String.make deep '[');
+  decode "deep objects"
+    (String.concat "" (List.init deep (fun _ -> {|{"a":|})) ^ "1"
+    ^ String.make deep '}');
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "finished in %.2f s (< 2 s)" elapsed)
+    true (elapsed < 2.)
+
 (* --- e2e plumbing --------------------------------------------------------- *)
 
 let env_with extra =
@@ -787,9 +854,17 @@ let test_invalid_source_one_fork () =
       Alcotest.(check int) "one worker forked" 1 (delta "serve.workers_spawned");
       Alcotest.(check int) "no retries" 0 (delta "serve.retries"))
 
-(* The daemon splices a cached report's bytes after the response header
-   instead of re-parsing them; on every light-corpus report the spliced
-   line equals the parsing form byte for byte. *)
+(* The parse-and-print form of a response's report field: the payload
+   parsed, or the payload as a JSON string when it is not JSON. *)
+let report_field payload =
+  match Metrics.json_of_string payload with
+  | j -> [ ("report", j) ]
+  | exception Metrics.Json_error _ -> [ ("report", Metrics.Str payload) ]
+
+(* The daemon splices a report's bytes after the response header instead
+   of re-parsing them: a worker's payload as the worker printed it, a
+   cached one as the cache holds it.  On every light-corpus report the
+   spliced line equals the parsing form byte for byte. *)
 let test_spliced_reports_identical () =
   let id = Metrics.Int 42 in
   List.iter
@@ -804,11 +879,24 @@ let test_spliced_reports_identical () =
         | Some r -> r
         | None -> Alcotest.failf "%s %s: report is not JSON" analysis input
       in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s: worker print is canonical" analysis input)
+        report payload;
       let check what ~status extra =
+        let parsed = Wire.response ~id ~status (extra @ report_field payload) in
         Alcotest.(check string)
           (Printf.sprintf "%s %s: %s line" analysis input what)
-          (Wire.response ~id ~status (extra @ Wire.report_field payload))
-          (Wire.response_with_report ~id ~status extra ~report)
+          parsed
+          (Wire.response_with_report ~id ~status extra ~report);
+        let cached, line = Wire.worker_response ~id ~status extra payload in
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s: %s worker line" analysis input what)
+          parsed line;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %s report cached as printed" analysis input
+             what)
+          true
+          (cached = Some payload)
       in
       check "cached" ~status:"cached" [];
       check "complete" ~status:"complete" [ ("attempts", Metrics.Int 1) ];
@@ -821,6 +909,69 @@ let test_spliced_reports_identical () =
           ("attempts", Metrics.Int 2);
         ])
     Registry.light_corpus
+
+(* A worker payload that is not one JSON value (cut short, or not JSON
+   at all) is never spliced or cached: the answer carries it as a string
+   [report], exactly as the parsing form does. *)
+let test_non_json_worker_payload () =
+  let id = Metrics.Int 5 in
+  let extra = [ ("attempts", Metrics.Int 1) ] in
+  let analysis, _, source = List.hd Registry.light_corpus in
+  let a = Option.get (Analysis.find analysis) in
+  let report =
+    Metrics.json_to_string
+      (Analysis.report_to_json ~input:"t.pl" (Analysis.run a source))
+  in
+  List.iter
+    (fun payload ->
+      let cached, line =
+        Wire.worker_response ~id ~status:"complete" extra payload
+      in
+      Alcotest.(check bool) "not cached" true (cached = None);
+      Alcotest.(check string) "the parsing form"
+        (Wire.response ~id ~status:"complete" (extra @ report_field payload))
+        line;
+      Alcotest.(check string) "still complete" "complete" (status_of_line line);
+      Alcotest.(check bool) "report is the payload string" true
+        (Metrics.member "report" (Metrics.json_of_string line)
+        = Some (Metrics.Str payload)))
+    [
+      "not json {";
+      "";
+      String.sub report 0 (String.length report / 2);
+      report ^ "}";
+      report ^ " " ^ report;
+    ]
+
+(* Through a live daemon, every light-corpus program's cold [complete]
+   line is the parse-and-print form of itself: the worker's spliced
+   report bytes are exactly what parsing and printing would give. *)
+let test_cold_lines_parse_and_print () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          List.iteri
+            (fun i (analysis, input, source) ->
+              let req =
+                {
+                  Wire.id = Metrics.Int i;
+                  client = Some "bytes";
+                  op = Wire.Analyze { analysis; input; source; config = [] };
+                }
+              in
+              raw_send fd (Wire.request_to_string req ^ "\n");
+              match raw_recv_line fd with
+              | `Eof -> Alcotest.fail "connection closed"
+              | `Line line ->
+                  Alcotest.(check string) (input ^ " is cold") "complete"
+                    (status_of_line line);
+                  Alcotest.(check string)
+                    (input ^ ": line = parse and print")
+                    (Metrics.json_to_string (Metrics.json_of_string line))
+                    line)
+            Registry.light_corpus))
 
 (* a store snapshot whose payload is not JSON never reaches the wire: it
    is a miss, the job is recomputed, and the good result replaces it *)
@@ -876,7 +1027,7 @@ let test_non_json_store_payload_misses () =
             | None -> Alcotest.fail "no report in the cold answer"
           in
           Alcotest.(check string) "cached line is the parsing form"
-            (Wire.response ~id ~status:"cached" (Wire.report_field report))
+            (Wire.response ~id ~status:"cached" (report_field report))
             warm;
           match Store.load store key with
           | Some p ->
@@ -1408,6 +1559,10 @@ let () =
           Alcotest.test_case "grammar" `Quick test_wire_grammar;
           Alcotest.test_case "spliced report lines byte-identical" `Quick
             test_spliced_reports_identical;
+          Alcotest.test_case "non-JSON worker payload as a string" `Quick
+            test_non_json_worker_payload;
+          Alcotest.test_case "decoder fuzz never raises" `Quick
+            test_wire_decoder_fuzz;
         ] );
       ( "serving",
         [
@@ -1425,6 +1580,8 @@ let () =
             test_invalid_source_one_fork;
           Alcotest.test_case "non-JSON store payload is a miss" `Quick
             test_non_json_store_payload_misses;
+          Alcotest.test_case "cold lines are parse-and-print" `Quick
+            test_cold_lines_parse_and_print;
         ] );
       ( "pressure",
         [
