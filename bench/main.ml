@@ -14,9 +14,9 @@
 
    Assessment-driven runs (lib/benchrun, docs/BENCHMARKING.md):
 
-     bench/main.exe run [--repeats N] ...     persistent run directory
-     bench/main.exe ab <a> <b>                A/B deltas between two runs
-     bench/main.exe gate --baseline <id>      nonzero exit on regression
+     bench/main.exe run --out FILE ...        one prax.bench file
+     bench/main.exe ab <a> <b>                A/B deltas between two files
+     bench/main.exe gate --baseline FILE      nonzero exit on regression
 
    Shapes, not absolute times, are the reproduction target: the paper
    measured XSB 1.4.2 on 1996 SPARCstations.  EXPERIMENTS.md holds the
@@ -56,7 +56,7 @@ let status_cell = function
 let src n =
   (Option.get (Benchdata.Registry.find_logic n)).Benchdata.Registry.source
 
-(* exit codes of the run-store subcommands (docs/CLI.md): 0 ok / gate
+(* exit codes of the bench-record subcommands (docs/CLI.md): 0 ok / gate
    passed, 1 usage or load error, 2 gate found regressions *)
 let exit_usage = 1
 let exit_regression = 2
@@ -222,11 +222,7 @@ let sweep_once c =
       (fun n -> (n, value n))
       (if c.cache = None then tracked_counters else incr_counters) )
 
-let log_file (r : Benchrun.row) =
-  Printf.sprintf "%s-%s.log" r.Benchrun.r_analysis r.Benchrun.r_name
-
-(* The repeat-sampling loop: one row per cell, in order, plus one log per
-   row with the per-repeat raw samples. *)
+(* The repeat-sampling loop: one row per cell, in order. *)
 let sweep ~repeats cells =
   let measure c =
     (* one untimed warm-up: the cold first execution of a cell can run
@@ -254,59 +250,43 @@ let sweep ~repeats cells =
         (List.hd reps) reps
     in
     let rep, counters = List.nth runs (repeats - 1) in
-    let row =
-      {
-        Benchrun.r_analysis = c.analysis.Analysis.name;
-        r_name = c.prog.p_name;
-        r_config = rep.Analysis.config;
-        r_status = status_cell repr.Analysis.status;
-        r_source_lines =
-          (match rep.Analysis.source_lines with
-          | Some _ as l -> l
-          | None -> c.prog.p_lines);
-        r_clause_count = rep.Analysis.clause_count;
-        r_phases =
-          [
-            ("preprocess", stats (fun r -> r.Analysis.phases.Analysis.preproc));
-            ("evaluate", stats (fun r -> r.Analysis.phases.Analysis.analysis));
-            ("collect", stats (fun r -> r.Analysis.phases.Analysis.collection));
-          ];
-        r_total = total;
-        r_table_bytes = stats (fun r -> float_of_int r.Analysis.table_bytes);
-        r_engine =
-          (match rep.Analysis.engine with
-          | Some e ->
-              [
-                ("table_entries", e.Analysis.table_entries);
-                ("answers", e.Analysis.answers);
-                ("resumptions", e.Analysis.resumptions);
-              ]
-          | None -> []);
-        (* counters come from the LAST repeat: with the process warmed
-           up they are deterministic for a given binary and matrix
-           order, so A/B counter deltas reflect code changes, not
-           cold-start effects of whichever repeat won the median *)
-        r_counters = counters;
-      }
-    in
-    let log =
-      String.concat ""
-        (List.mapi
-           (fun i (r : Analysis.report) ->
-             let p = r.Analysis.phases in
-             Printf.sprintf
-               "repeat %d: total=%.6f preprocess=%.6f evaluate=%.6f \
-                collect=%.6f table_bytes=%d status=%s\n"
-               (i + 1) (seconds r) p.Analysis.preproc p.Analysis.analysis
-               p.Analysis.collection r.Analysis.table_bytes
-               (status_cell r.Analysis.status))
-           reps)
-    in
-    (row, (log_file row, log))
+    {
+      Benchrun.r_analysis = c.analysis.Analysis.name;
+      r_name = c.prog.p_name;
+      r_config = rep.Analysis.config;
+      r_status = status_cell repr.Analysis.status;
+      r_source_lines =
+        (match rep.Analysis.source_lines with
+        | Some _ as l -> l
+        | None -> c.prog.p_lines);
+      r_clause_count = rep.Analysis.clause_count;
+      r_phases =
+        [
+          ("preprocess", stats (fun r -> r.Analysis.phases.Analysis.preproc));
+          ("evaluate", stats (fun r -> r.Analysis.phases.Analysis.analysis));
+          ("collect", stats (fun r -> r.Analysis.phases.Analysis.collection));
+        ];
+      r_total = total;
+      r_table_bytes = stats (fun r -> float_of_int r.Analysis.table_bytes);
+      r_engine =
+        (match rep.Analysis.engine with
+        | Some e ->
+            [
+              ("table_entries", e.Analysis.table_entries);
+              ("answers", e.Analysis.answers);
+              ("resumptions", e.Analysis.resumptions);
+            ]
+        | None -> []);
+      (* counters come from the LAST repeat: with the process warmed
+         up they are deterministic for a given binary and matrix
+         order, so A/B counter deltas reflect code changes, not
+         cold-start effects of whichever repeat won the median *)
+      r_counters = counters;
+    }
   in
-  let measured = List.map measure cells in
+  let rows = List.map measure cells in
   Metrics.reset ();
-  List.split measured
+  rows
 
 let print_row (r : Benchrun.row) =
   Printf.printf "  %-10s %-10s median %8.4fs  iqr %8.4fs  table %7.0fB  %s\n%!"
@@ -353,7 +333,7 @@ let print_table ~title ~repeats ~corpus ~sides groups =
              (fun (label, side) -> Option.map (fun c -> (label, c)) (side p))
              sides)
       in
-      let rows, _ = sweep ~repeats cells in
+      let rows = sweep ~repeats cells in
       let by_side = List.combine labels rows in
       print (fun c -> c.text p (fun s -> List.assoc_opt s by_side));
       rows)
@@ -1011,9 +991,7 @@ let incr_sweep () =
             (fun edited ->
               let scratch = cell a [] { p with p_source = edited } in
               let spliced = { scratch with cache = Some frozen } in
-              match
-                fst (sweep ~repeats:median_repeats [ scratch; spliced ])
-              with
+              match sweep ~repeats:median_repeats [ scratch; spliced ] with
               | [ s; sp ] -> { ir_edit = n; ir_scratch = s; ir_spliced = sp }
               | _ -> assert false)
             (Incr.Mutate.apply_n ~seed:1 ~n mut p.p_source))
@@ -1092,7 +1070,7 @@ let benchjson () =
     ("Machine-readable engine benchmarks -> " ^ bench_json_file
    ^ " (every registered analysis over its corpus; docs/PERFORMANCE.md \
       explains the fields)");
-  let rows, _ = sweep ~repeats:median_repeats (matrix ()) in
+  let rows = sweep ~repeats:median_repeats (matrix ()) in
   List.iter print_row rows;
   (* the incremental section: scratch-vs-spliced re-analysis per edit
      distance, same deterministic matrix as the [incremental] console
@@ -1123,19 +1101,7 @@ let benchjson () =
           ])
       incr
   in
-  let doc =
-    Metrics.Obj
-      [
-        ("schema", Metrics.Str "prax.bench");
-        ("schema_version", Metrics.Int 3);
-        ("stats_schema_version", Metrics.Int Metrics.schema_version);
-        ("report_schema_version", Metrics.Int Analysis.report_schema_version);
-        ("benchmarks", Metrics.Arr (List.map Benchrun.row_to_json rows));
-        ("incremental", Metrics.Arr incr_rows);
-      ]
-  in
-  Out_channel.with_open_text bench_json_file (fun oc ->
-      output_string oc (Metrics.json_to_string doc ^ "\n"));
+  Benchrun.write_bench ~incremental:incr_rows bench_json_file rows;
   Printf.printf "wrote %s (%d rows)\n" bench_json_file (List.length rows)
 
 (* ------------------------------------------------------------------ *)
@@ -1228,10 +1194,8 @@ let batch () =
   Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
-(* Run store: bench run / ab / gate (lib/benchrun, docs/BENCHMARKING.md)*)
+(* Bench records: bench run / ab / gate (lib/benchrun, docs/BENCHMARKING.md) *)
 (* ------------------------------------------------------------------ *)
-
-let default_runs_dir = Filename.concat "bench_data" "runs"
 
 (* --- flag parsing (shared by run/ab/gate) --------------------------- *)
 
@@ -1242,8 +1206,7 @@ let comma_list s =
 type runopts = {
   mutable repeats : int;
   mutable shards : int;
-  mutable runs_dir : string;
-  mutable run_id : string option;
+  mutable out : string option;
   mutable analyses : string list option;
   mutable benchmarks : string list option;
   mutable baseline : string option;
@@ -1257,8 +1220,7 @@ let parse_opts ~what ~defaults_repeats args =
     {
       repeats = defaults_repeats;
       shards = 2;
-      runs_dir = default_runs_dir;
-      run_id = None;
+      out = None;
       analyses = None;
       benchmarks = None;
       baseline = None;
@@ -1286,11 +1248,8 @@ let parse_opts ~what ~defaults_repeats args =
     | "--shards" :: v :: rest ->
         o.shards <- int_of ~flag:"--shards" v;
         go rest
-    | "--runs-dir" :: v :: rest ->
-        o.runs_dir <- v;
-        go rest
-    | "--id" :: v :: rest ->
-        o.run_id <- Some v;
+    | "--out" :: v :: rest when what = "bench run" ->
+        o.out <- Some v;
         go rest
     | "--analyses" :: v :: rest ->
         o.analyses <- Some (comma_list v);
@@ -1344,8 +1303,8 @@ let parse_opts ~what ~defaults_repeats args =
   go args;
   (o, List.rev !positional)
 
-let load_run_or_fail ~runs_dir spec =
-  match Benchrun.find_run ~runs_dir spec with
+let load_run_or_fail path =
+  match Benchrun.load_run path with
   | Ok run -> run
   | Error msg -> usage_fail "%s" msg
 
@@ -1356,7 +1315,7 @@ let load_run_or_fail ~runs_dir spec =
    every run's samples drawn from several layouts, that variance shows
    up in each row's own IQR and the noise bound adapts.  Each shard is
    a re-exec of this binary with [--shards 1] (fork would inherit the
-   parent's layout and defeat the point). *)
+   parent's layout and defeat the point) writing its own bench file. *)
 let sharded_sweep o =
   let per_shard =
     List.init o.shards (fun i ->
@@ -1364,109 +1323,71 @@ let sharded_sweep o =
         + if i < o.repeats mod o.shards then 1 else 0)
     |> List.filter (fun n -> n > 0)
   in
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "prax-bench-shards-%d" (Unix.getpid ()))
+  let files =
+    List.map (fun _ -> Filename.temp_file "prax-bench-shard-" ".json") per_shard
   in
+  (* [usage_fail] exits without unwinding, so the shard files go at
+     exit, whether the sweep succeeds or a shard fails *)
+  at_exit (fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files);
   let filters =
     List.concat_map
       (fun (flag, f) ->
         Option.fold ~none:[] ~some:(fun l -> [ flag; String.concat "," l ]) f)
       [ ("--analyses", o.analyses); ("--benchmarks", o.benchmarks) ]
   in
-  let shard_dirs =
-    List.mapi
-      (fun i reps ->
-        let id = Printf.sprintf "shard-%d" (i + 1) in
-        Printf.printf "  shard %d/%d: %d repeat%s...\n%!" (i + 1)
-          (List.length per_shard) reps
-          (if reps = 1 then "" else "s");
-        let argv =
-          [
-            Sys.executable_name; "run"; "--shards"; "1"; "--runs-dir"; tmp;
-            "--id"; id; "--repeats"; string_of_int reps;
-          ]
-          @ filters
-        in
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-        let pid =
-          Unix.create_process Sys.executable_name (Array.of_list argv)
-            Unix.stdin devnull Unix.stderr
-        in
-        Unix.close devnull;
-        (match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _, st ->
-            let what =
-              match st with
-              | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-              | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-              | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-            in
-            usage_fail "bench run: shard %d failed (%s)" (i + 1) what);
-        Filename.concat tmp id)
-      per_shard
-  in
-  let rows =
-    Benchrun.pool_rows
-      (List.map
-         (fun d ->
-           match Benchrun.load_run d with
-           | Ok run -> run.Benchrun.rows
-           | Error msg -> usage_fail "bench run: shard unreadable: %s" msg)
-         shard_dirs)
-  in
-  (* merge the per-cell logs, one "# shard i" block per process *)
-  let logs =
-    List.map
-      (fun r ->
-        let file = log_file r in
-        ( file,
-          String.concat ""
-            (List.mapi
-               (fun i d ->
-                 let path = Filename.concat (Filename.concat d "logs") file in
-                 if Sys.file_exists path then
-                   Printf.sprintf "# shard %d\n%s" (i + 1)
-                     (In_channel.with_open_bin path In_channel.input_all)
-                 else "")
-               shard_dirs) ))
-      rows
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm tmp with Sys_error _ -> ());
-  (rows, logs)
+  List.iteri
+    (fun i (reps, file) ->
+      Printf.printf "  shard %d/%d: %d repeat%s...\n%!" (i + 1)
+        (List.length per_shard) reps
+        (if reps = 1 then "" else "s");
+      let argv =
+        [
+          Sys.executable_name; "run"; "--shards"; "1"; "--out"; file;
+          "--repeats"; string_of_int reps;
+        ]
+        @ filters
+      in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process Sys.executable_name (Array.of_list argv)
+          Unix.stdin devnull Unix.stderr
+      in
+      Unix.close devnull;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, st ->
+          let what =
+            match st with
+            | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+            | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
+          in
+          usage_fail "bench run: shard %d failed (%s)" (i + 1) what)
+    (List.combine per_shard files);
+  Benchrun.pool_rows
+    (List.map
+       (fun f ->
+         match Benchrun.load_run f with
+         | Ok run -> run.Benchrun.rows
+         | Error msg -> usage_fail "bench run: shard unreadable: %s" msg)
+       files)
 
-(* bench run: execute the matrix, persist a run directory *)
-let cmd_run args =
-  let o, positional = parse_opts ~what:"bench run" ~defaults_repeats:6 args in
-  if positional <> [] then
-    usage_fail "bench run: unexpected argument %s" (List.hd positional);
-  let run_id =
-    match o.run_id with Some id -> id | None -> Benchrun.fresh_id ()
-  in
-  let dir = Filename.concat o.runs_dir run_id in
-  if Sys.file_exists dir then
-    usage_fail "bench run: %s already exists (pick another --id)" dir;
+(* The rows of the filtered matrix, swept in this process or pooled
+   from [shards] fresh ones; [dest] names where they go. *)
+let measure ~what ~dest o =
   section
     (Printf.sprintf
-       "Bench run %s: %d repeat%s x %d shard%s per (analysis x benchmark) -> %s"
-       run_id o.repeats
+       "Bench run: %d repeat%s x %d shard%s per (analysis x benchmark) -> %s"
+       o.repeats
        (if o.repeats = 1 then "" else "s")
        o.shards
        (if o.shards = 1 then "" else "s")
-       dir);
+       dest);
   let wanted filter x =
     match filter with None -> true | Some l -> List.mem x l
   in
-  let rows, logs =
+  let rows =
     if o.shards > 1 && o.repeats > 1 then sharded_sweep o
     else
       sweep ~repeats:o.repeats
@@ -1477,75 +1398,73 @@ let cmd_run args =
            (matrix ()))
   in
   if rows = [] then
-    usage_fail "bench run: the filters selected no (analysis x benchmark) cells";
+    usage_fail "%s: the filters selected no (analysis x benchmark) cells" what;
   List.iter print_row rows;
-  let manifest =
-    Benchrun.make_manifest ~run_id ~repeats:o.repeats
-      ~argv:(Array.to_list Sys.argv)
-  in
-  Benchrun.write_run ~dir ~manifest ~rows ~logs;
-  Printf.printf "wrote %s (%d rows, %d repeats, rev %s)\n" dir
-    (List.length rows) o.repeats manifest.Benchrun.m_git_rev;
-  run_id
+  rows
 
-(* bench ab: load two runs, print the deltas *)
+(* bench run: execute the matrix, write one bench file *)
+let cmd_run args =
+  let what = "bench run" in
+  let o, positional = parse_opts ~what ~defaults_repeats:6 args in
+  if positional <> [] then
+    usage_fail "%s: unexpected argument %s" what (List.hd positional);
+  let out =
+    match o.out with
+    | Some f -> f
+    | None -> usage_fail "%s: --out FILE is required" what
+  in
+  if not (Sys.file_exists (Filename.dirname out)) then
+    usage_fail "%s: no directory %s for --out" what (Filename.dirname out);
+  let rows = measure ~what ~dest:out o in
+  (try Benchrun.write_bench out rows with
+  | Sys_error msg -> usage_fail "%s: %s" what msg
+  | Unix.Unix_error (e, _, _) ->
+      usage_fail "%s: %s: %s" what out (Unix.error_message e));
+  Printf.printf "wrote %s (%d rows, %d repeats)\n" out (List.length rows)
+    o.repeats
+
+(* bench ab: load two bench files, print the deltas *)
 let cmd_ab args =
   let o, positional = parse_opts ~what:"bench ab" ~defaults_repeats:5 args in
   let a, b =
     match positional with
     | [ a; b ] -> (a, b)
-    | _ -> usage_fail "usage: bench ab <run-id-or-dir> <run-id-or-dir>"
+    | _ -> usage_fail "usage: bench ab <file> <file>"
   in
-  let base = load_run_or_fail ~runs_dir:o.runs_dir a in
-  let cand = load_run_or_fail ~runs_dir:o.runs_dir b in
-  (match (base.Benchrun.manifest, cand.Benchrun.manifest) with
-  | Some mb, Some mc when mb.Benchrun.m_git_rev <> mc.Benchrun.m_git_rev ->
-      Printf.printf "note: comparing different revisions (%s vs %s)\n"
-        mb.Benchrun.m_git_rev mc.Benchrun.m_git_rev
-  | None, _ | _, None ->
-      print_endline
-        "note: a manifest is missing or corrupt; comparing rows only"
-  | _ -> ());
-  let ab = Benchrun.compare_runs ~thresholds:o.th base cand in
+  let ab =
+    Benchrun.compare_runs ~thresholds:o.th (load_run_or_fail a)
+      (load_run_or_fail b)
+  in
   if o.json then print_endline (Metrics.json_to_string (Benchrun.ab_to_json ab))
   else print_string (Benchrun.render_ab ab)
 
 (* bench gate: compare a candidate (given, or freshly swept) against a
    baseline; exit 2 on any gated regression *)
 let cmd_gate args =
-  let o, positional = parse_opts ~what:"bench gate" ~defaults_repeats:4 args in
+  let what = "bench gate" in
+  let o, positional = parse_opts ~what ~defaults_repeats:4 args in
   if positional <> [] then
-    usage_fail "bench gate: unexpected argument %s" (List.hd positional);
-  let baseline_spec =
+    usage_fail "%s: unexpected argument %s" what (List.hd positional);
+  let base =
     match o.baseline with
-    | Some b -> b
-    | None -> usage_fail "bench gate: --baseline <run-id-or-dir> is required"
+    | Some b -> load_run_or_fail b
+    | None -> usage_fail "%s: --baseline FILE is required" what
   in
-  let base = load_run_or_fail ~runs_dir:o.runs_dir baseline_spec in
   let cand =
     match o.candidate with
-    | Some c -> load_run_or_fail ~runs_dir:o.runs_dir c
+    | Some c -> load_run_or_fail c
     | None ->
-        (* no candidate run given: sweep one now, restricted to the
+        (* no candidate file given: sweep one now, restricted to the
            baseline's matrix so missing-row gating compares like with
-           like *)
-        let filter given field =
-          String.concat ","
-            (match given with
-            | Some l -> l
-            | None -> List.sort_uniq compare (List.map field base.Benchrun.rows))
+           like, and compare it in memory *)
+        let restrict given field =
+          match given with
+          | Some _ -> given
+          | None -> Some (List.sort_uniq compare (List.map field base.Benchrun.rows))
         in
-        let id =
-          cmd_run
-            ([ "--repeats"; string_of_int o.repeats;
-               "--shards"; string_of_int o.shards;
-               "--runs-dir"; o.runs_dir;
-               "--analyses"; filter o.analyses (fun r -> r.Benchrun.r_analysis);
-               "--benchmarks"; filter o.benchmarks (fun r -> r.Benchrun.r_name);
-             ]
-            @ match o.run_id with Some id -> [ "--id"; id ] | None -> [])
-        in
-        load_run_or_fail ~runs_dir:o.runs_dir id
+        o.analyses <- restrict o.analyses (fun r -> r.Benchrun.r_analysis);
+        o.benchmarks <- restrict o.benchmarks (fun r -> r.Benchrun.r_name);
+        { Benchrun.id = "fresh sweep"; rows = measure ~what ~dest:"memory" o }
   in
   let ab = Benchrun.compare_runs ~thresholds:o.th base cand in
   if o.json then print_endline (Metrics.json_to_string (Benchrun.ab_to_json ab))
@@ -1583,7 +1502,7 @@ let sections =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | "run" :: rest -> ignore (cmd_run rest)
+  | "run" :: rest -> cmd_run rest
   | "ab" :: rest -> cmd_ab rest
   | "gate" :: rest -> cmd_gate rest
   | [] -> List.iter (fun (_, f) -> f ()) sections
@@ -1595,7 +1514,7 @@ let () =
           | None ->
               Printf.eprintf
                 "unknown section %s; available: %s\n\
-                 run-store subcommands: run, ab, gate (docs/BENCHMARKING.md)\n"
+                 bench-record subcommands: run, ab, gate (docs/BENCHMARKING.md)\n"
                 n
                 (String.concat ", " (List.map fst sections));
               exit 1)

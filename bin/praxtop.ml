@@ -144,14 +144,13 @@ let show_stats s =
     st.Prax_tabling.Engine.resumptions st.Prax_tabling.Engine.forced
     (Tabling.Engine.table_space_bytes s.engine);
   (* process-wide counters accumulated across every engine this session *)
+  Metrics.set Tabling.Engine.table_space_gauge
+    (Tabling.Engine.table_space_bytes s.engine);
   print_string (Metrics.snapshot_to_human (Metrics.snapshot ()))
 
 let show_stats_json s =
-  let g =
-    Metrics.gauge ~units:"bytes" ~doc:"call/answer table space estimate"
-      "engine.table_space_bytes"
-  in
-  Metrics.set g (Tabling.Engine.table_space_bytes s.engine);
+  Metrics.set Tabling.Engine.table_space_gauge
+    (Tabling.Engine.table_space_bytes s.engine);
   print_endline
     (Metrics.json_to_string
        (Metrics.stats_doc ~tool:"praxtop" ~analysis:"session" ~input:"-"

@@ -179,11 +179,7 @@ let emit_stats ~analysis ~input ~table_bytes ?phases ?(guard = Guard.unlimited)
   | None -> ()
   | Some fmt -> (
       let open Prax.Metrics in
-      let g =
-        gauge ~units:"bytes" ~doc:"call/answer table space estimate"
-          "engine.table_space_bytes"
-      in
-      set g table_bytes;
+      set Tabling.Engine.table_space_gauge table_bytes;
       let snap = snapshot () in
       let phases =
         Option.map

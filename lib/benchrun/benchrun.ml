@@ -1,13 +1,7 @@
-(* Bench-run store, A/B comparator, and regression-gate logic.  See
+(* Bench records, A/B comparator, and regression-gate logic.  See
    benchrun.mli and docs/BENCHMARKING.md. *)
 
 module Metrics = Prax_metrics.Metrics
-
-(* The rows file keeps the prax.bench identity so existing consumers of
-   BENCH_engine.json parse it; the per-repeat [samples] extension is
-   additive (docs/PERFORMANCE.md documents the base schema). *)
-let rows_schema_name = "prax.bench"
-let rows_schema_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Repeat-sample statistics                                            *)
@@ -116,74 +110,17 @@ let pool_rows shards =
         first rest
 
 (* ------------------------------------------------------------------ *)
-(* Manifests                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type manifest = {
-  m_run_id : string;
-  m_created_unix : float;
-  m_git_rev : string;
-  m_host : string;
-  m_ocaml_version : string;
-  m_word_size : int;
-  m_repeats : int;
-  m_argv : string list;
-  m_bench_schema_version : int;
-  m_stats_schema_version : int;
-  m_report_schema_version : int;
-}
-
-(* First line of a shell command's stdout, or None on any failure: the
-   manifest must be capturable outside a git checkout and on hosts
-   without the tool. *)
-let command_line cmd =
-  try
-    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some l when l <> "" -> Some l
-    | _ -> None
-  with Unix.Unix_error _ | Sys_error _ -> None
-
-let make_manifest ~run_id ~repeats ~argv =
-  {
-    m_run_id = run_id;
-    m_created_unix = Unix.gettimeofday ();
-    m_git_rev = Option.value ~default:"unknown" (command_line "git rev-parse HEAD");
-    m_host = Option.value ~default:"unknown" (command_line "uname -sm");
-    m_ocaml_version = Sys.ocaml_version;
-    m_word_size = Sys.word_size;
-    m_repeats = repeats;
-    m_argv = argv;
-    m_bench_schema_version = rows_schema_version;
-    m_stats_schema_version = Metrics.schema_version;
-    m_report_schema_version = Prax_analysis.Analysis.report_schema_version;
-  }
-
-let id_counter = ref 0
-
-let fresh_id () =
-  let t = Unix.gmtime (Unix.gettimeofday ()) in
-  let base =
-    Printf.sprintf "run-%04d%02d%02d-%02d%02d%02d-%d" (t.Unix.tm_year + 1900)
-      (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-      t.Unix.tm_sec (Unix.getpid ())
-  in
-  incr id_counter;
-  if !id_counter = 1 then base
-  else Printf.sprintf "%s-%d" base !id_counter
-
-(* ------------------------------------------------------------------ *)
 (* JSON (de)serialization                                              *)
 (* ------------------------------------------------------------------ *)
 
 open Metrics
 
 (* [open Metrics] (for the JSON constructors) also brings Metrics'
-   [schema_name]/[schema_version] into scope; the manifest carries the
-   benchrun identity, so bind ours after the open. *)
-let schema_name = "prax.benchrun"
-let schema_version = 1
+   [schema_name]/[schema_version] into scope, so bind ours after the
+   open.  Version 3 added BENCH_engine.json's [incremental] array; the
+   per-repeat [samples] extension is additive. *)
+let schema_name = "prax.bench"
+let schema_version = 3
 
 let num = function
   | Int i -> Some (float_of_int i)
@@ -238,8 +175,8 @@ let row_to_json r =
         ("status", Str r.r_status);
         ( "counters",
           Obj (List.map (fun (c, v) -> (c, Float v)) r.r_counters) );
-        (* additive prax.bench v2 extension: the raw repeat samples, so
-           a loader reconstructs the order statistics exactly *)
+        (* the raw repeat samples, so a loader reconstructs the order
+           statistics exactly *)
         ( "samples",
           Obj
             (List.map (fun (ph, s) -> (ph, stats_to_samples s)) r.r_phases
@@ -249,8 +186,7 @@ let row_to_json r =
               ]) );
       ])
 
-(* Accepts both store-written rows (with [samples]) and plain
-   prax.bench v2 rows (BENCH_engine.json style): a scalar metric
+(* Accepts rows with [samples] and older rows without: a scalar metric
    degrades to a single-sample statistic with zero IQR. *)
 let row_of_json j =
   match (get_str j "analysis", get_str j "name") with
@@ -305,124 +241,50 @@ let row_of_json j =
       | _ -> None)
   | _ -> None
 
-let manifest_to_json m =
-  Obj
-    [
-      ("schema", Str schema_name);
-      ("schema_version", Int schema_version);
-      ("run_id", Str m.m_run_id);
-      ("created_unix", Float m.m_created_unix);
-      ("git_rev", Str m.m_git_rev);
-      ("host", Str m.m_host);
-      ("ocaml_version", Str m.m_ocaml_version);
-      ("word_size", Int m.m_word_size);
-      ("repeats", Int m.m_repeats);
-      ("argv", Arr (List.map (fun a -> Str a) m.m_argv));
-      ("bench_schema_version", Int m.m_bench_schema_version);
-      ("stats_schema_version", Int m.m_stats_schema_version);
-      ("report_schema_version", Int m.m_report_schema_version);
-    ]
-
-let manifest_of_json j =
-  match (get_str j "schema", get_str j "run_id") with
-  | Some s, Some run_id when s = schema_name ->
-      Some
-        {
-          m_run_id = run_id;
-          m_created_unix = Option.value ~default:0. (get_num j "created_unix");
-          m_git_rev = Option.value ~default:"unknown" (get_str j "git_rev");
-          m_host = Option.value ~default:"unknown" (get_str j "host");
-          m_ocaml_version =
-            Option.value ~default:"unknown" (get_str j "ocaml_version");
-          m_word_size = Option.value ~default:0 (get_int j "word_size");
-          m_repeats = Option.value ~default:1 (get_int j "repeats");
-          m_argv =
-            (match member "argv" j with
-            | Some (Arr l) ->
-                List.filter_map
-                  (function Str s -> Some s | _ -> None)
-                  l
-            | _ -> []);
-          m_bench_schema_version =
-            Option.value ~default:rows_schema_version
-              (get_int j "bench_schema_version");
-          m_stats_schema_version =
-            Option.value ~default:Metrics.schema_version
-              (get_int j "stats_schema_version");
-          m_report_schema_version =
-            Option.value ~default:1 (get_int j "report_schema_version");
-        }
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
-(* The run store                                                       *)
+(* Bench files                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type run = {
-  path : string;
-  id : string;
-  manifest : manifest option;
-  rows : row list;
-}
-
-let mkdir_p dir =
-  let rec make d =
-    if not (Sys.file_exists d) then begin
-      make (Filename.dirname d);
-      try Unix.mkdir d 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-    else if not (Sys.is_directory d) then
-      raise (Sys_error (d ^ ": exists and is not a directory"))
-  in
-  make dir
+type run = { id : string; rows : row list }
 
 (* prax.store's write discipline: unique temp in the same directory,
    fsync, rename — a crashed writer leaves only a temp file, never a
-   torn manifest or rows file that parses. *)
+   torn file that parses, and a failed write removes its temp. *)
 let write_atomic path content =
-  let dir = Filename.dirname path in
   let tmp =
-    Filename.concat dir
+    Filename.concat (Filename.dirname path)
       (Printf.sprintf ".tmp.%d.%s" (Unix.getpid ()) (Filename.basename path))
   in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let oc = Unix.out_channel_of_descr fd in
-      output_string oc content;
-      flush oc;
-      Unix.fsync fd);
-  Sys.rename tmp path
+  try
+    let fd =
+      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let oc = Unix.out_channel_of_descr fd in
+        output_string oc content;
+        flush oc;
+        Unix.fsync fd);
+    Sys.rename tmp path
+  with exn ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise exn
 
-let rows_doc ~manifest rows =
-  Obj
-    [
-      ("schema", Str rows_schema_name);
-      ("schema_version", Int rows_schema_version);
-      ("run_id", Str manifest.m_run_id);
-      ("repeats", Int manifest.m_repeats);
-      ("stats_schema_version", Int manifest.m_stats_schema_version);
-      ("report_schema_version", Int manifest.m_report_schema_version);
-      ("benchmarks", Arr (List.map row_to_json rows));
-    ]
-
-let write_run ~dir ~manifest ~rows ~logs =
-  mkdir_p dir;
-  write_atomic
-    (Filename.concat dir "manifest.json")
-    (json_to_string (manifest_to_json manifest) ^ "\n");
-  write_atomic
-    (Filename.concat dir "rows.json")
-    (json_to_string (rows_doc ~manifest rows) ^ "\n");
-  if logs <> [] then begin
-    let logdir = Filename.concat dir "logs" in
-    mkdir_p logdir;
-    List.iter
-      (fun (file, text) -> write_atomic (Filename.concat logdir file) text)
-      logs
-  end
+let write_bench ?incremental path rows =
+  let doc =
+    Obj
+      ([
+         ("schema", Str schema_name);
+         ("schema_version", Int schema_version);
+         ("stats_schema_version", Int Metrics.schema_version);
+         ( "report_schema_version",
+           Int Prax_analysis.Analysis.report_schema_version );
+         ("benchmarks", Arr (List.map row_to_json rows));
+       ]
+      @ match incremental with Some l -> [ ("incremental", Arr l) ] | None -> [])
+  in
+  write_atomic path (json_to_string doc ^ "\n")
 
 let read_json path =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")
@@ -433,50 +295,18 @@ let read_json path =
         with Json_error msg -> Error (path ^ ": " ^ msg))
     | exception Sys_error msg -> Error msg
 
-(* A run is a directory ([rows.json] plus an optional manifest) or a
-   bare prax.bench file such as BENCH_engine.json: the rows document
-   alone, which degrades the way a run with a missing manifest does.
-   Keys other than [benchmarks] (the file's [incremental] array) are
-   not rows and are ignored. *)
+(* Keys other than [benchmarks] (BENCH_engine.json's [incremental]
+   array) are not rows and are ignored. *)
 let load_run path =
-  let is_dir = Sys.file_exists path && Sys.is_directory path in
-  let rows_file = if is_dir then Filename.concat path "rows.json" else path in
-  match read_json rows_file with
+  match read_json path with
   | Error msg -> Error msg
   | Ok doc -> (
       match member "benchmarks" doc with
-      | Some (Arr entries) ->
-          let rows = List.filter_map row_of_json entries in
-          if rows = [] then
-            Error (rows_file ^ ": no parseable benchmark rows")
-          else
-            (* a bad manifest degrades: rows still compare *)
-            let manifest =
-              if not is_dir then None
-              else
-                match read_json (Filename.concat path "manifest.json") with
-                | Ok j -> manifest_of_json j
-                | Error _ -> None
-            in
-            let id =
-              match manifest with
-              | Some m -> m.m_run_id
-              | None -> (
-                  match get_str doc "run_id" with
-                  | Some id -> id
-                  | None -> Filename.basename path)
-            in
-            Ok { path; id; manifest; rows }
-      | _ -> Error (rows_file ^ ": missing \"benchmarks\" array"))
-
-let find_run ~runs_dir spec =
-  if Sys.file_exists spec then load_run spec
-  else
-    let candidate = Filename.concat runs_dir spec in
-    if Sys.file_exists candidate then load_run candidate
-    else
-      Error
-        (Printf.sprintf "no run %s (looked at %s and %s)" spec spec candidate)
+      | Some (Arr entries) -> (
+          match List.filter_map row_of_json entries with
+          | [] -> Error (path ^ ": no parseable benchmark rows")
+          | rows -> Ok { id = Filename.basename path; rows })
+      | _ -> Error (path ^ ": missing \"benchmarks\" array"))
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -786,7 +616,7 @@ let ab_to_json ab =
   Obj
     [
       ("schema", Str (schema_name ^ ".ab"));
-      ("schema_version", Int schema_version);
+      ("schema_version", Int 1);
       ("baseline", Str ab.base_id);
       ("candidate", Str ab.cand_id);
       ("regressions", Int ab.regressions);

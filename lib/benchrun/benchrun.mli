@@ -1,20 +1,17 @@
-(** The bench-run store: persistent, comparable benchmark runs.
+(** Bench records: comparable benchmark runs.
 
     A single [BENCH_engine.json] snapshot cannot defend a performance
     claim: there is no run history to diff against and no way to tell a
     regression from scheduler noise.  This library gives the bench
     harness the production shape (docs/BENCHMARKING.md):
 
-    - {b run store}: [bench run] executes the (analysis x corpus)
-      matrix [repeats] times and writes [bench_data/runs/<id>/] — a
-      manifest (git rev, host, schema versions, harness config), the
-      prax.bench v2 rows extended with per-repeat samples, and
-      per-benchmark logs.  All files are written atomically
-      (temp + fsync + rename, the [prax.store] conventions), so a
-      killed run never leaves a torn directory that parses.  A bare
-      prax.bench file (the committed [BENCH_engine.json]) loads as a
-      run too, so it is the committed baseline the gate reads.
-    - {b A/B comparison}: {!compare_runs} loads two runs and emits one
+    - {b one record}: [bench run] executes the (analysis x corpus)
+      matrix [repeats] times and writes a prax.bench file — the same
+      document [bench benchjson] commits as [BENCH_engine.json], each
+      row carrying its per-repeat samples.  Both go through
+      {!write_bench} (temp + fsync + rename, the [prax.store]
+      conventions), so a killed writer never leaves a torn file.
+    - {b A/B comparison}: {!compare_runs} takes two runs and emits one
       {!delta} per (analysis x benchmark x metric) — phase times, total,
       table bytes, counters — with {b noise-aware} verdicts: a change is
       a regression only when it exceeds a relative tolerance {e and} an
@@ -24,20 +21,19 @@
       that disappeared); [bench gate] maps it to a nonzero exit so CI
       can enforce "no perf regressions beyond tolerance".
 
-    The store degrades, never lies: a missing or corrupt manifest
-    loads as {!run.manifest}[ = None] (the rows still compare); a
-    missing or corrupt rows file is a load {e error}, because there is
+    A missing, corrupt or row-less file is a load {e error}: there is
     nothing sound to compare. *)
 
 module Metrics = Prax_metrics.Metrics
 
 val schema_name : string
-(** Manifest schema identifier: ["prax.benchrun"]. *)
+(** ["prax.bench"], the [schema] of every bench file. *)
 
 val schema_version : int
-(** Version of the run-directory layout (manifest + rows extensions).
-    Bump (and document in docs/BENCHMARKING.md) on any rename, removal,
-    or change of meaning. *)
+(** Version of the prax.bench document, [bench run]'s and
+    [BENCH_engine.json]'s alike.  Bump (and document in
+    docs/PERFORMANCE.md) on any rename, removal, or change of
+    meaning. *)
 
 (** {1 Repeat-sample statistics}
 
@@ -62,7 +58,7 @@ val iqr : stats -> float
 
 (** {1 Rows}
 
-    One row per (analysis x benchmark), carrying the prax.bench v2
+    One row per (analysis x benchmark), carrying the prax.bench
     columns as repeat-sample {!stats} (times, table bytes) or
     representative values (status from the median-total repeat;
     engine counts and counters from the last). *)
@@ -89,12 +85,11 @@ val row_key : row -> string * string
 (** [(analysis, benchmark)] — the identity rows are matched on. *)
 
 val row_to_json : row -> Metrics.json
-(** The one prax.bench row encoder: the v2 columns (time medians,
-    table bytes, engine counts, status, counters) plus the raw repeat
-    [samples].  [rows.json] and [BENCH_engine.json] rows both use it. *)
+(** The one prax.bench row encoder: time medians, table bytes, engine
+    counts, status and counters, plus the raw repeat [samples]. *)
 
 val row_of_json : Metrics.json -> row option
-(** Decode a row written by {!row_to_json}, or a plain prax.bench v2
+(** Decode a row written by {!row_to_json}, or an older prax.bench
     row without [samples] (each scalar becomes a one-sample statistic);
     [None] when the identity or the time/byte columns are missing. *)
 
@@ -106,65 +101,26 @@ val pool_rows : row list list -> row list
     non-[complete] status in any shard survives pooling.  Rows
     appearing in only some shards are kept as-is. *)
 
-(** {1 Manifests} *)
-
-type manifest = {
-  m_run_id : string;
-  m_created_unix : float;  (** wall-clock, seconds since the epoch *)
-  m_git_rev : string;  (** ["unknown"] outside a git checkout *)
-  m_host : string;  (** [uname -sm], or ["unknown"] *)
-  m_ocaml_version : string;
-  m_word_size : int;
-  m_repeats : int;  (** samples per row *)
-  m_argv : string list;  (** the harness invocation, verbatim *)
-  m_bench_schema_version : int;
-  m_stats_schema_version : int;
-  m_report_schema_version : int;
-}
-
-val make_manifest : run_id:string -> repeats:int -> argv:string list -> manifest
-(** Capture the environment: git revision (via [git rev-parse HEAD],
-    degrading to ["unknown"]), host, OCaml version, word size, the
-    current schema versions, and the wall clock. *)
-
-val fresh_id : unit -> string
-(** A new run id, [run-YYYYMMDD-HHMMSS-<pid>[-<n>]] (UTC); unique
-    within a process even at one-second resolution. *)
-
-(** {1 The run store} *)
+(** {1 Bench files} *)
 
 type run = {
-  path : string;  (** the run directory, or the prax.bench file *)
-  id : string;
-  manifest : manifest option;
-      (** [None] when manifest.json is missing or corrupt, or the run
-          is a prax.bench file — the run still loads and compares
-          (degraded, docs/BENCHMARKING.md) *)
+  id : string;  (** the file name, or a label for an in-memory sweep *)
   rows : row list;
 }
 
-val write_run :
-  dir:string ->
-  manifest:manifest ->
-  rows:row list ->
-  logs:(string * string) list ->
-  unit
-(** Create [dir] and write [manifest.json], [rows.json], and
-    [logs/<file>.log] for each [(file, text)] in [logs].  Every file
-    is written atomically.
-    @raise Sys_error when [dir] exists and is not a directory. *)
+val write_bench : ?incremental:Metrics.json list -> string -> row list -> unit
+(** [write_bench path rows] writes the prax.bench document — header
+    ({!schema_name}, {!schema_version}, the stats and report schema
+    versions), the [benchmarks] rows and, when given, the
+    [incremental] array — to [path] atomically: temp file in the same
+    directory, fsync, rename.  A failed write removes its temp file
+    and re-raises. *)
 
 val load_run : string -> (run, string) result
-(** Load a run directory or a prax.bench file.  A directory's rows come
-    from its [rows.json]; a file is the rows document itself (its
-    [benchmarks] array; other keys, such as [BENCH_engine.json]'s
-    [incremental] array, are ignored).  [Error] when the rows document
-    is missing, unparseable, or holds no decodable row.  A bad
-    manifest degrades to [manifest = None]; a file run has none. *)
-
-val find_run : runs_dir:string -> string -> (run, string) result
-(** Resolve a run id, a directory path, or a file path: a [spec] that
-    exists is loaded as-is, otherwise [runs_dir/spec] is tried. *)
+(** Load a prax.bench file: its [benchmarks] array is the run's rows
+    (other keys, such as [BENCH_engine.json]'s [incremental] array,
+    are ignored) and its file name is the run's id.  [Error] when the
+    file is missing, unparseable, or holds no decodable row. *)
 
 (** {1 Comparison: deltas, thresholds, verdicts} *)
 

@@ -77,9 +77,9 @@ module Daemon = struct
   module Client = Prax_daemon.Client
 end
 
-(** The bench-run store: persistent run directories with repeat-sample
-    statistics, the noise-aware A/B comparator, and the regression-gate
-    logic behind [bench run|ab|gate] (see docs/BENCHMARKING.md). *)
+(** Bench records: prax.bench files with repeat-sample statistics, the
+    noise-aware A/B comparator, and the regression-gate logic behind
+    [bench run|ab|gate] (see docs/BENCHMARKING.md). *)
 module Benchrun = Prax_benchrun.Benchrun
 
 (** Incremental re-analysis: the clause-level dependency graph with its

@@ -136,6 +136,10 @@ let m_forced_completions =
        after budget exhaustion"
     "engine.forced_completions"
 
+let table_space_gauge =
+  Metrics.gauge ~units:"bytes" ~doc:"call/answer table space estimate"
+    "engine.table_space_bytes"
+
 type hooks = {
   unify : Subst.t -> Term.t -> Term.t -> Subst.t option;
   abstract_call : Term.t -> Term.t;
@@ -916,24 +920,20 @@ let tables_consistent ?(after_abort = false) e : bool =
 
 (* --- public API -------------------------------------------------------- *)
 
-(** Enumerate solutions of [goal] under the engine's guard, calling [k]
-    with each substitution as it is derived.  On budget exhaustion the
-    tables are force-completed (see above) and the result is [Partial];
-    answers already delivered to [k] stand, and the over-approximating
-    widened answers are readable from the tables ({!answers_for}).  On
-    any other exception the tables are restored to a reusable state and
-    the exception is re-raised. *)
-let run_status e (goal : Term.t) (k : Subst.t -> unit) : Guard.status =
+(* The governed-run wrapper of {!run_status} and {!demand_status}.  A
+   nested run (e.g. from a builtin) just runs: the outermost invocation
+   owns abort recovery.  An outermost run that exhausts its budget
+   force-completes the tables (see above) and is [Partial]; any other
+   exception restores the tables to a reusable state and is
+   re-raised. *)
+let governed e body : Guard.status =
   if e.run_depth > 0 then begin
-    (* nested run (e.g. from a builtin): the outermost invocation owns
-       abort recovery *)
-    solve e Subst.empty goal k;
+    body ();
     Guard.Complete
   end
   else begin
     e.run_depth <- 1;
-    if Option.is_some e.hooks.answer_leq then e.roots <- goal :: e.roots;
-    match solve e Subst.empty goal k with
+    match body () with
     | () ->
         e.run_depth <- 0;
         Guard.Complete
@@ -948,6 +948,18 @@ let run_status e (goal : Term.t) (k : Subst.t -> unit) : Guard.status =
         recover_after_error e;
         raise exn
   end
+
+(** Enumerate solutions of [goal] under the engine's guard, calling [k]
+    with each substitution as it is derived.  On budget exhaustion the
+    tables are force-completed (see above) and the result is [Partial];
+    answers already delivered to [k] stand, and the over-approximating
+    widened answers are readable from the tables ({!answers_for}).  On
+    any other exception the tables are restored to a reusable state and
+    the exception is re-raised. *)
+let run_status e (goal : Term.t) (k : Subst.t -> unit) : Guard.status =
+  if e.run_depth = 0 && Option.is_some e.hooks.answer_leq then
+    e.roots <- goal :: e.roots;
+  governed e (fun () -> solve e Subst.empty goal k)
 
 (** Enumerate solutions of [goal], calling [k] with each substitution.
     Degrades gracefully under a guard (the status is dropped; use
@@ -963,33 +975,11 @@ let run e (goal : Term.t) (k : Subst.t -> unit) : unit =
     off the table), so instantiating and unifying every answer against
     a discarding continuation would be pure overhead. *)
 let demand_status e (key : Term.t) : Guard.status =
-  let demand () =
-    e.stats.calls <- e.stats.calls + 1;
-    Metrics.incr m_call_lookups;
-    let entry, is_new = find_entry e key in
-    if is_new && not entry.closed then producer e entry
-  in
-  if e.run_depth > 0 then begin
-    demand ();
-    Guard.Complete
-  end
-  else begin
-    e.run_depth <- 1;
-    match demand () with
-    | () ->
-        e.run_depth <- 0;
-        Guard.Complete
-    | exception Guard.Exhausted reason ->
-        e.run_depth <- 0;
-        Metrics.incr m_aborts;
-        let exhausted_entries = force_complete_tables e in
-        Guard.Partial { reason; exhausted_entries }
-    | exception exn ->
-        e.run_depth <- 0;
-        Metrics.incr m_aborts;
-        recover_after_error e;
-        raise exn
-  end
+  governed e (fun () ->
+      e.stats.calls <- e.stats.calls + 1;
+      Metrics.incr m_call_lookups;
+      let entry, is_new = find_entry e key in
+      if is_new && not entry.closed then producer e entry)
 
 (** Distinct canonical solutions of [goal] with the evaluation status. *)
 let query_status e (goal : Term.t) : Term.t list * Guard.status =

@@ -240,6 +240,10 @@ val table_space_bytes : t -> int
     more nodes than its term size (docs/PERFORMANCE.md).  Maintained
     incrementally, so O(1). *)
 
+val table_space_gauge : Prax_metrics.Metrics.gauge
+(** [engine.table_space_bytes]: the CLIs set it to the run's table
+    space just before they snapshot the metrics. *)
+
 val dump_tables : t -> string
 (** Canonical textual dump of the call/answer tables: one
     [call => a1 | a2.] line per call variant ("-" when no answers),

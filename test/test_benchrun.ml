@@ -1,8 +1,7 @@
-(* Tests for the bench-run store and A/B comparator
+(* Tests for bench records and the A/B comparator
    (docs/BENCHMARKING.md): order statistics, the noise-gate threshold
    logic (relative tolerance AND absolute floor AND pooled IQR),
-   run-directory round-trips, prax.bench files loading as runs,
-   degradation on corrupt or missing manifests, the `bench gate` exit
+   prax.bench file round trips and load errors, the `bench gate` exit
    codes through the built harness, and the representation counters a
    measured groundness run must feed. *)
 
@@ -49,20 +48,13 @@ let row ?(analysis = "groundness") ?(name = "qsort") ?(status = "complete")
     r_counters = counters;
   }
 
-let mkrun ?(id = "r") rows =
-  {
-    Benchrun.path = "";
-    id;
-    manifest = None;
-    rows;
-  }
+let mkrun ?(id = "r") rows = { Benchrun.id; rows }
 
+(* write [rows] as the bench file [dir/id.json]; its path *)
 let write ~dir ~id rows =
-  let manifest = Benchrun.make_manifest ~run_id:id ~repeats:3 ~argv:[ "test" ] in
-  Benchrun.write_run
-    ~dir:(Filename.concat dir id)
-    ~manifest ~rows
-    ~logs:[ ("groundness-qsort.log", "repeat 1: total=0.001\n") ]
+  let path = Filename.concat dir (id ^ ".json") in
+  Benchrun.write_bench path rows;
+  path
 
 let delta_of ab ~metric =
   match
@@ -305,7 +297,7 @@ let test_pool_rows () =
   Alcotest.(check (float 1e-9)) "counters from the last shard" 2.
     (List.assoc "unify.attempts" p.Benchrun.r_counters)
 
-(* --- run-directory round trip --------------------------------------------- *)
+(* --- bench-file round trip ---------------------------------------------------- *)
 
 let test_roundtrip () =
   with_tmpdir (fun dir ->
@@ -316,15 +308,11 @@ let test_roundtrip () =
             ~total:[ 0.01; 0.011; 0.009 ] ~bytes:[ 136672. ] ();
         ]
       in
-      write ~dir ~id:"rt" rows;
-      match Benchrun.find_run ~runs_dir:dir "rt" with
+      match Benchrun.load_run (write ~dir ~id:"rt" rows) with
       | Error msg -> Alcotest.failf "load failed: %s" msg
       | Ok run ->
-          Alcotest.(check string) "id" "rt" run.Benchrun.id;
-          Alcotest.(check bool) "manifest present" true
-            (run.Benchrun.manifest <> None);
-          let m = Option.get run.Benchrun.manifest in
-          Alcotest.(check int) "repeats" 3 m.Benchrun.m_repeats;
+          Alcotest.(check string) "id is the file name" "rt.json"
+            run.Benchrun.id;
           Alcotest.(check int) "rows" 2 (List.length run.Benchrun.rows);
           let loaded = List.hd run.Benchrun.rows in
           let orig = List.hd rows in
@@ -346,65 +334,14 @@ let test_roundtrip () =
           Alcotest.(check bool) "every delta unchanged" true
             (List.for_all
                (fun d -> d.Benchrun.d_verdict = Benchrun.Unchanged)
-               ab.Benchrun.deltas);
-          (* the per-benchmark log landed *)
-          Alcotest.(check bool) "log written" true
-            (Sys.file_exists
-               (Filename.concat run.Benchrun.path "logs/groundness-qsort.log")))
+               ab.Benchrun.deltas))
 
-(* --- degradation ----------------------------------------------------------- *)
+(* --- a prax.bench file is a run --------------------------------------------- *)
 
 let overwrite path content =
   let oc = open_out path in
   output_string oc content;
   close_out oc
-
-let test_manifest_degradation () =
-  with_tmpdir (fun dir ->
-      let rows = [ row ~total:[ 1. ] ~bytes:[ 4664. ] () ] in
-      write ~dir ~id:"deg" rows;
-      let rdir = Filename.concat dir "deg" in
-      (* corrupt manifest: rows still load, manifest degrades to None *)
-      overwrite (Filename.concat rdir "manifest.json") "{ not json";
-      (match Benchrun.load_run rdir with
-      | Ok run ->
-          Alcotest.(check bool) "manifest degraded" true
-            (run.Benchrun.manifest = None);
-          Alcotest.(check string) "id from rows.json" "deg" run.Benchrun.id;
-          Alcotest.(check int) "rows intact" 1 (List.length run.Benchrun.rows)
-      | Error msg -> Alcotest.failf "corrupt manifest should degrade: %s" msg);
-      (* missing manifest: same degradation *)
-      Sys.remove (Filename.concat rdir "manifest.json");
-      (match Benchrun.load_run rdir with
-      | Ok run ->
-          Alcotest.(check bool) "missing manifest degrades" true
-            (run.Benchrun.manifest = None)
-      | Error msg -> Alcotest.failf "missing manifest should degrade: %s" msg);
-      (* corrupt rows: there is nothing sound to compare — an error,
-         whether loaded through the directory or as a prax.bench file *)
-      let rows_file = Filename.concat rdir "rows.json" in
-      let must_fail what path =
-        match Benchrun.load_run path with
-        | Ok _ -> Alcotest.failf "%s must not load" what
-        | Error _ -> ()
-      in
-      overwrite rows_file "xx";
-      must_fail "corrupt rows.json" rdir;
-      must_fail "a corrupt prax.bench file" rows_file;
-      overwrite rows_file {|{"schema":"prax.bench","incremental":[]}|};
-      must_fail "a prax.bench file without rows" rows_file;
-      overwrite rows_file {|{"schema":"prax.bench","benchmarks":[{}]}|};
-      must_fail "a prax.bench file with no decodable row" rows_file;
-      (* missing rows: likewise *)
-      Sys.remove rows_file;
-      must_fail "missing rows.json" rdir;
-      must_fail "a missing prax.bench file" rows_file;
-      (* and an unknown id through find_run *)
-      match Benchrun.find_run ~runs_dir:dir "no-such-run" with
-      | Ok _ -> Alcotest.fail "unknown run id must not load"
-      | Error _ -> ())
-
-(* --- a prax.bench file is a run --------------------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -413,10 +350,19 @@ let bench_engine_json =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     "BENCH_engine.json"
 
-(* The rows document on its own — as a run directory's rows.json, or
-   with the extra [incremental] array BENCH_engine.json carries —
-   loads with the same rows as the run directory it came from, and
-   without a manifest. *)
+let header_keys path =
+  match Benchrun.Metrics.json_of_string (read_file path) with
+  | Benchrun.Metrics.Obj fields ->
+      List.filter_map
+        (fun (k, v) ->
+          match v with Benchrun.Metrics.Arr _ -> None | _ -> Some (k, v))
+        fields
+  | _ -> Alcotest.failf "%s is not an object" path
+
+(* A file written with BENCH_engine.json's [incremental] array loads
+   with the same rows as one without, a failed write strands no temp
+   file, and there is nothing sound to compare in a corrupt, missing or
+   row-less file: each is a load error. *)
 let test_file_run () =
   with_tmpdir (fun dir ->
       let rows =
@@ -426,53 +372,54 @@ let test_file_run () =
             ~total:[ 0.01; 0.011; 0.009 ] ~bytes:[ 136672. ] ();
         ]
       in
-      write ~dir ~id:"rt" rows;
-      let from_dir =
-        match Benchrun.load_run (Filename.concat dir "rt") with
+      let plain = write ~dir ~id:"plain" rows in
+      let with_incr = Filename.concat dir "v3.json" in
+      Benchrun.write_bench
+        ~incremental:
+          [ Benchrun.Metrics.Obj [ ("name", Benchrun.Metrics.Str "qsort") ] ]
+        with_incr rows;
+      let load path =
+        match Benchrun.load_run path with
         | Ok run -> run
-        | Error msg -> Alcotest.failf "run directory: %s" msg
+        | Error msg -> Alcotest.failf "%s: %s" path msg
       in
-      let text = read_file (Filename.concat dir "rt/rows.json") in
-      overwrite (Filename.concat dir "rows.json") text;
-      let with_incr =
-        match Benchrun.Metrics.json_of_string text with
-        | Benchrun.Metrics.Obj fields ->
-            Benchrun.Metrics.Obj
-              (fields
-              @ [
-                  ( "incremental",
-                    Benchrun.Metrics.Arr
-                      [
-                        Benchrun.Metrics.Obj
-                          [ ("name", Benchrun.Metrics.Str "qsort") ];
-                      ] );
-                ])
-        | _ -> Alcotest.fail "rows.json is not an object"
+      let a = load plain and b = load with_incr in
+      Alcotest.(check bool) "incremental array ignored: same rows" true
+        (a.Benchrun.rows = b.Benchrun.rows);
+      Alcotest.(check int) "self-ab regressions" 0
+        (Benchrun.compare_runs a b).Benchrun.regressions;
+      (* a bench run record has the committed snapshot's header *)
+      Alcotest.(check (list string)) "header keys as BENCH_engine.json"
+        (List.map fst (header_keys bench_engine_json))
+        (List.map fst (header_keys plain));
+      Alcotest.(check bool) "schema_version as BENCH_engine.json" true
+        (List.assoc "schema_version" (header_keys plain)
+        = List.assoc "schema_version" (header_keys bench_engine_json));
+      (* a rename that fails (the target is a directory) removes its temp *)
+      let target = Filename.concat dir "a-directory" in
+      Unix.mkdir target 0o755;
+      let before = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      (match Benchrun.write_bench target rows with
+      | () -> Alcotest.fail "writing over a directory must fail"
+      | exception (Sys_error _ | Unix.Unix_error _) -> ());
+      Alcotest.(check (list string)) "no temp file left" before
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      let must_fail what path =
+        match Benchrun.load_run path with
+        | Ok _ -> Alcotest.failf "%s must not load" what
+        | Error _ -> ()
       in
-      overwrite
-        (Filename.concat dir "v3.json")
-        (Benchrun.Metrics.json_to_string with_incr);
-      let check_file what = function
-        | Error msg -> Alcotest.failf "%s: %s" what msg
-        | Ok run ->
-            Alcotest.(check bool) (what ^ ": same rows") true
-              (run.Benchrun.rows = from_dir.Benchrun.rows);
-            Alcotest.(check bool) (what ^ ": no manifest") true
-              (run.Benchrun.manifest = None);
-            Alcotest.(check string) (what ^ ": id from run_id") "rt"
-              run.Benchrun.id;
-            Alcotest.(check int) (what ^ ": self-ab regressions") 0
-              (Benchrun.compare_runs from_dir run).Benchrun.regressions
-      in
-      check_file "load_run rows.json"
-        (Benchrun.load_run (Filename.concat dir "rows.json"));
-      check_file "find_run under runs_dir"
-        (Benchrun.find_run ~runs_dir:dir "rows.json");
-      check_file "find_run v3 path"
-        (Benchrun.find_run ~runs_dir:"no-such-dir"
-           (Filename.concat dir "v3.json")));
-  (* the committed snapshot is a run: every row, no manifest, and the
-     file name as its id *)
+      must_fail "a directory" target;
+      let file = Filename.concat dir "bad.json" in
+      overwrite file "xx";
+      must_fail "a corrupt prax.bench file" file;
+      overwrite file {|{"schema":"prax.bench","incremental":[]}|};
+      must_fail "a prax.bench file without rows" file;
+      overwrite file {|{"schema":"prax.bench","benchmarks":[{}]}|};
+      must_fail "a prax.bench file with no decodable row" file;
+      Sys.remove file;
+      must_fail "a missing prax.bench file" file);
+  (* the committed snapshot is a run: every row, the file name as its id *)
   match Benchrun.load_run bench_engine_json with
   | Error msg -> Alcotest.failf "BENCH_engine.json: %s" msg
   | Ok run ->
@@ -486,8 +433,6 @@ let test_file_run () =
       in
       Alcotest.(check int) "BENCH_engine.json rows" entries
         (List.length run.Benchrun.rows);
-      Alcotest.(check bool) "BENCH_engine.json has no manifest" true
-        (run.Benchrun.manifest = None);
       Alcotest.(check string) "BENCH_engine.json id" "BENCH_engine.json"
         run.Benchrun.id
 
@@ -518,48 +463,47 @@ let test_gate_exit_codes () =
   with_tmpdir (fun dir ->
       let base_rows = [ row ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4664. ] () ] in
       let slow_rows = [ row ~total:[ 3.0; 3.0; 3.0 ] ~bytes:[ 4664. ] () ] in
-      write ~dir ~id:"base" base_rows;
-      write ~dir ~id:"same" base_rows;
-      write ~dir ~id:"slow" slow_rows;
+      let base = write ~dir ~id:"base" base_rows in
+      let same = write ~dir ~id:"same" base_rows in
+      let slow = write ~dir ~id:"slow" slow_rows in
       (* one more answer: same time and bytes, a different count *)
-      write ~dir ~id:"recount"
-        [
-          row ~counters:[ ("engine.answers_inserted", 25.) ]
-            ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4664. ] ();
-        ];
+      let recount =
+        write ~dir ~id:"recount"
+          [
+            row ~counters:[ ("engine.answers_inserted", 25.) ]
+              ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4664. ] ();
+          ]
+      in
       (* a committed prax.bench file whose table bytes are 10% lower *)
-      write ~dir ~id:"lean" [ row ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4198. ] () ];
-      let committed = Filename.concat dir "committed.json" in
-      overwrite committed (read_file (Filename.concat dir "lean/rows.json"));
-      let gate ?(baseline = "base") extra =
-        run_code
-          ([ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; baseline ]
-          @ extra)
+      let lean_rows = [ row ~total:[ 1.0; 1.0; 1.0 ] ~bytes:[ 4198. ] () ] in
+      let lean = write ~dir ~id:"lean" lean_rows in
+      let committed = write ~dir ~id:"committed" lean_rows in
+      let gate ?(baseline = base) extra =
+        run_code ([ bench_exe; "gate"; "--baseline"; baseline ] @ extra)
       in
       Alcotest.(check int) "identical runs pass (exit 0)" 0
-        (gate [ "--candidate"; "same" ]);
+        (gate [ "--candidate"; same ]);
       Alcotest.(check int) "slowed run trips the gate (exit 2)" 2
-        (gate [ "--candidate"; "slow" ]);
+        (gate [ "--candidate"; slow ]);
       Alcotest.(check int) "time gate off ignores the slowdown" 0
-        (gate [ "--candidate"; "slow"; "--metrics"; "bytes" ]);
+        (gate [ "--candidate"; slow; "--metrics"; "bytes" ]);
       Alcotest.(check int) "a changed engine count trips counts (exit 2)" 2
-        (gate [ "--candidate"; "recount"; "--metrics"; "bytes,counts" ]);
+        (gate [ "--candidate"; recount; "--metrics"; "bytes,counts" ]);
       Alcotest.(check int) "counts off leaves counters informational" 0
-        (gate [ "--candidate"; "recount"; "--metrics"; "bytes" ]);
+        (gate [ "--candidate"; recount; "--metrics"; "bytes" ]);
       Alcotest.(check int) "equal counts pass the counts class" 0
-        (gate [ "--candidate"; "same"; "--metrics"; "counts" ]);
+        (gate [ "--candidate"; same; "--metrics"; "counts" ]);
       Alcotest.(check int) "an unknown metric class is a usage error" 1
-        (gate [ "--candidate"; "same"; "--metrics"; "bytes,words" ]);
+        (gate [ "--candidate"; same; "--metrics"; "bytes,words" ]);
       Alcotest.(check int) "missing baseline is a usage error (exit 1)" 1
-        (run_code
-           [ bench_exe; "gate"; "--runs-dir"; dir; "--baseline"; "nope";
-             "--candidate"; "same" ]);
+        (gate ~baseline:(Filename.concat dir "nope.json")
+           [ "--candidate"; same ]);
       Alcotest.(check int) "ab reports without gating (exit 0)" 0
-        (run_code [ bench_exe; "ab"; "--runs-dir"; dir; "base"; "slow" ]);
+        (run_code [ bench_exe; "ab"; base; slow ]);
       Alcotest.(check int) "a prax.bench file baseline passes (exit 0)" 0
-        (gate ~baseline:committed [ "--candidate"; "lean"; "--metrics"; "bytes" ]);
+        (gate ~baseline:committed [ "--candidate"; lean; "--metrics"; "bytes" ]);
       Alcotest.(check int) "bytes above the committed file trip (exit 2)" 2
-        (gate ~baseline:committed [ "--candidate"; "same"; "--metrics"; "bytes" ]))
+        (gate ~baseline:committed [ "--candidate"; same; "--metrics"; "bytes" ]))
 
 (* --- representation counters of a measured run ------------------------------ *)
 
@@ -585,8 +529,8 @@ let test_groundness_counters () =
 
 (* --- the committed BENCH_engine.json ---------------------------------------- *)
 
-(* The snapshot is written by the same row encoder as a run's rows.json,
-   so every row must decode through the run-store decoder, and it holds
+(* The snapshot is written by the same row encoder as a bench run's file,
+   so every row must decode through the one row decoder, and it holds
    one row per cell of the registry matrix (51 today): groundness over
    the logic and stress corpora, strictness over the functional corpus,
    depth-k over the Table-4 subset, gaia over the logic corpus, dataflow
@@ -657,8 +601,6 @@ let () =
         [
           Alcotest.test_case "round trip + self-ab identity" `Quick
             test_roundtrip;
-          Alcotest.test_case "manifest degradation" `Quick
-            test_manifest_degradation;
           Alcotest.test_case "a prax.bench file is a run" `Quick test_file_run;
         ] );
       ( "gate",
