@@ -310,8 +310,17 @@ let drain_cmd =
     Term.(const run $ socket_arg)
 
 let () =
-  (* no nursery sizing here: the daemon never evaluates, and each worker
-     sizes its own after the fork (Daemon.run) *)
+  (* No nursery sizing here: the daemon keeps OCaml's default 256k-word
+     nursery and empties it every 32k words (Daemon.nursery_words), so
+     few of its pages stay resident.  On a 2-vCPU VM, 5 s servebench
+     warm_hits runs read daemon_rss_mb 7.8 MiB with the early emptying
+     and 8.6 MiB without it, at the same cpu_ms_per_req (45 s runs read
+     8.3 MiB).  A nursery resized to 32k words with [Gc.set] reads
+     7.8 MiB in 45 s runs, but costs about 0.2 ms at start-up (OCaml
+     5.1 re-reserves the minor heap): daemon starts to the first ping
+     took 2.99 against 2.77 ms (60 starts each, medians), and cold_mix
+     setup_s rose 16% in 5 of 5 pairs.  Each worker sets its own
+     nursery after the fork (Serve.worker_minor_heap_words). *)
   Analyses.ensure ();
   let doc = "resident analysis daemon over the prax worker fleet" in
   exit

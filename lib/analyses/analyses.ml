@@ -60,19 +60,24 @@ let diagnose ~file ~text (exn : exn) : Diag.t option =
       Some (Diag.make ~file msg)
   | _ -> None
 
+(* [store_key] from the source's {!Store.digest_source}, for a caller
+   that digested the bytes where they lie (the daemon's parser) *)
+let store_key_of_digest (a : Analysis.t) ~config source_digest : Store.key =
+  {
+    Store.analysis = a.Analysis.name;
+    source_digest;
+    config = Analysis.config_to_string config;
+    schema_version = Analysis.report_schema_version;
+  }
+
 (** The result-store key of one run of [a] under its complete
     (defaults-merged) [config] on [source]: everything that can change
     the [prax.report] payload — the analysis, the exact source bytes, the
     canonical config rendering and the report schema.  The budget is not
     in the key: only complete results are stored, and a complete result
     does not depend on how generous the budget was. *)
-let store_key (a : Analysis.t) ~config source : Store.key =
-  {
-    Store.analysis = a.Analysis.name;
-    source_digest = Store.digest_source source;
-    config = Analysis.config_to_string config;
-    schema_version = Analysis.report_schema_version;
-  }
+let store_key a ~config source =
+  store_key_of_digest a ~config (Store.digest_source source)
 
 (** The body of a supervised analysis job, run in the worker: the
     [prax.report] document of [input] as the frame payload, tagged

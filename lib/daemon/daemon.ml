@@ -79,6 +79,29 @@ let g_tier =
     ~doc:"pressure tier of the most recent admission (0 = full budget)"
     "daemon.tier"
 
+(* the daemon's own heap, read from [Gc.quick_stat] when stats are built *)
+
+let g_minor_words =
+  Metrics.gauge ~units:"words"
+    ~doc:"words the daemon allocated on its minor heap since it started"
+    "daemon.gc_minor_words"
+
+let g_major_words =
+  Metrics.gauge ~units:"words"
+    ~doc:
+      "words the daemon allocated on its major heap since it started \
+       (promoted or allocated there directly)"
+    "daemon.gc_major_words"
+
+let g_major_collections =
+  Metrics.gauge ~units:"cycles"
+    ~doc:"major collection cycles the daemon completed since it started"
+    "daemon.gc_major_collections"
+
+let g_heap_words =
+  Metrics.gauge ~units:"words" ~doc:"the daemon's major heap size"
+    "daemon.heap_words"
+
 (* --- configuration ------------------------------------------------------- *)
 
 type config = {
@@ -114,11 +137,17 @@ let default_config ~socket_path =
 
 (* --- state ---------------------------------------------------------------- *)
 
+(* A connection reads into [c_in] and writes from [c_out], both reused
+   for its whole life: a request line is parsed where it lies in [c_in],
+   and a response is written into [c_out] where the socket takes it
+   from. *)
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
-  c_in : Buffer.t;
-  mutable c_out : string;  (* bytes not yet written *)
+  c_in : Bytebuf.t;
+  mutable c_scanned : int;
+      (* the first [c_scanned] bytes of [c_in] hold no newline *)
+  c_out : Bytebuf.t;  (* bytes not yet written *)
   mutable c_closing : bool;  (* close once c_out drains *)
   mutable c_dead : bool;
   mutable c_reset_armed : bool;
@@ -153,6 +182,7 @@ type t = {
   admission : Admission.t;
   jobs : (string, pending) Hashtbl.t;
   cache : Lru.t;  (* resident complete results, entry+byte bounded *)
+  parser : Wire.parser;  (* holds the latest request's decoded source *)
   mutable pool : job_request Serve.Pool.t option;
       (* built in [run] (needs self) *)
   mutable conns : conn list;
@@ -219,6 +249,7 @@ let listen (config : config) : t =
       Lru.create
         ~on_evict:(fun ~key:_ -> Metrics.incr m_evictions)
         ~max_entries:config.cache_entries ~max_bytes:config.cache_bytes ();
+    parser = Wire.create_parser ();
     pool = None;
     conns = [];
     next_conn = 0;
@@ -230,8 +261,13 @@ let listen (config : config) : t =
 
 (* --- responses ------------------------------------------------------------ *)
 
-let send conn line =
-  if not conn.c_dead then
+(* [write] appends one response line, without its newline, to the
+   connection's output buffer *)
+let send conn write =
+  if not conn.c_dead then begin
+    let out = conn.c_out in
+    let before = Bytebuf.length out in
+    write out;
     if conn.c_reset_armed then begin
       (* chaos conn-reset: the response was generated (the
          one-response-per-request invariant holds daemon-side) but only
@@ -240,12 +276,14 @@ let send conn line =
          result *)
       conn.c_reset_armed <- false;
       Metrics.incr m_chaos;
-      conn.c_out <- conn.c_out ^ String.sub line 0 (String.length line / 2);
+      Bytebuf.truncate out (before + ((Bytebuf.length out - before) / 2));
       conn.c_closing <- true
     end
-    else conn.c_out <- String.concat "" [ conn.c_out; line; "\n" ]
+    else Bytebuf.add_char out '\n'
+  end
 
-let respond conn ~id ~status extra = send conn (Wire.response ~id ~status extra)
+let respond conn ~id ~status extra =
+  send conn (fun b -> Wire.add_response b ~id ~status extra)
 
 let conn_by_id d cid = List.find_opt (fun c -> c.c_id = cid) d.conns
 
@@ -253,7 +291,7 @@ let conn_by_id d cid = List.find_opt (fun c -> c.c_id = cid) d.conns
 
 (* Every report in the resident cache is canonical JSON, so an answer
    splices it without parsing it.  A worker's report entered as the
-   bytes the worker printed, checked by {!Wire.worker_response}; a store
+   bytes the worker printed, checked by {!Wire.worker_report}; a store
    snapshot was parsed and printed again when it was loaded, since
    another printer may have written it.  A store payload that does not
    parse is a miss: the job is recomputed and the good result
@@ -285,6 +323,11 @@ let cache_put d (p : string) (k : Store.key) report =
 (* --- request handling ----------------------------------------------------- *)
 
 let stats_json d =
+  let gc = Gc.quick_stat () in
+  Metrics.set g_minor_words (int_of_float gc.Gc.minor_words);
+  Metrics.set g_major_words (int_of_float gc.Gc.major_words);
+  Metrics.set g_major_collections gc.Gc.major_collections;
+  Metrics.set g_heap_words gc.Gc.heap_words;
   Metrics.set g_queue
     (match d.pool with Some p -> Serve.Pool.pending p | None -> 0);
   Metrics.set g_inflight
@@ -396,7 +439,8 @@ let handle_analyze d conn ~id ~client ~analysis ~input ~source ~config =
                     [ ("reason", Metrics.Str msg) ]
               | Ok cfg -> (
                   let store_key =
-                    Prax_analyses.Analyses.store_key a ~config:cfg source
+                    Prax_analyses.Analyses.store_key_of_digest a ~config:cfg
+                      (Wire.source_digest source)
                   in
                   let ckey = cache_key store_key in
                   match warm_lookup d ckey store_key with
@@ -404,9 +448,9 @@ let handle_analyze d conn ~id ~client ~analysis ~input ~source ~config =
                       Metrics.incr m_warm;
                       Metrics.add m_warm_ms
                         (int_of_float ((Unix.gettimeofday () -. now) *. 1000.));
-                      send conn
-                        (Wire.response_with_report ~id ~status:"cached" []
-                           ~report)
+                      send conn (fun b ->
+                          Wire.add_response_with_report b ~id ~status:"cached"
+                            [] ~report)
                   | None ->
                       if tier.Pressure.level > 0 then Metrics.incr m_degraded;
                       (match chaos_fault with
@@ -431,13 +475,13 @@ let handle_analyze d conn ~id ~client ~analysis ~input ~source ~config =
                           rq_analysis = a.Analysis.name;
                           rq_config = cfg;
                           rq_input = input;
-                          rq_source = source;
+                          rq_source = Wire.source_text source;
                           rq_fault = chaos_fault;
                         })))
 
-let handle_line d conn line =
+let handle_line d conn b ~pos ~len =
   Metrics.incr m_requests;
-  match Wire.parse_request line with
+  match Wire.parse_bytes d.parser b ~pos ~len with
   | Error reason ->
       Metrics.incr m_rejected;
       respond conn ~id:Metrics.Null ~status:"rejected"
@@ -454,40 +498,38 @@ let handle_line d conn line =
       | Wire.Analyze { analysis; input; source; config } ->
           handle_analyze d conn ~id ~client ~analysis ~input ~source ~config)
 
-(* Split complete lines off a connection's input buffer; an over-limit
-   line — terminated or not — is a framing violation: reject and close
-   (the stream position can no longer be trusted). *)
-let process_input d conn =
-  let s = Buffer.contents conn.c_in in
-  let n = String.length s in
-  let pos = ref 0 in
-  (try
-     while !pos < n do
-       match String.index_from_opt s !pos '\n' with
-       | Some i when i - !pos <= d.config.max_request_bytes ->
-           handle_line d conn (String.sub s !pos (i - !pos));
-           pos := i + 1
-       | Some _ | None ->
-           if n - !pos > d.config.max_request_bytes then begin
-             Metrics.incr m_rejected;
-             respond conn ~id:Metrics.Null ~status:"rejected"
-               [
-                 ("reason", Metrics.Str "oversized frame");
-                 ("max_request_bytes", Metrics.Int d.config.max_request_bytes);
-               ];
-             conn.c_closing <- true;
-             Buffer.clear conn.c_in;
-             pos := n;
-             raise Exit
-           end
-           else raise Exit (* incomplete line: wait for more bytes *)
-     done
-   with Exit -> ());
-  if !pos > 0 && not conn.c_closing then begin
-    let rest = String.sub s !pos (n - !pos) in
-    Buffer.clear conn.c_in;
-    Buffer.add_string conn.c_in rest
+let rec newline_at b i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else newline_at b (i + 1) stop
+
+(* Handle the complete lines in a connection's input buffer, each where
+   it lies; an over-limit line — terminated or not — is a framing
+   violation: reject and close (the stream position can no longer be
+   trusted). *)
+let rec process_input d conn =
+  let inb = conn.c_in in
+  let start = inb.Bytebuf.start and stop = inb.Bytebuf.stop in
+  let i = newline_at inb.Bytebuf.buf (start + conn.c_scanned) stop in
+  if i >= 0 && i - start <= d.config.max_request_bytes then begin
+    handle_line d conn inb.Bytebuf.buf ~pos:start ~len:(i - start);
+    Bytebuf.consume inb (i + 1 - start);
+    conn.c_scanned <- 0;
+    process_input d conn
   end
+  else if stop - start > d.config.max_request_bytes then begin
+    Metrics.incr m_rejected;
+    respond conn ~id:Metrics.Null ~status:"rejected"
+      [
+        ("reason", Metrics.Str "oversized frame");
+        ("max_request_bytes", Metrics.Int d.config.max_request_bytes);
+      ];
+    conn.c_closing <- true;
+    Bytebuf.clear inb;
+    conn.c_scanned <- 0
+  end
+  else (* incomplete line: wait for more bytes *)
+    conn.c_scanned <- stop - start
 
 (* --- fleet results back to clients ---------------------------------------- *)
 
@@ -497,20 +539,20 @@ let finish_report d (r : Serve.report) =
   | Some p -> (
       Hashtbl.remove d.jobs r.Serve.job;
       let id = p.jb_reqid in
-      let reply line =
+      let reply write =
         match conn_by_id d p.jb_conn with
-        | Some c when not c.c_dead -> send c line
+        | Some c when not c.c_dead -> send c write
         | _ -> ()  (* client went away; the result still warmed the cache *)
       in
       match r.Serve.outcome with
       | Serve.Done { status = Serve.Invalid_input diagnostic; _ } ->
           (* a deterministic input error: one attempt, never cached *)
-          reply
-            (Wire.response ~id ~status:"error"
-               [
-                 ("reason", Metrics.Str diagnostic);
-                 ("attempts", Metrics.Int r.Serve.attempts);
-               ])
+          reply (fun b ->
+              Wire.add_response b ~id ~status:"error"
+                [
+                  ("reason", Metrics.Str diagnostic);
+                  ("attempts", Metrics.Int r.Serve.attempts);
+                ])
       | Serve.Done { payload; status = worker_status; _ } ->
           let status, extra =
             match worker_status with
@@ -530,28 +572,40 @@ let finish_report d (r : Serve.report) =
           let extra =
             extra @ tier_fields @ [ ("attempts", Metrics.Int r.Serve.attempts) ]
           in
-          let report, line = Wire.worker_response ~id ~status extra payload in
+          let report = Wire.worker_report payload in
           (match (worker_status, report) with
           | Serve.Complete, Some report ->
               cache_put d p.jb_cache_key p.jb_store_key report
           | _ -> ());
           Metrics.add m_cold_ms
             (int_of_float ((Unix.gettimeofday () -. p.jb_started) *. 1000.));
-          reply line
+          reply (fun b ->
+              Wire.add_worker_response b ~id ~status extra payload ~report)
       | Serve.Crashed { what; stderr; _ } ->
-          reply
-            (Wire.response ~id ~status:"crashed"
-               ([
-                  ("error", Metrics.Str what);
-                  ("attempts", Metrics.Int r.Serve.attempts);
-                ]
-               @
-               if String.equal stderr "" then []
-               else [ ("stderr", Metrics.Str stderr) ])))
+          reply (fun b ->
+              Wire.add_response b ~id ~status:"crashed"
+                ([
+                   ("error", Metrics.Str what);
+                   ("attempts", Metrics.Int r.Serve.attempts);
+                 ]
+                @
+                if String.equal stderr "" then []
+                else [ ("stderr", Metrics.Str stderr) ])))
 
 (* --- the event loop ------------------------------------------------------- *)
 
-let read_chunk = Bytes.create 65536
+(* what a connection's buffers start with; the first requests grow them
+   to the connection's working size, and they stay there *)
+let conn_buffer_bytes = 4096
+
+(* How much of its nursery the daemon fills before it empties it: 32k
+   words (256 KiB) of OCaml's default 256k.  A warm hit's garbage is
+   small and dies young, so no major slice empties the nursery early,
+   and a nursery filled to its end would keep all its 2 MiB resident.
+   The loop empties it at this mark instead of resizing it with
+   [Gc.set], which in OCaml 5.1 re-reserves the minor heap at a cost
+   every daemon start would pay (bin/praxd.ml has the measurements). *)
+let nursery_words = 32_768.
 
 let accept_ready d =
   let rec loop () =
@@ -564,8 +618,9 @@ let accept_ready d =
           {
             c_id = d.next_conn;
             c_fd = fd;
-            c_in = Buffer.create 1024;
-            c_out = "";
+            c_in = Bytebuf.create conn_buffer_bytes;
+            c_scanned = 0;
+            c_out = Bytebuf.create conn_buffer_bytes;
             c_closing = false;
             c_dead = false;
             c_reset_armed = false;
@@ -579,10 +634,13 @@ let accept_ready d =
   loop ()
 
 let read_conn d conn =
-  match Unix.read conn.c_fd read_chunk 0 (Bytes.length read_chunk) with
+  let inb = conn.c_in in
+  Bytebuf.reserve inb conn_buffer_bytes;
+  let buf = inb.Bytebuf.buf and stop = inb.Bytebuf.stop in
+  match Unix.read conn.c_fd buf stop (Bytes.length buf - stop) with
   | 0 -> conn.c_dead <- true
   | n ->
-      Buffer.add_subbytes conn.c_in read_chunk 0 n;
+      Bytebuf.commit inb n;
       process_input d conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -590,14 +648,13 @@ let read_conn d conn =
   | exception Unix.Unix_error _ -> conn.c_dead <- true
 
 let write_conn conn =
-  if (not conn.c_dead) && conn.c_out <> "" then
+  let out = conn.c_out in
+  if (not conn.c_dead) && Bytebuf.length out > 0 then
     match
-      Unix.single_write_substring conn.c_fd conn.c_out 0
-        (String.length conn.c_out)
+      Unix.single_write conn.c_fd out.Bytebuf.buf out.Bytebuf.start
+        (Bytebuf.length out)
     with
-    | n ->
-        conn.c_out <-
-          String.sub conn.c_out n (String.length conn.c_out - n)
+    | n -> Bytebuf.consume out n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
@@ -662,6 +719,7 @@ let run ?on_ready (d : t) : unit =
   Fun.protect ~finally:restore (fun () ->
       (match on_ready with Some f -> f () | None -> ());
       let finished = ref false in
+      let nursery_mark = ref (Gc.minor_words () +. nursery_words) in
       while not !finished do
         if !sig_requested then begin_drain d;
         let now = Unix.gettimeofday () in
@@ -676,7 +734,9 @@ let run ?on_ready (d : t) : unit =
         in
         let write_fds =
           List.filter_map
-            (fun c -> if (not c.c_dead) && c.c_out <> "" then Some c.c_fd else None)
+            (fun c ->
+              if (not c.c_dead) && Bytebuf.length c.c_out > 0 then Some c.c_fd
+              else None)
             d.conns
         in
         let wake =
@@ -713,13 +773,17 @@ let run ?on_ready (d : t) : unit =
         (* retire finished connections *)
         let gone, live =
           List.partition
-            (fun c -> c.c_dead || (c.c_closing && c.c_out = ""))
+            (fun c -> c.c_dead || (c.c_closing && Bytebuf.length c.c_out = 0))
             d.conns
         in
         List.iter close_conn gone;
         d.conns <- live;
         Metrics.set g_queue (Serve.Pool.pending pool);
         Metrics.set g_inflight (Serve.Pool.inflight pool);
+        if Gc.minor_words () >= !nursery_mark then begin
+          Gc.minor ();
+          nursery_mark := Gc.minor_words () +. nursery_words
+        end;
         if d.draining then
           if Serve.Pool.idle pool then finished := true
           else if

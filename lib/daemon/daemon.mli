@@ -75,7 +75,10 @@
     [daemon.shed_rate], [daemon.rejected_bad_frame], [daemon.warm_hits],
     [daemon.cold_ms], [daemon.warm_ms], [daemon.drain_ms],
     [daemon.degraded], [daemon.cache_evictions], [daemon.chaos_injected],
-    [daemon.queue_depth], [daemon.inflight], [daemon.tier]. *)
+    [daemon.queue_depth], [daemon.inflight], [daemon.tier], and the
+    daemon's own heap read from [Gc.quick_stat] when stats are built:
+    [daemon.gc_minor_words], [daemon.gc_major_words],
+    [daemon.gc_major_collections], [daemon.heap_words]. *)
 
 module Serve = Prax_serve.Serve
 module Inject = Prax_guard.Inject

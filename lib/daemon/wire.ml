@@ -1,22 +1,31 @@
 (** prax.wire v1 — see wire.mli for the grammar. *)
 
 module Metrics = Prax_metrics.Metrics
+module Store = Prax_store.Store
 
 let schema_name = "prax.wire"
 let schema_version = 1
 
-type op =
+type 'source operation =
   | Ping
   | Stats
   | Drain
   | Analyze of {
       analysis : string;
       input : string;
-      source : string;
+      source : 'source;
       config : (string * string) list;
     }
 
-type request = { id : Metrics.json; client : string option; op : op }
+type op = string operation
+
+type 'source request_with = {
+  id : Metrics.json;
+  client : string option;
+  op : 'source operation;
+}
+
+type request = string request_with
 
 let header =
   [
@@ -41,10 +50,49 @@ let str_field name j =
   | Some _ -> Error (Printf.sprintf "field %s must be a string" name)
   | None -> Error (Printf.sprintf "missing field %s" name)
 
-let parse_request line : (request, string) result =
-  match Metrics.json_of_string line with
-  | exception _ -> Error "malformed JSON"
-  | j -> (
+(* --- the request parser --------------------------------------------------- *)
+
+(* The decoded [source] of the latest request lives in [text]; [gen]
+   counts parses, so a {!source} from an earlier one is detected. *)
+type parser = { text : Bytebuf.t; mutable gen : int }
+
+type source = { sp : parser; s_gen : int; s_digest : string }
+
+let create_parser () = { text = Bytebuf.create 256; gen = 0 }
+let source_digest src = src.s_digest
+
+let source_text src =
+  if src.s_gen <> src.sp.gen then
+    invalid_arg "Wire.source_text: the parser has read another request";
+  Bytebuf.contents src.sp.text
+
+let config_of j =
+  match Metrics.member "config" j with
+  | None | Some Metrics.Null -> Ok []
+  | Some (Metrics.Obj kvs) ->
+      let rec conv acc = function
+        | [] -> Ok (List.rev acc)
+        | (k, Metrics.Str v) :: rest -> conv ((k, v) :: acc) rest
+        | (k, _) :: _ ->
+            Error (Printf.sprintf "config value for %s must be a string" k)
+      in
+      conv [] kvs
+  | Some _ -> Error "config must be an object"
+
+(* [line] is only read during the call: every string in the result is a
+   copy, and the source is decoded into the parser's own buffer *)
+let parse_with p (line : string) ~pos ~len :
+    (source request_with, string) result =
+  p.gen <- p.gen + 1;
+  let t = p.text in
+  let room k =
+    Bytebuf.clear t;
+    Bytebuf.reserve t k;
+    t.Bytebuf.buf
+  in
+  match Metrics.json_of_substring ~defer:("source", room) line ~pos ~len with
+  | exception Metrics.Json_error _ -> Error "malformed JSON"
+  | j, decoded -> (
       match check_header j with
       | Error _ as e -> e
       | Ok () -> (
@@ -60,29 +108,28 @@ let parse_request line : (request, string) result =
           | Ok "stats" -> Ok { id; client; op = Stats }
           | Ok "drain" -> Ok { id; client; op = Drain }
           | Ok "analyze" -> (
+              let source =
+                if decoded >= 0 then begin
+                  Bytebuf.commit t decoded;
+                  Ok
+                    {
+                      sp = p;
+                      s_gen = p.gen;
+                      s_digest =
+                        Store.digest_source_sub t.Bytebuf.buf 0 decoded;
+                    }
+                end
+                else
+                  (* absent, or not a string: the reader built it *)
+                  match str_field "source" j with
+                  | Error _ as e -> e
+                  | Ok _ -> Error "field source must be a string"
+              in
               match
-                ( str_field "analysis" j,
-                  str_field "input" j,
-                  str_field "source" j )
+                (str_field "analysis" j, str_field "input" j, source)
               with
               | Ok analysis, Ok input, Ok source -> (
-                  let config_result =
-                    match Metrics.member "config" j with
-                    | None | Some Metrics.Null -> Ok []
-                    | Some (Metrics.Obj kvs) ->
-                        let rec conv acc = function
-                          | [] -> Ok (List.rev acc)
-                          | (k, Metrics.Str v) :: rest ->
-                              conv ((k, v) :: acc) rest
-                          | (k, _) :: _ ->
-                              Error
-                                (Printf.sprintf
-                                   "config value for %s must be a string" k)
-                        in
-                        conv [] kvs
-                    | Some _ -> Error "config must be an object"
-                  in
-                  match config_result with
+                  match config_of j with
                   | Ok config ->
                       Ok { id; client; op = Analyze { analysis; input; source; config } }
                   | Error _ as e -> e)
@@ -90,6 +137,23 @@ let parse_request line : (request, string) result =
                 ->
                   e)
           | Ok other -> Error (Printf.sprintf "unknown op %S" other)))
+
+let parse_bytes p b ~pos ~len = parse_with p (Bytes.unsafe_to_string b) ~pos ~len
+
+let parse_request line : (request, string) result =
+  let len = String.length line in
+  match parse_with (create_parser ()) line ~pos:0 ~len with
+  | Error _ as e -> e
+  | Ok { id; client; op } ->
+      let op =
+        match op with
+        | Ping -> Ping
+        | Stats -> Stats
+        | Drain -> Drain
+        | Analyze { analysis; input; source; config } ->
+            Analyze { analysis; input; source = source_text source; config }
+      in
+      Ok { id; client; op }
 
 let request_to_string (r : request) : string =
   let op_fields =
@@ -125,26 +189,26 @@ let canonical_report payload =
   | j -> Some (Metrics.json_to_string j)
   | exception _ -> None
 
-let response_with_report ~id ~status extra ~report : string =
+let add_response b ~id ~status extra =
+  Bytebuf.add_string b (response ~id ~status extra)
+
+let add_response_with_report b ~id ~status extra ~report =
   (* the header object without its closing brace, then the report field
      last — the field order {!response} would give it *)
   let head = response ~id ~status extra in
-  let field = ",\"report\":" in
-  let h = String.length head - 1
-  and f = String.length field
-  and r = String.length report in
-  let b = Bytes.create (h + f + r + 1) in
-  Bytes.blit_string head 0 b 0 h;
-  Bytes.blit_string field 0 b h f;
-  Bytes.blit_string report 0 b (h + f) r;
-  Bytes.set b (h + f + r) '}';
-  Bytes.unsafe_to_string b
+  Bytebuf.add_substring b head 0 (String.length head - 1);
+  Bytebuf.add_string b ",\"report\":";
+  Bytebuf.add_string b report;
+  Bytebuf.add_char b '}'
 
-let worker_response ~id ~status extra payload =
-  if Metrics.json_valid payload then
-    (Some payload, response_with_report ~id ~status extra ~report:payload)
-  else
-    (None, response ~id ~status (extra @ [ ("report", Metrics.Str payload) ]))
+let worker_report payload =
+  if Metrics.json_valid payload then Some payload else None
+
+let add_worker_response b ~id ~status extra payload ~report =
+  match report with
+  | Some report -> add_response_with_report b ~id ~status extra ~report
+  | None ->
+      add_response b ~id ~status (extra @ [ ("report", Metrics.Str payload) ])
 
 let response_status (j : Metrics.json) : (string, string) result =
   match check_header j with

@@ -56,27 +56,60 @@ val schema_name : string
 val schema_version : int
 (** [1] *)
 
-type op =
+type 'source operation =
   | Ping
   | Stats
   | Drain
   | Analyze of {
       analysis : string;
       input : string;  (** display name / path, for reports and logs *)
-      source : string;  (** the program text *)
+      source : 'source;  (** the program text *)
       config : (string * string) list;
     }
 
-type request = {
+type op = string operation
+
+type 'source request_with = {
   id : Metrics.json;  (** echoed in the response; [Null] when absent *)
   client : string option;  (** rate-limit identity *)
-  op : op;
+  op : 'source operation;
 }
+
+type request = string request_with
 
 val parse_request : string -> (request, string) result
 (** Parse one request line (sans newline).  [Error] is the rejection
     reason for a ["rejected"] response: not JSON, wrong schema name,
     unsupported version, unknown op, missing field. *)
+
+(** {2 Parsing in place}
+
+    The daemon reads a request line where it lies in its connection
+    buffer and never builds the source string of a warm hit.  A
+    {!parser} owns the buffer the [source] field is decoded into; the
+    request it returns carries a {!source} view of that buffer, valid
+    until the parser reads its next request. *)
+
+type parser
+
+val create_parser : unit -> parser
+
+type source
+
+val parse_bytes :
+  parser -> Bytes.t -> pos:int -> len:int -> (source request_with, string) result
+(** {!parse_request} of the line [b.[pos..pos+len-1]], with the same
+    [Error]s.  [b] is only read during the call.  An [analyze]
+    request's source is decoded into the parser's buffer and digested
+    there. *)
+
+val source_digest : source -> string
+(** {!Prax_store.Store.digest_source} of the program text. *)
+
+val source_text : source -> string
+(** A copy of the program text — the one allocation of its size, made
+    on a miss.  Raises [Invalid_argument] once the parser has read
+    another request. *)
 
 val request_to_string : request -> string
 (** Serialize a request as one line (no trailing newline) — the client
@@ -92,22 +125,35 @@ val canonical_report : string -> string option
     The daemon admits a store snapshot to its cache only in this form:
     another printer may have written it. *)
 
-val response_with_report : id:Metrics.json -> status:string ->
-  (string * Metrics.json) list -> report:string -> string
+(** {2 Writing responses into a buffer}
+
+    Each appends one response line, without its newline, to [b]. *)
+
+val add_response : Bytebuf.t -> id:Metrics.json -> status:string ->
+  (string * Metrics.json) list -> unit
+(** The bytes of {!response}. *)
+
+val add_response_with_report : Bytebuf.t -> id:Metrics.json -> status:string ->
+  (string * Metrics.json) list -> report:string -> unit
 (** [response ~id ~status (extra @ [("report", r)])], where [r] is the
     parsed [report], without parsing: the response header, then
     ["report":] and [report] spliced in as raw bytes.  [report] must be
     canonical JSON; the line is then byte-identical to the parsing
     form. *)
 
-val worker_response : id:Metrics.json -> status:string ->
-  (string * Metrics.json) list -> string -> string option * string
-(** The answer to a worker's MD5-verified [payload]: the report to
-    cache and the response line.  A worker prints its report with
-    {!Metrics.json_to_string}, which is canonical, so a payload that is
-    one JSON value ({!Metrics.json_valid}) is spliced as it is, never
-    parsed, and is the report to cache.  Any other payload is carried as
-    a JSON string [report] field and not cached. *)
+val worker_report : string -> string option
+(** The report in a worker's MD5-verified [payload], to splice and to
+    cache.  A worker prints its report with {!Metrics.json_to_string},
+    which is canonical, so a payload that is one JSON value
+    ({!Metrics.json_valid}) is the report as it is, never parsed.  Any
+    other payload has none. *)
+
+val add_worker_response : Bytebuf.t -> id:Metrics.json -> status:string ->
+  (string * Metrics.json) list -> string -> report:string option -> unit
+(** The answer to a worker's [payload], whose [report] is
+    [worker_report payload]: the report spliced by
+    {!add_response_with_report}, or else the payload as a JSON string
+    [report] field. *)
 
 val response_status : Metrics.json -> (string, string) result
 (** Validate a parsed response's schema header and extract its

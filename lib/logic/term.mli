@@ -4,9 +4,9 @@
     The representation is interned and hash-consed:
 
     - functor and atom names are interned through {!Symbol}, so every
-      [Atom]/[Struct] carries one canonical [string] instance per name
-      and name equality on stored terms degenerates to pointer equality
-      inside [String.equal];
+      [Atom]/[Struct] carries one canonical [string] instance per name,
+      and two terms' names are equal exactly when they are physically
+      equal ([==]) — the trie and answer matching compare them so;
     - every [Struct] node carries a packed meta word holding its
       precomputed structural hash, node count, and ground flag, so
       {!hash}, {!size}, and {!is_ground} are O(1);

@@ -15,8 +15,8 @@
     Child edges are scanned linearly: tabled-analysis domains branch
     over tiny alphabets ([true]/[false]/a variable, a handful of functor
     names), so a per-node hash table would cost more than it saves.
-    Label comparison against a term head is pointer-first on interned
-    names with a structural fallback, never allocating. *)
+    Label comparison against a term head compares interned names by
+    pointer, never allocating. *)
 
 module Metrics = Prax_metrics.Metrics
 
@@ -66,16 +66,17 @@ let clear t =
   t.count <- 0;
   t.nodes <- 0
 
-(* Does edge label [lbl] match the head of term [x]?  Interned names
-   make the pointer test hit almost always; [String.equal] keeps the
-   test sound for names interned by another domain. *)
+(* Does edge label [lbl] match the head of term [x]?  Labels take their
+   names from terms, and a term's name is the one interned instance of
+   its spelling ([Term.t] is private, so every term is built through
+   {!Symbol.intern}): names are equal exactly when they are the same
+   pointer, and a mismatched edge costs no string comparison. *)
 let label_matches lbl (x : Term.t) =
   match (lbl, x) with
   | Lvar i, Term.Var j -> i = j
   | Lint i, Term.Int j -> i = j
-  | Latom a, Term.Atom b -> a == b || String.equal a b
-  | Lfun (f, n), Term.Struct (g, args, _) ->
-      n = Array.length args && (f == g || String.equal f g)
+  | Latom a, Term.Atom b -> a == b
+  | Lfun (f, n), Term.Struct (g, args, _) -> f == g && n = Array.length args
   | _ -> false
 
 let label_of (x : Term.t) =
@@ -304,7 +305,8 @@ let fold f t acc =
 
 (* A key's first label is its root functor, so the keys of [name/arity]
    all lie under the root edges labelled with it: [Lfun (name, arity)],
-   or [Latom name] for a nullary key. *)
+   or [Latom name] for a nullary key.  [name] comes from the caller, not
+   from a term, so it may be another instance of the spelling. *)
 let fold_functor (name, arity) f t acc =
   let acc = ref acc in
   let root = t.root in

@@ -143,14 +143,14 @@ let rec match_answer s (g : Term.t) (a : Term.t) : Subst.t =
           | _ -> raise_notrace Clash)
       | Term.Atom b -> (
           match a with
-          | Term.Atom c when c == b || String.equal c b -> s
+          | Term.Atom c when c == b -> s  (* interned: one pointer per name *)
           | _ -> raise_notrace Clash)
       | Term.Struct _ -> raise_notrace Clash)
   | Term.Struct (f, aargs, _) -> (
       match Subst.walk s g with
       | Term.Var i -> Subst.bind s i (copy_answer a)
       | Term.Struct (h, gargs, _) as g'
-        when String.equal f h && Array.length gargs = Array.length aargs ->
+        when f == h && Array.length gargs = Array.length aargs ->
           (* a pointer test is sound only on the ground answer: answer
              variables are pattern variables, never live ones *)
           if not (Term.is_ground a) then match_args s gargs aargs 0

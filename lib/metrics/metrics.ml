@@ -416,13 +416,21 @@ let lit_end s n i word =
   if word_at s n i word 0 then i + String.length word else -1
 
 (* A minimal strict JSON reader, enough to round-trip {!json_to_string}
-   output in tests and small harnesses.  Not a streaming parser.  A
-   string without escapes is one [String.sub]; with escapes, the runs
-   between them are copied whole. *)
-let json_of_string (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+   output in tests and small harnesses.  Not a streaming parser.  It
+   reads [s.[start..stop-1]] where it lies; error offsets count from
+   [start].  A string without escapes is one [String.sub]; one with
+   escapes is decoded in one pass into bytes of its encoded length,
+   which always suffice: an escape never decodes to more bytes than it
+   takes.  With [defer = (name, room)], the first member of a top-level
+   object named [name] whose value is a string is decoded into
+   [room n] instead of built, and its decoded length is returned. *)
+let json_read ?defer (s : string) start stop : json * int =
+  let n = stop in
+  let pos = ref start in
+  let fail msg =
+    raise (Json_error (Printf.sprintf "%s at offset %d" msg (!pos - start)))
+  in
+  let deferred = ref (-1) and defer_seen = ref (Option.is_none defer) in
   let next () =
     if !pos >= n then fail "unexpected end of input"
     else begin
@@ -447,45 +455,60 @@ let json_of_string (s : string) : json =
       | '"' | '\\' -> i
       | _ -> run_end (i + 1)
   in
+  (* the run from [i] copied to [dst] from [j] (blitted whole: runs
+     between escapes are short, and a per-byte copy costs more than the
+     call); [pos] is left at its end, and the result is the end in
+     [dst] *)
+  let copy_run dst i j =
+    let k = run_end i in
+    Bytes.blit_string s i dst j (k - i);
+    pos := k;
+    j + (k - i)
+  in
+  (* a string body from [i], decoded to [dst] from [j] and read past its
+     closing quote; the result is the decoded end *)
+  let rec decode_into dst i j =
+    let j = copy_run dst i j in
+    match next () with
+    | '"' -> j
+    | _ (* a backslash *) -> (
+        match next () with
+        | 'u' ->
+            if !pos + 4 > n then (pos := n; fail "unexpected end of input");
+            let code = u_escape s !pos in
+            pos := !pos + 4;
+            if code < 0 then fail "bad \\u escape";
+            decode_into dst !pos
+              (j + Bytes.set_utf_8_uchar dst j (Uchar.of_int code))
+        | c ->
+            Bytes.set dst j
+              (match c with
+              | '"' -> '"'
+              | '\\' -> '\\'
+              | '/' -> '/'
+              | 'n' -> '\n'
+              | 'r' -> '\r'
+              | 't' -> '\t'
+              | 'b' -> '\b'
+              | 'f' -> '\012'
+              | _ -> fail "bad escape");
+            decode_into dst !pos (j + 1))
+  in
   let parse_string () =
     expect '"';
     let start = !pos in
     let i = run_end start in
-    if i >= n then (pos := n; fail "unexpected end of input")
-    else if s.[i] = '"' then begin
+    if i < n && s.[i] = '"' then begin
       pos := i + 1;
       String.sub s start (i - start)
     end
     else
-      (* [s.[start..i-1]] is a run, [i] is at a backslash.  An escape
-         never decodes to more bytes than it takes, so a well-formed
-         string fits a buffer of its encoded length. *)
-      let b = Buffer.create (max 16 (string_end s n start - start)) in
-      let rec escaped start i =
-        Buffer.add_substring b s start (i - start);
-        pos := i;
-        match next () with
-        | '"' -> Buffer.contents b
-        | _ (* a backslash *) ->
-            (match next () with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'u' ->
-                if !pos + 4 > n then (pos := n; fail "unexpected end of input");
-                let code = u_escape s !pos in
-                pos := !pos + 4;
-                if code < 0 then fail "bad \\u escape";
-                Buffer.add_utf_8_uchar b (Uchar.of_int code)
-            | _ -> fail "bad escape");
-            escaped !pos (run_end !pos)
-      in
-      escaped start i
+      (* a malformed body fails inside [decode_into], whose bytes then
+         need the rest of the input at most *)
+      let e = string_end s n start in
+      let dst = Bytes.create (if e < 0 then n - start else e - start) in
+      let len = decode_into dst start 0 in
+      Bytes.sub_string dst 0 len
   in
   let parse_number () =
     let start = !pos in
@@ -505,7 +528,21 @@ let json_of_string (s : string) : json =
     end
     else fail "bad number"
   in
-  let rec parse_value () =
+  (* the deferred member's value, decoded into the caller's bytes *)
+  let deferred_value k =
+    match defer with
+    | Some (name, room) when (not !defer_seen) && String.equal k name ->
+        defer_seen := true;
+        skip_ws ();
+        if !pos < n && s.[!pos] = '"' then begin
+          Stdlib.incr pos;
+          deferred := decode_into (room (n - !pos)) !pos 0;
+          Some Null
+        end
+        else None
+    | _ -> None
+  in
+  let rec parse_value top =
     skip_ws ();
     if !pos >= n then fail "unexpected end of input"
     else
@@ -521,7 +558,11 @@ let json_of_string (s : string) : json =
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v =
+                match if top then deferred_value k else None with
+                | Some v -> v
+                | None -> parse_value false
+              in
               skip_ws ();
               match next () with
               | ',' -> fields ((k, v) :: acc)
@@ -535,7 +576,7 @@ let json_of_string (s : string) : json =
           if !pos < n && s.[!pos] = ']' then (Stdlib.incr pos; Arr [])
           else
             let rec els acc =
-              let v = parse_value () in
+              let v = parse_value false in
               skip_ws ();
               match next () with
               | ',' -> els (v :: acc)
@@ -548,10 +589,17 @@ let json_of_string (s : string) : json =
       | 'n' -> literal "null" Null
       | _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value (Option.is_some defer) in
   skip_ws ();
   if !pos <> n then fail "trailing input";
-  v
+  (v, !deferred)
+
+let json_of_string s = fst (json_read s 0 (String.length s))
+
+let json_of_substring ?defer s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Metrics.json_of_substring";
+  json_read ?defer s pos (pos + len)
 
 (* [json_of_string]'s grammar without building anything: each function
    returns the index past its value, or -1 where the reader raises. *)

@@ -164,6 +164,22 @@ val json_of_string : string -> json
     input, a [\u] escape that names a UTF-16 surrogate included.  Used
     by the wire protocol, the round-trip tests and harnesses. *)
 
+val json_of_substring :
+  ?defer:string * (int -> Bytes.t) ->
+  string ->
+  pos:int ->
+  len:int ->
+  json * int
+(** {!json_of_string} of [String.sub s pos len], read where it lies.
+    With [defer = (name, room)], the first member of the top-level
+    object named [name], when its value is a string, is not built: it
+    is decoded into [room k] from index 0, where [room k] returns bytes
+    of length at least [k], and it reads as [Null] in the result.  The
+    int is its decoded length, or [-1] when no member was decoded.  A
+    caller that reads a large string field this way, into bytes it
+    reuses, allocates nothing of its size.  Error offsets count from
+    [pos]. *)
+
 val json_valid : string -> bool
 (** [json_valid s] holds exactly when [json_of_string s] returns: [s] is
     one JSON value, with surrounding whitespace only.  Builds nothing;

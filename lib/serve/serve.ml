@@ -154,11 +154,10 @@ let put_u32 b n =
   Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
   Buffer.add_char b (Char.chr (n land 0xff))
 
-let get_u32 s i =
-  (Char.code s.[i] lsl 24)
-  lor (Char.code s.[i + 1] lsl 16)
-  lor (Char.code s.[i + 2] lsl 8)
-  lor Char.code s.[i + 3]
+(* header fields are read where they lie in the result buffer *)
+let get_u16 b i =
+  (Char.code (Buffer.nth b i) lsl 8) lor Char.code (Buffer.nth b (i + 1))
+let get_u32 b i = (get_u16 b i lsl 16) lor get_u16 b (i + 2)
 
 let encode_frame ~cpu_us ~retire (status : worker_status) (payload : string) :
     string =
@@ -191,13 +190,14 @@ let encode_frame ~cpu_us ~retire (status : worker_status) (payload : string) :
    soon as the header can never verify. *)
 let frame_extent ~max_frame_bytes (buf : Buffer.t) =
   let n = Buffer.length buf in
-  if n >= 4 && not (String.equal (Buffer.sub buf 0 4) frame_magic) then
-    `Bad "bad frame magic"
+  let rec magic_ok i =
+    i >= 4 || (Buffer.nth buf i = frame_magic.[i] && magic_ok (i + 1))
+  in
+  if n >= 4 && not (magic_ok 0) then `Bad "bad frame magic"
   else if n < frame_header_len then `Partial
   else
-    let h = Buffer.sub buf 0 frame_header_len in
-    let rlen = (Char.code h.[6] lsl 8) lor Char.code h.[7] in
-    let plen = get_u32 h 8 in
+    let rlen = get_u16 buf 6 in
+    let plen = get_u32 buf 8 in
     if plen > max_frame_bytes then `Bad "frame payload over limit"
     else
       let total = frame_header_len + rlen + plen in
@@ -212,13 +212,13 @@ type frame = {
   f_retire : bool;
 }
 
-(* [raw] is exactly one frame's bytes, as {!frame_extent} measured *)
-let decode_frame (raw : string) : (frame, string) result =
-  let rlen = (Char.code raw.[6] lsl 8) lor Char.code raw.[7] in
+(* [raw] holds exactly one frame, as {!frame_extent} measured.  The
+   payload is copied out of it once, into the string the host keeps. *)
+let decode_frame (raw : Buffer.t) : (frame, string) result =
+  let rlen = get_u16 raw 6 in
   let plen = get_u32 raw 8 in
-  let digest = String.sub raw 16 16 in
-  let reason = String.sub raw frame_header_len rlen in
-  let payload = String.sub raw (frame_header_len + rlen) plen in
+  let digest = Buffer.sub raw 16 16 in
+  let payload = Buffer.sub raw (frame_header_len + rlen) plen in
   if not (String.equal (Digest.string payload) digest) then
     Error "frame digest mismatch"
   else
@@ -228,13 +228,14 @@ let decode_frame (raw : string) : (frame, string) result =
           f_status = status;
           f_payload = payload;
           f_cpu_us = get_u32 raw 12;
-          f_retire = raw.[5] = 'R';
+          f_retire = Buffer.nth raw 5 = 'R';
         }
     in
-    match raw.[4] with
+    let reason () = Buffer.sub raw frame_header_len rlen in
+    match Buffer.nth raw 4 with
     | 'C' -> frame Complete
-    | 'P' -> frame (Partial_result reason)
-    | 'I' -> frame (Invalid_input reason)
+    | 'P' -> frame (Partial_result (reason ()))
+    | 'I' -> frame (Invalid_input (reason ()))
     | c -> Error (Printf.sprintf "unknown frame status %C" c)
 
 (* --- child side ---------------------------------------------------------- *)
@@ -652,7 +653,7 @@ module Pool = struct
         | `Partial -> None
         | `Bad err -> reject err
         | `Complete -> (
-            match decode_frame (Buffer.contents k.k_result_buf) with
+            match decode_frame k.k_result_buf with
             | Error err -> reject err
             | Ok f ->
                 k.k_attempt <- None;

@@ -48,6 +48,7 @@ type key = {
 }
 
 let digest_source src = Digest.to_hex (Digest.string src)
+let digest_source_sub b pos len = Digest.to_hex (Digest.subbytes b pos len)
 
 type t = { root : string }
 

@@ -44,6 +44,10 @@ type key = {
 val digest_source : string -> string
 (** Hex digest (MD5) of a program source text, for {!key.source_digest}. *)
 
+val digest_source_sub : Bytes.t -> int -> int -> string
+(** [digest_source_sub b pos len] is [digest_source] of those bytes,
+    read where they lie. *)
+
 type t
 
 val open_dir : string -> t

@@ -7,6 +7,7 @@
 
 module Metrics = Prax_metrics.Metrics
 module Wire = Prax_daemon.Wire
+module Bytebuf = Prax_daemon.Bytebuf
 module Admission = Prax_daemon.Admission
 module Pressure = Prax_daemon.Pressure
 module Lru = Prax_daemon.Lru
@@ -286,6 +287,68 @@ let test_wire_grammar () =
   match Wire.response_status (Metrics.json_of_string line) with
   | Ok s -> Alcotest.(check string) "status extracted" "overloaded" s
   | Error e -> Alcotest.failf "response rejected: %s" e
+
+(* One reused parser reads each light-corpus request where it lies in a
+   buffer, between other bytes: the fields are those the string parser
+   gives, the source decodes to the text and digests to its store key,
+   and a source view from an earlier request refuses to be read.  Bad
+   lines are rejected with the string parser's reasons. *)
+let test_wire_parse_in_place () =
+  let p = Wire.create_parser () in
+  let in_place line =
+    let b = Bytes.of_string ("junk\n" ^ line ^ "\nmore") in
+    Wire.parse_bytes p b ~pos:5 ~len:(String.length line)
+  in
+  let previous = ref None in
+  List.iteri
+    (fun i (analysis, input, source) ->
+      let line =
+        Wire.request_to_string
+          {
+            Wire.id = Metrics.Int i;
+            client = Some "in-place";
+            op =
+              Wire.Analyze
+                { analysis; input; source; config = [ ("mode", "compiled") ] };
+          }
+      in
+      match in_place line with
+      | Error e -> Alcotest.failf "%s: %s" input e
+      | Ok { Wire.id; client; op = Wire.Analyze a } ->
+          Alcotest.(check bool) (input ^ ": id") true (id = Metrics.Int i);
+          Alcotest.(check (option string)) (input ^ ": client")
+            (Some "in-place") client;
+          Alcotest.(check string) (input ^ ": analysis") analysis a.analysis;
+          Alcotest.(check string) (input ^ ": input") input a.input;
+          Alcotest.(check (list (pair string string)))
+            (input ^ ": config") [ ("mode", "compiled") ] a.config;
+          Alcotest.(check string) (input ^ ": source text") source
+            (Wire.source_text a.source);
+          Alcotest.(check string) (input ^ ": source digest")
+            (Store.digest_source source) (Wire.source_digest a.source);
+          (match !previous with
+          | Some old -> (
+              match Wire.source_text old with
+              | _ -> Alcotest.failf "%s: a stale source view was read" input
+              | exception Invalid_argument _ -> ())
+          | None -> ());
+          previous := Some a.source
+      | Ok _ -> Alcotest.failf "%s: not an analyze request" input)
+    Registry.light_corpus;
+  List.iter
+    (fun line ->
+      let reason = function Ok _ -> "accepted" | Error e -> e in
+      Alcotest.(check string) line
+        (reason (Wire.parse_request line))
+        (reason (in_place line)))
+    [
+      "]junk[";
+      {|{"wire":"prax.wire","version":1,"op":"analyze","analysis":"g","input":"f"}|};
+      {|{"wire":"prax.wire","version":1,"op":"analyze","analysis":"g","input":"f","source":3}|};
+      {|{"wire":"prax.wire","version":1,"op":"analyze","analysis":"g","input":"f","source":"s","config":{"k":2}}|};
+      {|{"wire":"prax.wire","version":1,"op":"analyze","analysis":"g","source":"s\q"}|};
+      {|{"wire":"prax.wire","version":1,"op":"ping","source":"s"} x|};
+    ]
 
 (* The request decoder never raises, whatever the bytes: every prefix of
    a corpus analyze line, byte flips and stray control bytes under a
@@ -861,12 +924,30 @@ let report_field payload =
   | j -> [ ("report", j) ]
   | exception Metrics.Json_error _ -> [ ("report", Metrics.Str payload) ]
 
+(* one response line, as {!Wire}'s writers put it into a buffer *)
+let line_of write =
+  let b = Bytebuf.create 16 in
+  write b;
+  Bytebuf.contents b
+
 (* The daemon splices a report's bytes after the response header instead
    of re-parsing them: a worker's payload as the worker printed it, a
    cached one as the cache holds it.  On every light-corpus report the
-   spliced line equals the parsing form byte for byte. *)
+   spliced line equals the parsing form byte for byte — alone, and as a
+   warm hit written through one long-lived output buffer that other
+   lines share and that the socket drains in uneven pieces. *)
 let test_spliced_reports_identical () =
   let id = Metrics.Int 42 in
+  let out = Bytebuf.create 64 in
+  let drained = Buffer.create 4096 in
+  let expected = ref [] in
+  let rng = Random.State.make [| 31 |] in
+  let drain_some () =
+    let n = Random.State.int rng (Bytebuf.length out + 1) in
+    Buffer.add_string drained
+      (Bytes.sub_string out.Bytebuf.buf out.Bytebuf.start n);
+    Bytebuf.consume out n
+  in
   List.iter
     (fun (analysis, input, source) ->
       let a = Option.get (Analysis.find analysis) in
@@ -882,21 +963,23 @@ let test_spliced_reports_identical () =
       Alcotest.(check string)
         (Printf.sprintf "%s %s: worker print is canonical" analysis input)
         report payload;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: report cached as printed" analysis input)
+        true
+        (Wire.worker_report payload = Some payload);
       let check what ~status extra =
         let parsed = Wire.response ~id ~status (extra @ report_field payload) in
         Alcotest.(check string)
           (Printf.sprintf "%s %s: %s line" analysis input what)
           parsed
-          (Wire.response_with_report ~id ~status extra ~report);
-        let cached, line = Wire.worker_response ~id ~status extra payload in
+          (line_of (fun b ->
+               Wire.add_response_with_report b ~id ~status extra ~report));
         Alcotest.(check string)
           (Printf.sprintf "%s %s: %s worker line" analysis input what)
-          parsed line;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s %s: %s report cached as printed" analysis input
-             what)
-          true
-          (cached = Some payload)
+          parsed
+          (line_of (fun b ->
+               Wire.add_worker_response b ~id ~status extra payload
+                 ~report:(Some payload)))
       in
       check "cached" ~status:"cached" [];
       check "complete" ~status:"complete" [ ("attempts", Metrics.Int 1) ];
@@ -907,8 +990,26 @@ let test_spliced_reports_identical () =
           ("tier", Metrics.Int 1);
           ("tier_label", Metrics.Str "reduced");
           ("attempts", Metrics.Int 2);
-        ])
-    Registry.light_corpus
+        ];
+      (* a warm hit behind a short answer in the shared buffer *)
+      let pong = Wire.response ~id ~status:"ok" [ ("pid", Metrics.Int 7) ] in
+      Wire.add_response out ~id ~status:"ok" [ ("pid", Metrics.Int 7) ];
+      Bytebuf.add_char out '\n';
+      Wire.add_response_with_report out ~id ~status:"cached" [] ~report;
+      Bytebuf.add_char out '\n';
+      expected :=
+        Wire.response ~id ~status:"cached" (report_field payload)
+        :: pong :: !expected;
+      drain_some ())
+    Registry.light_corpus;
+  while Bytebuf.length out > 0 do
+    drain_some ()
+  done;
+  Alcotest.(check (list string))
+    "warm hits through the output buffer"
+    (List.rev !expected)
+    (List.filter (( <> ) "")
+       (String.split_on_char '\n' (Buffer.contents drained)))
 
 (* A worker payload that is not one JSON value (cut short, or not JSON
    at all) is never spliced or cached: the answer carries it as a string
@@ -924,8 +1025,11 @@ let test_non_json_worker_payload () =
   in
   List.iter
     (fun payload ->
-      let cached, line =
-        Wire.worker_response ~id ~status:"complete" extra payload
+      let cached = Wire.worker_report payload in
+      let line =
+        line_of (fun b ->
+            Wire.add_worker_response b ~id ~status:"complete" extra payload
+              ~report:cached)
       in
       Alcotest.(check bool) "not cached" true (cached = None);
       Alcotest.(check string) "the parsing form"
@@ -1532,6 +1636,254 @@ let test_chaos_bad_plan_fails_startup () =
         [ (Inject.inject_daemon_var, "meteor@1") ] );
     ]
 
+(* --- e2e: connection framing ----------------------------------------------- *)
+
+(* A buffered line reader over a raw socket: [`Line] without its
+   newline, or [`Eof] (a partial last line is dropped). *)
+let line_reader ?(timeout = 10.) fd =
+  let b = Bytebuf.create 65536 in
+  let rec newline i =
+    if i >= b.Bytebuf.stop then -1
+    else if Bytes.get b.Bytebuf.buf i = '\n' then i
+    else newline (i + 1)
+  in
+  let deadline () = Unix.gettimeofday () +. timeout in
+  let rec next until =
+    let i = newline b.Bytebuf.start in
+    if i >= 0 then begin
+      let start = b.Bytebuf.start in
+      let line = Bytes.sub_string b.Bytebuf.buf start (i - start) in
+      Bytebuf.consume b (i + 1 - start);
+      `Line line
+    end
+    else
+      let left = until -. Unix.gettimeofday () in
+      if left <= 0. then Alcotest.fail "timed out awaiting response line";
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> next until
+      | _ -> (
+          Bytebuf.reserve b 65536;
+          let stop = b.Bytebuf.stop in
+          match
+            Unix.read fd b.Bytebuf.buf stop (Bytes.length b.Bytebuf.buf - stop)
+          with
+          | 0 -> `Eof
+          | n ->
+              Bytebuf.commit b n;
+              next until)
+  in
+  fun () -> next (deadline ())
+
+let expect_line what next =
+  match next () with
+  | `Line l -> l
+  | `Eof -> Alcotest.failf "%s: connection closed" what
+
+let id_of_line line =
+  match Metrics.member "id" (Metrics.json_of_string line) with
+  | Some id -> id
+  | None -> Metrics.Null
+
+let ping_line id =
+  Wire.request_to_string { Wire.id = Metrics.Int id; client = None; op = Wire.Ping }
+  ^ "\n"
+
+let corpus_line ~id input =
+  let analysis, input, source =
+    List.find (fun (_, i, _) -> i = input) Registry.light_corpus
+  in
+  Wire.request_to_string
+    {
+      Wire.id = Metrics.Int id;
+      client = Some "framing";
+      op = Wire.Analyze { analysis; input; source; config = [] };
+    }
+  ^ "\n"
+
+(* Several requests in one write get one answer each: the pings and a
+   warm hit in order, a cold answer when its worker is done. *)
+let test_frames_in_one_write () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader fd in
+          let expect answers =
+            List.iter
+              (fun (id, status) ->
+                let l = expect_line "batch" next in
+                Alcotest.(check bool)
+                  (Printf.sprintf "answer %d in order" id)
+                  true
+                  (id_of_line l = Metrics.Int id);
+                Alcotest.(check string) "status" status (status_of_line l))
+              answers
+          in
+          raw_send fd (ping_line 1 ^ corpus_line ~id:2 "qsort" ^ ping_line 3);
+          expect [ (1, "ok"); (3, "ok"); (2, "complete") ];
+          raw_send fd (ping_line 4 ^ corpus_line ~id:5 "qsort" ^ ping_line 6);
+          expect [ (4, "ok"); (5, "cached"); (6, "ok") ]))
+
+(* a request sent one byte per write is one request *)
+let test_frame_one_byte_per_write () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader fd in
+          let dribble line ~pause =
+            String.iter
+              (fun c ->
+                raw_send fd (String.make 1 c);
+                if pause then Unix.sleepf 0.001)
+              line
+          in
+          dribble (ping_line 1) ~pause:true;
+          let l = expect_line "dribbled ping" next in
+          Alcotest.(check string) "ping answered" "ok" (status_of_line l);
+          dribble (corpus_line ~id:2 "qsort") ~pause:false;
+          let l = expect_line "dribbled analyze" next in
+          Alcotest.(check string) "analyze answered" "complete"
+            (status_of_line l);
+          Alcotest.(check bool) "its id" true (id_of_line l = Metrics.Int 2)))
+
+(* A line that arrives in two reads, the second past the input buffer's
+   first capacity, is read whole: its source digests to the key the
+   same source sent in one piece left in the cache. *)
+let test_frame_across_buffer_growth () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let source =
+        String.concat "\n"
+          (List.init 600 (fun k -> Printf.sprintf "p%d(a%d). q(X) :- p%d(X)." k k k))
+      in
+      let req id =
+        Wire.request_to_string
+          {
+            Wire.id = Metrics.Int id;
+            client = Some "growth";
+            op =
+              Wire.Analyze
+                { analysis = "groundness"; input = "g.pl"; source; config = [] };
+          }
+        ^ "\n"
+      in
+      let line = req 2 in
+      Alcotest.(check bool) "the line outgrows a 4 KiB buffer" true
+        (String.length line > 4 * 4096);
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader fd in
+          raw_send fd (req 1);
+          Alcotest.(check string) "cold in one piece" "complete"
+            (status_of_line (expect_line "cold" next));
+          (* a ping first, so the long line starts mid-buffer *)
+          raw_send fd (ping_line 9 ^ String.sub line 0 3000);
+          Alcotest.(check string) "ping before the split line" "ok"
+            (status_of_line (expect_line "ping" next));
+          Unix.sleepf 0.05;
+          raw_send fd (String.sub line 3000 (String.length line - 3000));
+          let l = expect_line "split line" next in
+          Alcotest.(check string) "the split line is a warm hit" "cached"
+            (status_of_line l);
+          Alcotest.(check bool) "its id" true (id_of_line l = Metrics.Int 2)))
+
+(* Answers larger than the socket buffer, to a reader that does not
+   read yet: the daemon writes what the socket takes, serves other
+   clients meanwhile, and every line arrives whole and in order. *)
+let test_frames_to_slow_reader () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader ~timeout:30. fd in
+          raw_send fd (corpus_line ~id:0 "read");
+          let cold = expect_line "cold" next in
+          Alcotest.(check string) "cold" "complete" (status_of_line cold);
+          let n = 200 in
+          raw_send fd
+            (String.concat ""
+               (List.init n (fun k -> corpus_line ~id:(k + 1) "read")));
+          (* the answers back up in the daemon while nobody reads *)
+          Unix.sleepf 0.2;
+          (match ping socket with
+          | Ok ("ok", _) -> ()
+          | _ -> Alcotest.fail "daemon stalled behind a slow reader");
+          let total = ref 0 in
+          for k = 1 to n do
+            let l = expect_line "slow reader" next in
+            total := !total + String.length l + 1;
+            Alcotest.(check bool)
+              (Printf.sprintf "answer %d in order" k)
+              true
+              (id_of_line l = Metrics.Int k);
+            Alcotest.(check string) "warm" "cached" (status_of_line l);
+            if k mod 10 = 0 then Unix.sleepf 0.002
+          done;
+          Alcotest.(check bool)
+            (Printf.sprintf "%d answer bytes outsize a socket buffer" !total)
+            true (!total > 1024 * 1024)))
+
+(* EOF in the middle of a line: the complete lines before it are
+   answered, the partial one is dropped with the connection, and the
+   daemon carries on *)
+let test_eof_mid_line () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader fd in
+          let half = corpus_line ~id:2 "qsort" in
+          raw_send fd (ping_line 1 ^ String.sub half 0 (String.length half / 2));
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Alcotest.(check string) "the complete line answered" "ok"
+            (status_of_line (expect_line "before EOF" next));
+          (match next () with
+          | `Eof -> ()
+          | `Line l -> Alcotest.failf "an answer to half a line: %S" l);
+          match ping socket with
+          | Ok ("ok", _) -> ()
+          | _ -> Alcotest.fail "daemon unhealthy after EOF mid-line"))
+
+(* --- e2e: the daemon's heap ------------------------------------------------ *)
+
+let gauge_of doc name =
+  match
+    Option.bind (Metrics.member "stats" doc) (fun s ->
+        Option.bind (Metrics.member "gauges" s) (Metrics.member name))
+  with
+  | Some (Metrics.Int n) -> n
+  | _ -> Alcotest.failf "no gauge %s" name
+
+(* A warm hit allocates nothing large: 2,000 of them on one connection,
+   after a warm-up, grow the daemon's major heap allocation by under 64
+   words each.  What a stats request itself allocates is measured by
+   two back-to-back ones and taken off. *)
+let test_warm_hits_stay_minor () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let fd = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let next = line_reader fd in
+          let hit = corpus_line ~id:1 "read" in
+          for _ = 1 to 200 do
+            raw_send fd hit;
+            ignore (expect_line "warm-up" next)
+          done;
+          let major () =
+            gauge_of (stats_counters socket) "daemon.gc_major_words"
+          in
+          let s0 = major () in
+          let s1 = major () in
+          let hits = 2000 in
+          for _ = 1 to hits do
+            raw_send fd hit;
+            let l = expect_line "hit" next in
+            if status_of_line l <> "cached" then
+              Alcotest.failf "not a warm hit: %s" (status_of_line l)
+          done;
+          let s2 = major () in
+          let per_hit =
+            float_of_int (s2 - s1 - (s1 - s0)) /. float_of_int hits
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%.1f major-heap words per warm hit (< 64)" per_hit)
+            true (per_hit < 64.)))
+
 let () =
   Prax_analyses.Analyses.ensure ();
   Alcotest.run "daemon"
@@ -1557,6 +1909,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "grammar" `Quick test_wire_grammar;
+          Alcotest.test_case "parse in place" `Quick test_wire_parse_in_place;
           Alcotest.test_case "spliced report lines byte-identical" `Quick
             test_spliced_reports_identical;
           Alcotest.test_case "non-JSON worker payload as a string" `Quick
@@ -1582,6 +1935,20 @@ let () =
             test_non_json_store_payload_misses;
           Alcotest.test_case "cold lines are parse-and-print" `Quick
             test_cold_lines_parse_and_print;
+          Alcotest.test_case "warm hits stay off the major heap" `Quick
+            test_warm_hits_stay_minor;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "several requests in one write" `Quick
+            test_frames_in_one_write;
+          Alcotest.test_case "one byte per write" `Quick
+            test_frame_one_byte_per_write;
+          Alcotest.test_case "a line across a buffer growth" `Quick
+            test_frame_across_buffer_growth;
+          Alcotest.test_case "large answers to a slow reader" `Quick
+            test_frames_to_slow_reader;
+          Alcotest.test_case "EOF mid-line" `Quick test_eof_mid_line;
         ] );
       ( "pressure",
         [

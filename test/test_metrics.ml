@@ -529,6 +529,58 @@ let prop_read_agrees =
         ((Ref.to_string v :: text :: mutations rs text)
         @ mutations rs (Ref.to_string v)))
 
+(* [json_of_substring] with a deferred "source" member, reading [m]
+   where it lies inside padding, agrees with the reference on [m]: both
+   reject it, or the reader gives the reference's value with the first
+   top-level "source" member read as [Null] when it is a string, and
+   that string's bytes decoded into the caller's buffer. *)
+let deferred_agrees m =
+  let room_buf = ref Bytes.empty in
+  let room k =
+    if Bytes.length !room_buf < k then room_buf := Bytes.create k;
+    !room_buf
+  in
+  let padded = "[\"" ^ m ^ "\"]" in
+  let mine =
+    match M.json_of_substring ~defer:("source", room) padded ~pos:2
+            ~len:(String.length m)
+    with
+    | r -> Some r
+    | exception M.Json_error _ -> None
+  in
+  let reference = try Some (Ref.of_string m) with M.Json_error _ -> None in
+  match (mine, reference) with
+  | None, None -> true
+  | Some (j, k), Some r -> (
+      let first_source =
+        match r with
+        | M.Obj fields -> List.assoc_opt "source" fields
+        | _ -> None
+      in
+      match (r, first_source) with
+      | M.Obj fields, Some (M.Str src) ->
+          let rec blank = function
+            | ("source", _) :: rest -> ("source", M.Null) :: rest
+            | f :: rest -> f :: blank rest
+            | [] -> []
+          in
+          k = String.length src
+          && Bytes.sub_string !room_buf 0 k = src
+          && Ref.to_string j = Ref.to_string (M.Obj (blank fields))
+      | _ -> k = -1 && Ref.to_string j = Ref.to_string r)
+  | _ -> false
+
+let prop_deferred_read =
+  prop "deferred source read in place = reference" 2000
+    QCheck2.Gen.(triple gen_json gen_string int)
+    (fun (v, src, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let doc = M.Obj [ ("a", v); ("source", M.Str src); ("b", v) ] in
+      let text = noisy_print rs doc in
+      List.for_all deferred_agrees
+        ((Ref.to_string doc :: text :: mutations rs text)
+        @ [ noisy_print rs v; noisy_print rs (M.Obj [ ("source", v) ]) ]))
+
 (* Every light-corpus report and analyze request line: printed and read
    as the reference does, valid, and in agreement with it when cut short
    or mutated at 64 places each (fixed seed). *)
@@ -617,6 +669,7 @@ let () =
         [
           prop_print_identical;
           prop_read_agrees;
+          prop_deferred_read;
           Alcotest.test_case "corpus lines = reference" `Quick
             test_corpus_lines;
         ] );

@@ -443,6 +443,42 @@ let error_recovery_rebuild () =
     bytes_before
     (Engine.table_space_bytes e)
 
+(* Names compare by pointer: a term whose names were spelled in freshly
+   allocated strings still reaches the trie entry keyed by the term built
+   from literals, and answer matching accepts it, because building a
+   term interns its names.  A name of the same length that differs
+   misses. *)
+let fresh_names_match () =
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  let key = Term.mk "edge" [| Term.atom "a"; Term.int 1 |] in
+  let solo = Term.atom "solo" in
+  let t = Trie.create () in
+  ignore (Trie.find_or_add t key (fun () -> 1));
+  ignore (Trie.find_or_add t solo (fun () -> 2));
+  let name = fresh "edge" in
+  Alcotest.(check bool) "the spelling is a new string" false (name == "edge");
+  let probe = Term.mk name [| Term.atom (fresh "a"); Term.int 1 |] in
+  Alcotest.(check (option int)) "struct key found" (Some 1) (Trie.find_opt t probe);
+  Alcotest.(check (option int)) "atom key found" (Some 2)
+    (Trie.find_opt t (Term.atom (fresh "solo")));
+  Alcotest.(check (option int)) "another name misses" None
+    (Trie.find_opt t (Term.mk (fresh "edgf") [| Term.atom "a"; Term.int 1 |]));
+  Alcotest.(check (option int)) "another atom misses" None
+    (Trie.find_opt t (Term.atom (fresh "sole")));
+  let goal = Term.mk (fresh "edge") [| Term.var 0; Term.var 1 |] in
+  Alcotest.(check bool) "answer matching accepts it" true
+    (Option.is_some (Unify.unify_answer Subst.empty goal key));
+  Alcotest.(check bool) "an atom answer matches a fresh-spelled atom" true
+    (Option.is_some
+       (Unify.unify_answer Subst.empty
+          (Term.mk "p" [| Term.atom (fresh "a") |])
+          (Term.mk "p" [| Term.atom "a" |])));
+  Alcotest.(check bool) "a different atom clashes" false
+    (Option.is_some
+       (Unify.unify_answer Subst.empty
+          (Term.mk "p" [| Term.atom (fresh "b") |])
+          (Term.mk "p" [| Term.atom "a" |])))
+
 let () =
   Alcotest.run "trie"
     [
@@ -460,6 +496,8 @@ let () =
         [
           Alcotest.test_case "node accounting" `Quick node_accounting;
           Alcotest.test_case "leaf keys" `Quick leaf_keys;
+          Alcotest.test_case "fresh name strings match interned keys" `Quick
+            fresh_names_match;
         ] );
       ( "engine",
         [
